@@ -2,15 +2,16 @@
 """Regenerate the reference value tables as CSV files.
 
 Writes one file per function tag into the output directory (default
-./tables).  The first six rows of f, fk(k=2), mbar and mbark(k=2) are the
-classically tabulated values; everything beyond is fresh exact computation.
+./tables), each through the `table` command of the CLI.  The first six rows
+of f, fk(k=2), mbar and mbark(k=2) are the classically tabulated values;
+everything beyond is fresh exact computation.
 """
 
 import argparse
 import pathlib
+import sys
 
-from menon_subsets import MemoCache, build_sieve
-from menon_subsets.cli import SequenceTable, _compute_one
+from menon_subsets.cli import main as cli_main
 
 
 def main() -> None:
@@ -21,8 +22,6 @@ def main() -> None:
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sieve = build_sieve(max(args.n_max, 1))
-    cache = MemoCache()
 
     jobs = [
         ("f", None),
@@ -34,15 +33,14 @@ def main() -> None:
         ("mbark", 2),
     ]
     for tag, k in jobs:
-        rows = [
-            (n, _compute_one(tag, n, k, "auto", sieve, cache))
-            for n in range(1, args.n_max + 1)
-        ]
-        table = SequenceTable(function=tag, k=k, rows=rows)
         name = tag if k is None else f"{tag}{k}"
         path = out_dir / f"{name}.csv"
-        path.write_text(table.to_csv(), encoding="utf-8", newline="\n")
-        print(f"wrote {path} ({len(rows)} rows)")
+        argv = ["table", tag, "--n-max", str(args.n_max), "--out", str(path)]
+        if k is not None:
+            argv += ["--k", str(k)]
+        if cli_main(argv) != 0:
+            sys.exit(f"could not write {path}")
+        print(f"wrote {path} ({args.n_max} rows)")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from .counts import (
     binomial,
     coprime_k_subsets,
     coprime_subsets,
+    floor_counts,
     relprime_k_subsets,
     relprime_subsets,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "enumerate_relprime_k_subsets",
     "enumerate_relprime_subsets",
     "evaluate",
+    "floor_counts",
     "gcd",
     "gcd_class_menon_sum",
     "gcd_class_menon_sum_k",

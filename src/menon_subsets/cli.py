@@ -1,8 +1,9 @@
 """Command-line surface: compute single values, emit tables, verify, bench.
 
 Exit codes: 0 success, 1 verification or cross-strategy mismatch, 2 usage
-error.  Values are printed in full decimal; JSON tables carry them as
-strings because they outgrow every fixed-width numeric type.
+error.  Values are printed in full decimal, however many digits they have;
+JSON tables carry them as strings because they outgrow every fixed-width
+numeric type.
 """
 
 from __future__ import annotations
@@ -259,7 +260,16 @@ def main(argv: list[str] | None = None) -> int:
         "verify": cmd_verify,
         "bench": cmd_bench,
     }[args.command]
-    return handler(parser, args)
+    # Values are printed in full, often past the default 4300-digit limit of
+    # int -> str; lift it for this call only (builds before 3.11 have none).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return handler(parser, args)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -8,26 +8,32 @@ menon_sum(n)      -- the same kind of sum taken over all nonempty subsets A
 menon_sum_k(n, k) -- restriction to k-element subsets
 
 menon_sum evaluates a triple divisor sum that expresses the total through
-the relatively prime subset counts:
+the relatively prime subset counts F (relprime_subsets, or
+relprime_k_subsets for menon_sum_k):
 
     sum over d | n of phi(d) *
       sum over squarefree delta | n with gcd(delta, d) = 1 of mu(delta) *
         sum over j in 1..n/delta with delta * j = 1 (mod d) of
-          relprime_subsets(floor(n / (j * delta)))
+          F(floor(n / (j * delta)))
 
-The congruence on j is solvable exactly because gcd(delta, d) = 1, so the
-inner loop starts at the modular inverse of delta and steps by d instead of
-scanning and filtering.  Prime-power and prime inputs additionally admit
+It is evaluated in two passes.  The weight pass walks each (d, delta)
+pair's progression j = delta^-1 (mod d) in blocks of constant
+floor(n / (j * delta)), counts the progression's members in each block in
+O(1), and adds phi(d) * mu(delta) * count to a small-integer weight w_q of
+that floor value q.  The count pass then gets F(q) for every floor value q
+of n at once from counts.floor_counts, and the result is the single sum of
+w_q * F(q) over the about 2 sqrt(n) q with w_q != 0: no per-j count
+evaluation and no n-bit addition per j.  Prime-power and prime inputs admit
 collapsed forms (the only surviving (d, delta) pairs are (1, 1), (1, p) and
-(p^s, 1)), exposed as *_prime_power and *_prime; `evaluate` dispatches
-between the general and collapsed routes.
+(p^s, 1)), exposed as *_prime_power and *_prime and evaluated by the same
+two passes; `evaluate` dispatches between the general and collapsed routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counts import MemoCache, relprime_k_subsets, relprime_subsets
+from .counts import MemoCache, as_int, floor_counts
 from .sieve import SieveTables, divisors, gcd, mod_inverse
 
 THEOREM = "theorem"
@@ -76,6 +82,9 @@ class MenonParams:
     strategy: str = AUTO
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", as_int(self.n, "n"))
+        if self.k is not None:
+            object.__setattr__(self, "k", as_int(self.k, "k"))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.k is not None and self.k < 1:
@@ -86,11 +95,13 @@ class MenonParams:
             raise ValueError(f"{self.n} is not a prime power")
 
 
-def _check(n: int, sieve: SieveTables) -> None:
+def _check(n: int, sieve: SieveTables) -> int:
+    n = as_int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     if sieve.limit < n:
         raise ValueError(f"sieve limit {sieve.limit} is too small for n = {n}")
+    return n
 
 
 def menon_classic(n: int, sieve: SieveTables, direct_sum: bool = False) -> int:
@@ -100,7 +111,7 @@ def menon_classic(n: int, sieve: SieveTables, direct_sum: bool = False) -> int:
     reduced residues a mod n -- the definitional sum, kept around for
     cross-checking.
     """
-    _check(n, sieve)
+    n = _check(n, sieve)
     if direct_sum:
         return sum(gcd(a - 1, n) for a in range(1, n + 1) if gcd(a, n) == 1)
     return sieve.phi[n] * len(divisors(n))
@@ -115,43 +126,56 @@ def menon_sum_k(
     n: int, k: int, sieve: SieveTables, cache: MemoCache | None = None
 ) -> int:
     """k-subset restriction of menon_sum; 0-consistent when k exceeds n."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return _triple_sum(n, sieve, cache, k=k)
+
+
+def _add_progression(
+    weights: dict[int, int], N: int, first: int, step: int, last: int, w: int
+) -> None:
+    """Add w * #{j <= last : j = first (mod step), N // j = q} to weights[q].
+
+    Needs last <= N.  Jumps from member to member of the progression one
+    block of constant N // j at a time, counting the block's members in
+    O(1), so the cost is the smaller of the member count and the ~2 sqrt(N)
+    blocks.
+    """
+    j = first
+    while j <= last:
+        q = N // j
+        count = (min(N // q, last) - j) // step + 1
+        weights[q] = weights.get(q, 0) + w * count
+        j += count * step
+
+
+def _weighted_total(
+    weights: dict[int, int], n: int, k: int | None, cache: MemoCache | None
+) -> int:
+    # sum of w_q * F(q); every key q is a floor value of n.  floor_counts
+    # also rejects a k that is not a positive integer.
+    counts = floor_counts(n, k, cache)
+    total = sum(w * counts[q] for q, w in weights.items() if w)
+    if total < 0:
+        raise ArithmeticError(f"gcd sum came out negative ({total})")
+    return total
 
 
 def _triple_sum(
     n: int, sieve: SieveTables, cache: MemoCache | None, k: int | None
 ) -> int:
-    _check(n, sieve)
+    n = _check(n, sieve)
     divs = divisors(n)
     mu = sieve.mu
     phi = sieve.phi
-    total = 0
+    weights: dict[int, int] = {}
     for d in divs:
-        phi_d = phi[d]
         for delta in divs:
             mu_delta = mu[delta]
             if mu_delta == 0 or gcd(delta, d) != 1:
                 continue
-            if n % delta:
-                raise ArithmeticError(f"{delta} is not a divisor of {n}")
-            upper = n // delta  # exact division
-            j = 1 if d == 1 else mod_inverse(delta % d, d)
-            inner = 0
-            while j <= upper:
-                m = n // (j * delta)
-                if m < 1:
-                    raise ArithmeticError("inner floor argument fell below 1")
-                if k is None:
-                    inner += relprime_subsets(m, sieve, cache=cache)
-                else:
-                    inner += relprime_k_subsets(m, k, sieve, cache=cache)
-                j += d
-            total += phi_d * mu_delta * inner
-    if total < 0:
-        raise ArithmeticError(f"gcd sum came out negative ({total})")
-    return total
+            upper = n // delta
+            first = mod_inverse(delta, d)
+            _add_progression(weights, upper, first, d, upper, phi[d] * mu_delta)
+    return _weighted_total(weights, n, k, cache)
 
 
 def _check_prime_power(p: int, t: int) -> None:
@@ -172,66 +196,48 @@ def menon_sum_k_prime_power(
     p: int, t: int, k: int, sieve: SieveTables, cache: MemoCache | None = None
 ) -> int:
     """Collapsed form of menon_sum_k at n = p**t."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return _prime_power_sum(p, t, sieve, cache, k=k)
-
-
-def _count(m, sieve, cache, k):
-    if k is None:
-        return relprime_subsets(m, sieve, cache=cache)
-    return relprime_k_subsets(m, k, sieve, cache=cache)
 
 
 def _prime_power_sum(
     p: int, t: int, sieve: SieveTables, cache: MemoCache | None, k: int | None
 ) -> int:
+    # sum of F(n // j) over j in 1..n, minus the same over 1..n/p, plus
+    # (p - 1) * p^(s-1) * F(n // j) over j = 1 + (m - 1) p^s, m <= p^(t-s).
     _check_prime_power(p, t)
-    n = p**t
-    _check(n, sieve)
-    total = sum(_count(n // j, sieve, cache, k) for j in range(1, n + 1))
-    prev = p ** (t - 1)
-    total -= sum(_count(prev // j, sieve, cache, k) for j in range(1, prev + 1))
-    correction = 0
+    n = _check(p**t, sieve)
+    weights: dict[int, int] = {}
+    _add_progression(weights, n, 1, 1, n, 1)
+    _add_progression(weights, n // p, 1, 1, n // p, -1)
     for s in range(1, t + 1):
         ps = p**s
-        inner = 0
-        for m in range(1, p ** (t - s) + 1):
-            inner += _count(n // (1 + (m - 1) * ps), sieve, cache, k)
-        correction += p ** (s - 1) * inner
-    total += (p - 1) * correction
-    if total < 0:
-        raise ArithmeticError(f"gcd sum came out negative ({total})")
-    return total
+        _add_progression(weights, n, 1, ps, n - ps + 1, (p - 1) * p ** (s - 1))
+    return _weighted_total(weights, n, k, cache)
 
 
 def menon_sum_prime(
     p: int, sieve: SieveTables, cache: MemoCache | None = None
 ) -> int:
     """Prime specialization: p * f(p) - 1 + sum over j in 2..p of f(floor(p/j))."""
-    _check_prime_power(p, 1)
-    _check(p, sieve)
-    total = p * relprime_subsets(p, sieve, cache=cache) - 1
-    for j in range(2, p + 1):
-        total += relprime_subsets(p // j, sieve, cache=cache)
-    return total
+    return _prime_sum(p, sieve, cache, k=None)
 
 
 def menon_sum_k_prime(
     p: int, k: int, sieve: SieveTables, cache: MemoCache | None = None
 ) -> int:
     """Prime specialization of the k-subset sum."""
+    return _prime_sum(p, sieve, cache, k=k)
+
+
+def _prime_sum(
+    p: int, sieve: SieveTables, cache: MemoCache | None, k: int | None
+) -> int:
+    # p * F(p) - F(1) + sum over j in 2..p of F(p // j)
     _check_prime_power(p, 1)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check(p, sieve)
-    total = p * relprime_k_subsets(p, k, sieve, cache=cache)
-    total -= relprime_k_subsets(1, k, sieve, cache=cache)
-    for j in range(2, p + 1):
-        total += relprime_k_subsets(p // j, k, sieve, cache=cache)
-    if total < 0:
-        raise ArithmeticError(f"gcd sum came out negative ({total})")
-    return total
+    p = _check(p, sieve)
+    weights = {p: p - 1, 1: -1}
+    _add_progression(weights, p, 1, 1, p, 1)
+    return _weighted_total(weights, p, k, cache)
 
 
 def evaluate(

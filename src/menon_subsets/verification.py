@@ -3,12 +3,15 @@
 Replays the known small value tables, the enumeration/gcd-class/divisor-sum
 agreements and the structural identities, and collects the outcomes in a
 VerificationReport.  Each check records its first mismatch, so a red run
-points straight at the offending (n, k).
+points straight at the offending (n, k), along with the number of cases it
+ran and its elapsed seconds.  A check that ran no case is reported as SKIP,
+and a report with a SKIP is not an overall PASS.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from time import perf_counter
 
 from .counts import (
     BLOCKED,
@@ -69,11 +72,21 @@ class Mismatch:
 
 @dataclass
 class CheckResult:
+    """One check's outcome; `passed` means no mismatch and no error."""
+
     name: str
     scope: str
     passed: bool
     mismatch: Mismatch | None = None
     error: str | None = None
+    cases: int = 0
+    seconds: float = 0.0
+
+    @property
+    def status(self) -> str:
+        if not self.passed:
+            return "FAIL"
+        return "PASS" if self.cases else "SKIP"
 
 
 @dataclass
@@ -82,19 +95,20 @@ class VerificationReport:
 
     @property
     def overall(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """True only if every check ran at least one case and none failed."""
+        return all(c.status == "PASS" for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
             "overall": self.overall,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [{**asdict(c), "status": c.status} for c in self.checks],
         }
 
     def render(self) -> str:
         lines = []
         for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            line = f"{status}  {c.name:34s} {c.scope}"
+            line = (f"{c.status}  {c.name:34s} {c.scope}"
+                    f"  ({c.cases} cases, {c.seconds:.2f}s)")
             if c.mismatch is not None:
                 m = c.mismatch
                 where = f"n={m.n}" + (f", k={m.k}" if m.k is not None else "")
@@ -138,17 +152,22 @@ def run_verification(
     report = VerificationReport()
 
     def run(name: str, scope: str, fn) -> None:
+        # fn is a generator: it yields once per case it runs and returns
+        # its first mismatch, or None.
+        result = CheckResult(name, scope, passed=False)
+        start = perf_counter()
+        cases = fn()
         try:
-            mismatch = fn()
-            report.checks.append(
-                CheckResult(name, scope, passed=mismatch is None, mismatch=mismatch)
-            )
+            while True:
+                next(cases)
+                result.cases += 1
+        except StopIteration as done:
+            result.mismatch = done.value
+            result.passed = done.value is None
         except Exception as exc:  # a crashed check is a failed check
-            report.checks.append(
-                CheckResult(
-                    name, scope, passed=False, error=f"{type(exc).__name__}: {exc}"
-                )
-            )
+            result.error = f"{type(exc).__name__}: {exc}"
+        result.seconds = perf_counter() - start
+        report.checks.append(result)
 
     prefix_n = min(len(F_PREFIX), max(n_max_enum, 6))
 
@@ -162,6 +181,7 @@ def run_verification(
         )
         for tag, prefix, fn in rows:
             for i in range(prefix_n):
+                yield
                 got = fn(i + 1)
                 if got != prefix[i]:
                     return _mm(i + 1, None, f"{tag}={prefix[i]}", got)
@@ -171,6 +191,7 @@ def run_verification(
 
     def enum_unrestricted():
         for n in range(1, n_max_enum + 1):
+            yield
             pairs = (
                 ("f", enumerate_relprime_subsets(n, enumeration_limit),
                  relprime_subsets(n, sieve, cache)),
@@ -188,6 +209,7 @@ def run_verification(
     def enum_k_variants():
         for n in range(1, n_max_enum + 1):
             for k in sorted(set(k_set) | {n}):
+                yield
                 expected = enumerate_relprime_k_subsets(n, k, enumeration_limit)
                 got = relprime_k_subsets(n, k, sieve, cache)
                 if got != expected:
@@ -203,6 +225,7 @@ def run_verification(
 
     def three_way():
         for n in range(1, n_max_enum + 1):
+            yield
             enum = enumerate_menon_sum(n, enumeration_limit).total
             gcls = gcd_class_menon_sum(n, sieve, cache)
             thrm = menon_sum(n, sieve, cache)
@@ -216,6 +239,7 @@ def run_verification(
     def three_way_k():
         for n in range(1, n_max_enum + 1):
             for k in sorted(set(k_set) | {n}):
+                yield
                 enum = enumerate_menon_sum_k(n, k, enumeration_limit).total
                 gcls = gcd_class_menon_sum_k(n, k, sieve, cache)
                 thrm = menon_sum_k(n, k, sieve, cache)
@@ -228,6 +252,7 @@ def run_verification(
 
     def gcd_class_medium():
         for n in range(1, n_max_formula + 1):
+            yield
             gcls = gcd_class_menon_sum(n, sieve, cache)
             thrm = menon_sum(n, sieve, cache)
             if gcls != thrm:
@@ -239,6 +264,7 @@ def run_verification(
 
     def singleton_sweep():
         for n in range(1, n_max_formula + 1):
+            yield
             got = relprime_k_subsets(n, 1, sieve, strategy=BLOCKED)
             if got != 1:
                 return _mm(n, 1, 1, got)
@@ -249,6 +275,7 @@ def run_verification(
 
     def strategy_invariance():
         for n in range(1, n_max_formula + 1):
+            yield
             a = relprime_subsets(n, sieve, strategy=DIRECT)
             b = relprime_subsets(n, sieve, strategy=BLOCKED)
             if a != b:
@@ -267,6 +294,7 @@ def run_verification(
         for p in SPECIALIZATION_PRIMES:
             t = 1
             while p**t <= PRIME_POWER_CAP:
+                yield
                 n = p**t
                 general = menon_sum(n, sieve, cache)
                 collapsed = menon_sum_prime_power(p, t, sieve, cache)
@@ -286,6 +314,7 @@ def run_verification(
 
     def prime_consistency():
         for p in SPECIALIZATION_PRIMES:
+            yield
             a = menon_sum_prime(p, sieve, cache)
             b = menon_sum_prime_power(p, 1, sieve, cache)
             if a != b:
@@ -302,6 +331,7 @@ def run_verification(
 
     def menon_reduction():
         for n in range(1, n_max_formula + 1):
+            yield
             expected = menon_classic(n, sieve)
             got = menon_sum_k(n, 1, sieve, cache)
             if got != expected:
@@ -313,6 +343,7 @@ def run_verification(
 
     def classic_direct():
         for n in range(1, n_max_formula + 1):
+            yield
             product = menon_classic(n, sieve)
             direct = menon_classic(n, sieve, direct_sum=True)
             if product != direct:
@@ -324,6 +355,7 @@ def run_verification(
 
     def diagonal():
         for n in range(1, min(24, n_max_formula) + 1):
+            yield
             got = menon_sum_k(n, n, sieve, cache)
             if got != n:
                 return _mm(n, n, n, got)
@@ -333,6 +365,7 @@ def run_verification(
 
     def term_count_law():
         for n in range(1, n_max_enum + 1):
+            yield
             result = enumerate_menon_sum(n, enumeration_limit)
             expected = coprime_subsets(n, sieve)
             if result.count != expected:
@@ -349,6 +382,7 @@ def run_verification(
 
     def partitions():
         for n in range(1, min(60, n_max_formula) + 1):
+            yield
             total = sum(relprime_k_subsets(n, k, sieve, cache) for k in range(1, n + 1))
             whole = relprime_subsets(n, sieve, cache)
             if total != whole:
@@ -358,6 +392,7 @@ def run_verification(
             if total != whole:
                 return _mm(n, None, f"phi:{whole}", total)
         for n in range(1, min(24, n_max_formula) + 1):
+            yield
             total = sum(menon_sum_k(n, k, sieve, cache) for k in range(1, n + 1))
             whole = menon_sum(n, sieve, cache)
             if total != whole:
@@ -370,6 +405,7 @@ def run_verification(
     def totient_partial_sum():
         acc = 0
         for n in range(2, n_max_formula + 1):
+            yield
             acc += sieve.phi[n]
             got = relprime_k_subsets(n, 2, sieve, cache)
             if got != acc:
@@ -381,6 +417,7 @@ def run_verification(
 
     def histogram_consistency():
         for n in range(1, n_max_enum + 1):
+            yield
             hist = subset_gcd_histogram(n, enumeration_limit)
             if sum(hist.values()) != (1 << n) - 1:
                 return _mm(n, None, (1 << n) - 1, sum(hist.values()))

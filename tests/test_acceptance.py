@@ -14,9 +14,11 @@ from menon_subsets import (
     BLOCKED,
     DIRECT,
     MemoCache,
+    MenonParams,
     build_sieve,
     coprime_k_subsets,
     coprime_subsets,
+    evaluate,
     menon_classic,
     menon_sum,
     menon_sum_k,
@@ -192,3 +194,16 @@ def test_criterion_8_performance(sieve):
         relprime_subsets(5000, sieve, strategy=BLOCKED)
     _report(8, "memoized divisor sum at n = 3000 matches the gcd-class oracle; "
             "f(5000) strategy-invariant", ok, elapsed, budget=60.0)
+
+
+def test_criterion_9_blocked_sums_at_scale(sieve):
+    start = time.perf_counter()
+    ok = True
+    for n in (55440, 65536):  # theorem route, collapsed prime-power route
+        cache = MemoCache()
+        ok &= evaluate(MenonParams(n), sieve, MemoCache()) == \
+            gcd_class_menon_sum(n, sieve, cache)
+        ok &= evaluate(MenonParams(n, 2), sieve, MemoCache()) == \
+            gcd_class_menon_sum_k(n, 2, sieve, cache)
+    _report(9, "blocked gcd sums match the gcd-class oracle at n = 55440 and "
+            "n = 65536, k in {none, 2}", ok, time.perf_counter() - start, budget=60.0)

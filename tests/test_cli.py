@@ -220,3 +220,29 @@ def test_module_invocation_round_trip():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "53"
+
+
+def test_compute_prints_values_past_the_str_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "compute", "f", "--n", "15000")
+    assert code == 0
+    assert out.endswith("\n")
+    digits = out.strip()
+    assert digits.isdigit() and len(digits) == 4516
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_str_digit_limit_restored_after_failure(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, _, _ = run_cli(capsys, "compute", "f", "--n", "0")
+    assert code == 2
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_verify_refuses_vacuous_pass(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--n-max-enum", "0", "--n-max-formula", "1"
+    )
+    assert code == 1
+    assert "SKIP  enumeration-counts " in out
+    assert "overall: FAIL" in out

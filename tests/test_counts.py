@@ -10,6 +10,7 @@ from menon_subsets import (
     build_sieve,
     coprime_k_subsets,
     coprime_subsets,
+    floor_counts,
     relprime_k_subsets,
     relprime_subsets,
 )
@@ -188,3 +189,53 @@ def test_rejects_undersized_sieve():
         relprime_subsets(9, tiny)
     with pytest.raises(ValueError):
         coprime_k_subsets(9, 2, tiny)
+
+
+def _direct(q, k, sieve):
+    if k is None:
+        return relprime_subsets(q, sieve, strategy=DIRECT)
+    return relprime_k_subsets(q, k, sieve, strategy=DIRECT)
+
+
+@given(st.integers(1, 1200), st.sampled_from((None, 1, 2, 3, 5)))
+def test_floor_counts_match_direct_counts(sieve, n, k):
+    counts = floor_counts(n, k)
+    assert set(counts) == {n // t for t in range(1, n + 1)}
+    for q, value in counts.items():
+        assert value == _direct(q, k, sieve)
+
+
+def test_floor_counts_small_cases():
+    assert floor_counts(1) == {1: 1}
+    assert floor_counts(6) == {1: 1, 2: 2, 3: 5, 6: 53}
+    assert floor_counts(6, 2) == {1: 0, 2: 1, 3: 3, 6: 11}
+    assert floor_counts(4, 9) == {1: 0, 2: 0, 4: 0}
+
+
+def test_floor_counts_memoise_under_their_own_keys():
+    cache = MemoCache()
+    first = floor_counts(30, cache=cache)
+    assert cache.misses == len(first)
+    assert {key for key, _ in cache.items()} == {("floor", q, None) for q in first}
+    assert floor_counts(30, cache=cache) == first
+    assert cache.misses == len(first)  # the second call only hit
+    assert floor_counts(15, 2, cache=cache) == floor_counts(15, 2)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3", None])
+def test_floor_counts_reject_non_integer_n(bad):
+    with pytest.raises(TypeError):
+        floor_counts(bad)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3"])
+def test_floor_counts_reject_non_integer_k(bad):
+    with pytest.raises(TypeError):
+        floor_counts(10, bad)
+
+
+def test_floor_counts_reject_out_of_range():
+    with pytest.raises(ValueError):
+        floor_counts(0)
+    with pytest.raises(ValueError):
+        floor_counts(5, 0)

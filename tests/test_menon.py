@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menon_subsets import (
     AUTO,
     PRIME_POWER,
     THEOREM,
     MemoCache,
+    build_sieve,
+    divisors,
     MenonParams,
     evaluate,
     is_prime,
@@ -17,7 +21,7 @@ from menon_subsets import (
     menon_sum_prime_power,
     prime_power_split,
 )
-from menon_subsets.oracle import gcd_class_menon_sum
+from menon_subsets.oracle import gcd_class_menon_sum, gcd_class_menon_sum_k
 
 # Frozen from the bitmask enumeration oracle; index i holds n = i + 1.
 MBAR = (1, 4, 16, 46, 134, 320, 822, 1898, 4414, 9844, 22106, 48208,
@@ -190,3 +194,60 @@ def test_shared_cache_is_reused(sieve):
     second = menon_sum(30, sieve, cache)
     assert first == second
     assert cache.misses == misses  # second run served entirely from the cache
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3"])
+def test_params_reject_non_integer_n(bad):
+    with pytest.raises(TypeError):
+        MenonParams(n=bad)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3"])
+def test_params_reject_non_integer_k(bad):
+    with pytest.raises(TypeError):
+        MenonParams(n=6, k=bad)
+
+
+def test_params_keep_plain_ints():
+    params = MenonParams(n=12, k=2)
+    assert (params.n, params.k) == (12, 2)
+    assert type(params.n) is int and type(params.k) is int
+
+
+# Property inputs up to 3000, biased toward the shapes that stress the two
+# routes differently: prime powers (collapsed route), squarefree n (every
+# delta survives) and highly composite n (the most divisor pairs).
+N_MAX = 3000
+BIG_SIEVE = build_sieve(N_MAX)
+PRIME_POWERS = [n for n in range(2, N_MAX + 1) if prime_power_split(n) is not None]
+SQUAREFREE = [n for n in range(2, N_MAX + 1) if BIG_SIEVE.mu[n] != 0]
+HIGHLY_COMPOSITE = (12, 24, 36, 48, 60, 120, 180, 240, 360, 720, 840, 1260, 1680, 2520)
+SHAPED_N = st.one_of(
+    st.integers(1, N_MAX),
+    st.sampled_from(PRIME_POWERS),
+    st.sampled_from(SQUAREFREE),
+    st.sampled_from(HIGHLY_COMPOSITE),
+)
+
+
+@pytest.fixture(scope="module")
+def oracle_cache():
+    return MemoCache()
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPED_N, st.sampled_from((None, 1, 2, 3)))
+def test_evaluate_matches_gcd_class_oracle(oracle_cache, n, k):
+    got = evaluate(MenonParams(n, k), BIG_SIEVE, MemoCache())
+    if k is None:
+        expected = gcd_class_menon_sum(n, BIG_SIEVE, oracle_cache)
+    else:
+        expected = gcd_class_menon_sum_k(n, k, BIG_SIEVE, oracle_cache)
+    assert got == expected
+
+
+@settings(deadline=None)
+@given(SHAPED_N)
+def test_singleton_sum_is_phi_times_tau(n):
+    expected = BIG_SIEVE.phi[n] * len(divisors(n))
+    assert evaluate(MenonParams(n, 1), BIG_SIEVE) == expected

@@ -57,3 +57,43 @@ def test_rejects_enum_bound_above_limit():
 def test_rejects_undersized_sieve():
     with pytest.raises(ValueError):
         run_verification(n_max_enum=4, n_max_formula=30, sieve=build_sieve(100))
+
+
+def test_every_check_reports_cases_and_seconds():
+    report = run_verification(n_max_enum=4, n_max_formula=30, k_set=(1, 2))
+    text = report.render()
+    for check in report.checks:
+        assert check.status == "PASS"
+        assert check.cases > 0
+        assert check.seconds >= 0
+        assert f"({check.cases} cases, " in text
+    for row in report.to_dict()["checks"]:
+        assert row["status"] == "PASS"
+        assert row["cases"] > 0 and "seconds" in row
+
+
+def test_defaults_run_every_check():
+    report = run_verification()
+    assert report.overall
+    assert all(c.status == "PASS" and c.cases > 0 for c in report.checks)
+
+
+def test_empty_ranges_are_skipped_not_passed():
+    report = run_verification(n_max_enum=0, n_max_formula=1)
+    statuses = {c.name: c.status for c in report.checks}
+    assert statuses["enumeration-counts"] == "SKIP"
+    assert statuses["pair-count-totient-sum"] == "SKIP"
+    assert statuses["known-values"] == "PASS"
+    assert "FAIL" not in statuses.values()
+    assert not report.overall
+    assert report.render().endswith("overall: FAIL")
+    assert report.to_dict()["overall"] is False
+
+
+def test_skipped_check_is_not_a_pass():
+    from menon_subsets.verification import CheckResult, VerificationReport
+
+    skipped = CheckResult("probe", "scope", passed=True, cases=0)
+    assert skipped.status == "SKIP"
+    assert not VerificationReport([skipped]).overall
+    assert VerificationReport([CheckResult("probe", "scope", True, cases=3)]).overall
