@@ -6,15 +6,10 @@ known value tables and structural identities.
 """
 
 from .counts import (
-    BLOCKED,
-    COUNT_STRATEGIES,
-    DIRECT,
     MemoCache,
     binomial,
-    coprime_k_subsets,
     coprime_subsets,
     floor_counts,
-    relprime_k_subsets,
     relprime_subsets,
 )
 from .menon import (
@@ -24,39 +19,39 @@ from .menon import (
     THEOREM,
     MenonParams,
     evaluate,
-    is_prime,
     menon_classic,
     menon_sum,
-    menon_sum_k,
-    menon_sum_k_prime,
-    menon_sum_k_prime_power,
     menon_sum_prime,
     menon_sum_prime_power,
-    prime_power_split,
 )
 from .oracle import (
     DEFAULT_ENUMERATION_LIMIT,
     SubsetSum,
-    enumerate_coprime_k_subsets,
     enumerate_coprime_subsets,
     enumerate_menon_sum,
-    enumerate_menon_sum_k,
-    enumerate_relprime_k_subsets,
     enumerate_relprime_subsets,
     gcd_class_menon_sum,
-    gcd_class_menon_sum_k,
+    mobius_subset_count,
     subset_gcd_histogram,
 )
-from .sieve import SieveTables, build_sieve, divisors, gcd, mod_inverse
+from .sieve import (
+    Factorization,
+    SieveTables,
+    build_sieve,
+    divisors,
+    factorize,
+    gcd,
+    is_prime,
+    mod_inverse,
+    prime_power_split,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AUTO",
-    "BLOCKED",
-    "COUNT_STRATEGIES",
     "DEFAULT_ENUMERATION_LIMIT",
-    "DIRECT",
+    "Factorization",
     "MENON_STRATEGIES",
     "MemoCache",
     "MenonParams",
@@ -66,31 +61,24 @@ __all__ = [
     "THEOREM",
     "binomial",
     "build_sieve",
-    "coprime_k_subsets",
     "coprime_subsets",
     "divisors",
-    "enumerate_coprime_k_subsets",
     "enumerate_coprime_subsets",
     "enumerate_menon_sum",
-    "enumerate_menon_sum_k",
-    "enumerate_relprime_k_subsets",
     "enumerate_relprime_subsets",
     "evaluate",
+    "factorize",
     "floor_counts",
     "gcd",
     "gcd_class_menon_sum",
-    "gcd_class_menon_sum_k",
     "is_prime",
     "menon_classic",
     "menon_sum",
-    "menon_sum_k",
-    "menon_sum_k_prime",
-    "menon_sum_k_prime_power",
     "menon_sum_prime",
     "menon_sum_prime_power",
+    "mobius_subset_count",
     "mod_inverse",
     "prime_power_split",
-    "relprime_k_subsets",
     "relprime_subsets",
     "subset_gcd_histogram",
 ]

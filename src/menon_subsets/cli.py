@@ -14,26 +14,8 @@ import sys
 from dataclasses import dataclass
 from time import perf_counter
 
-from .counts import (
-    BLOCKED,
-    COUNT_STRATEGIES,
-    DIRECT,
-    MemoCache,
-    coprime_k_subsets,
-    coprime_subsets,
-    relprime_k_subsets,
-    relprime_subsets,
-)
-from .menon import (
-    AUTO,
-    MENON_STRATEGIES,
-    MenonParams,
-    evaluate,
-    menon_classic,
-    menon_sum,
-    menon_sum_k,
-)
-from .sieve import build_sieve
+from .counts import MemoCache, coprime_subsets, relprime_subsets
+from .menon import AUTO, MENON_STRATEGIES, MenonParams, evaluate, menon_classic
 from .verification import run_verification
 
 TAGS = ("f", "fk", "phi", "phik", "menon", "mbar", "mbark")
@@ -63,19 +45,15 @@ class SequenceTable:
         return json.dumps(obj, indent=2) + "\n"
 
 
-def _compute_one(tag, n, k, strategy, sieve, cache):
-    if tag == "f":
-        return relprime_subsets(n, sieve, cache=cache)
-    if tag == "fk":
-        return relprime_k_subsets(n, k, sieve, cache=cache)
-    if tag == "phi":
-        return coprime_subsets(n, sieve)
-    if tag == "phik":
-        return coprime_k_subsets(n, k, sieve)
+def _compute_one(tag, n, k, strategy, cache):
+    # k is None unless tag is in K_TAGS (see _validate_k).
+    if tag in ("f", "fk"):
+        return relprime_subsets(n, k, cache)
+    if tag in ("phi", "phik"):
+        return coprime_subsets(n, k)
     if tag == "menon":
-        return menon_classic(n, sieve)
-    params = MenonParams(n=n, k=k if tag == "mbark" else None, strategy=strategy)
-    return evaluate(params, sieve, cache)
+        return menon_classic(n)
+    return evaluate(MenonParams(n, k, strategy), cache)
 
 
 def _validate_k(parser: argparse.ArgumentParser, tag: str, k: int | None) -> None:
@@ -90,10 +68,7 @@ def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     if args.strategy != AUTO and args.function not in STRATEGY_TAGS:
         parser.error(f"--strategy does not apply to {args.function}")
     try:
-        sieve = build_sieve(max(args.n, 1))
-        value = _compute_one(
-            args.function, args.n, args.k, args.strategy, sieve, MemoCache()
-        )
+        value = _compute_one(args.function, args.n, args.k, args.strategy, MemoCache())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -104,10 +79,9 @@ def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _validate_k(parser, args.function, args.k)
     try:
-        sieve = build_sieve(max(args.n_max, 1))
-        cache = MemoCache()
+        cache = MemoCache()  # shared: each new row costs one block pass
         rows = [
-            (n, _compute_one(args.function, n, args.k, AUTO, sieve, cache))
+            (n, _compute_one(args.function, n, args.k, AUTO, cache))
             for n in range(1, args.n_max + 1)
         ]
     except ValueError as exc:
@@ -150,42 +124,37 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0 if report.overall else 1
 
 
-def _bench_runs(tag, n, k, strategy, sieve):
+def _bench_runs(tag, n, k, strategy):
     # One benchmark evaluation; returns (value, subset-count evaluations).
-    if tag in ("f", "fk"):
-        if tag == "f":
-            value = relprime_subsets(n, sieve, strategy=strategy)
-        else:
-            value = relprime_k_subsets(n, k, sieve, strategy=strategy)
-        return value, 1
     cache = MemoCache()
-    params = MenonParams(n=n, k=k if tag == "mbark" else None, strategy=strategy)
-    value = evaluate(params, sieve, cache)
+    value = _compute_one(tag, n, k, strategy, cache)
     return value, cache.misses
 
 
 def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     tag = args.function
-    if tag not in ("f", "fk", "mbar", "mbark"):
-        parser.error(f"bench supports f, fk, mbar, mbark; got {tag}")
     _validate_k(parser, tag, args.k)
-    strategies = tuple(s.strip() for s in args.strategies.split(","))
-    valid = COUNT_STRATEGIES if tag in ("f", "fk") else MENON_STRATEGIES
-    for s in strategies:
-        if s not in valid:
-            parser.error(f"strategy {s!r} is not valid for {tag} (choose from {valid})")
+    if tag not in STRATEGY_TAGS:
+        if args.strategies is not None:
+            parser.error(f"--strategies does not apply to {tag}: it has one count route")
+        strategies = ("floor-counts",)
+    else:
+        strategies = tuple(s.strip() for s in (args.strategies or AUTO).split(","))
+        for s in strategies:
+            if s not in MENON_STRATEGIES:
+                parser.error(f"strategy {s!r} is not valid for {tag} "
+                             f"(choose from {MENON_STRATEGIES})")
     if args.reps < 1:
         parser.error("--reps must be >= 1")
 
     try:
-        sieve = build_sieve(max(args.n, 1))
         results = []
         for strategy in strategies:
             best = None
             value = evals = None
             for _ in range(args.reps):
                 t0 = perf_counter()
-                value, evals = _bench_runs(tag, args.n, args.k, strategy, sieve)
+                value, evals = _bench_runs(tag, args.n, args.k, strategy)
                 dt = perf_counter() - t0
                 best = dt if best is None else min(best, dt)
             results.append((strategy, best, value, evals))
@@ -208,7 +177,8 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     shown = str(value) if digits <= 40 else f"<{digits} decimal digits>"
     print(f"{tag} n={args.n}" + (f" k={args.k}" if args.k is not None else "")
           + f"  reps={args.reps}  value={shown}")
-    print("all strategies produced identical values")
+    if len(results) > 1:
+        print("all strategies produced identical values")
     for strategy, seconds, _, evals in results:
         print(f"  {strategy:12s} {seconds * 1000:10.2f} ms   count-evaluations={evals}")
     return 0
@@ -243,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="time evaluation strategies")
     bench.add_argument("function", choices=("f", "fk", "mbar", "mbark"))
     bench.add_argument("--n", type=int, required=True)
-    bench.add_argument("--strategies", required=True,
-                       help="comma-separated (direct,blocked or theorem,prime-power,auto)")
+    bench.add_argument("--strategies",
+                       help="mbar and mbark only: comma-separated from "
+                            "theorem,prime-power,auto (default auto)")
     bench.add_argument("--k", type=int)
     bench.add_argument("--reps", type=int, default=3)
 

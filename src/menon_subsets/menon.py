@@ -1,23 +1,23 @@
 """Menon-type gcd sums.
 
-menon_classic(n)  -- sum of gcd(a-1, n) over a reduced residue system mod n,
-                     which closes to phi(n) * tau(n)
-menon_sum(n)      -- the same kind of sum taken over all nonempty subsets A
-                     of {1..n} whose gcd is coprime to n, each contributing
-                     gcd(gcd(A) - 1, n)
-menon_sum_k(n, k) -- restriction to k-element subsets
+menon_classic(n)       -- sum of gcd(a-1, n) over a reduced residue system
+                          mod n, which closes to phi(n) * tau(n)
+menon_sum(n, k=None)   -- the same kind of sum taken over all nonempty
+                          subsets A of {1..n} (or its k-element subsets)
+                          whose gcd is coprime to n, each contributing
+                          gcd(gcd(A) - 1, n)
 
 menon_sum evaluates a triple divisor sum that expresses the total through
-the relatively prime subset counts F (relprime_subsets, or
-relprime_k_subsets for menon_sum_k):
+the relatively prime subset counts F = relprime_subsets(., k):
 
     sum over d | n of phi(d) *
       sum over squarefree delta | n with gcd(delta, d) = 1 of mu(delta) *
         sum over j in 1..n/delta with delta * j = 1 (mod d) of
           F(floor(n / (j * delta)))
 
-It is evaluated in two passes.  The weight pass walks each (d, delta)
-pair's progression j = delta^-1 (mod d) in blocks of constant
+phi(d) and mu(delta) come from one factorisation of n.  The sum is
+evaluated in two passes.  The weight pass walks each (d, delta) pair's
+progression j = delta^-1 (mod d) in blocks of constant
 floor(n / (j * delta)), counts the progression's members in each block in
 O(1), and adds phi(d) * mu(delta) * count to a small-integer weight w_q of
 that floor value q.  The count pass then gets F(q) for every floor value q
@@ -25,52 +25,30 @@ of n at once from counts.floor_counts, and the result is the single sum of
 w_q * F(q) over the about 2 sqrt(n) q with w_q != 0: no per-j count
 evaluation and no n-bit addition per j.  Prime-power and prime inputs admit
 collapsed forms (the only surviving (d, delta) pairs are (1, 1), (1, p) and
-(p^s, 1)), exposed as *_prime_power and *_prime and evaluated by the same
-two passes; `evaluate` dispatches between the general and collapsed routes.
+(p^s, 1)), exposed as menon_sum_prime_power and menon_sum_prime and
+evaluated by the same two passes; `evaluate` dispatches between the general
+and collapsed routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counts import MemoCache, as_int, floor_counts
-from .sieve import SieveTables, divisors, gcd, mod_inverse
+from .counts import MemoCache, floor_counts
+from .sieve import (
+    as_int,
+    check_args,
+    factorize,
+    gcd,
+    is_prime,
+    mod_inverse,
+    prime_power_split,
+)
 
 THEOREM = "theorem"
 PRIME_POWER = "prime-power"
 AUTO = "auto"
 MENON_STRATEGIES = (THEOREM, PRIME_POWER, AUTO)
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality check; inputs here are desk scale."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def prime_power_split(n: int) -> tuple[int, int] | None:
-    """Return (p, t) with n = p**t and p prime, or None if n is not one."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        return (n, 1)
-    t = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        t += 1
-    return (p, t) if m == 1 else None
 
 
 @dataclass(frozen=True)
@@ -82,51 +60,27 @@ class MenonParams:
     strategy: str = AUTO
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", as_int(self.n, "n"))
-        if self.k is not None:
-            object.__setattr__(self, "k", as_int(self.k, "k"))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be >= 1 when given")
+        n, k = check_args(self.n, self.k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
         if self.strategy not in MENON_STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.strategy == PRIME_POWER and prime_power_split(self.n) is None:
             raise ValueError(f"{self.n} is not a prime power")
 
 
-def _check(n: int, sieve: SieveTables) -> int:
-    n = as_int(n, "n")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sieve.limit < n:
-        raise ValueError(f"sieve limit {sieve.limit} is too small for n = {n}")
-    return n
-
-
-def menon_classic(n: int, sieve: SieveTables, direct_sum: bool = False) -> int:
+def menon_classic(n: int, direct_sum: bool = False) -> int:
     """Classic identity value phi(n) * tau(n).
 
     With direct_sum=True, instead accumulates gcd(a - 1, n) over the
     reduced residues a mod n -- the definitional sum, kept around for
     cross-checking.
     """
-    n = _check(n, sieve)
+    n, _ = check_args(n)
     if direct_sum:
         return sum(gcd(a - 1, n) for a in range(1, n + 1) if gcd(a, n) == 1)
-    return sieve.phi[n] * len(divisors(n))
-
-
-def menon_sum(n: int, sieve: SieveTables, cache: MemoCache | None = None) -> int:
-    """Subset gcd sum via the triple divisor sum (see module docstring)."""
-    return _triple_sum(n, sieve, cache, k=None)
-
-
-def menon_sum_k(
-    n: int, k: int, sieve: SieveTables, cache: MemoCache | None = None
-) -> int:
-    """k-subset restriction of menon_sum; 0-consistent when k exceeds n."""
-    return _triple_sum(n, sieve, cache, k=k)
+    fac = factorize(n)
+    return fac.phi * fac.tau
 
 
 def _add_progression(
@@ -159,53 +113,43 @@ def _weighted_total(
     return total
 
 
-def _triple_sum(
-    n: int, sieve: SieveTables, cache: MemoCache | None, k: int | None
-) -> int:
-    n = _check(n, sieve)
-    divs = divisors(n)
-    mu = sieve.mu
-    phi = sieve.phi
+def menon_sum(n: int, k: int | None = None, cache: MemoCache | None = None) -> int:
+    """Subset gcd sum via the triple divisor sum (see module docstring).
+
+    0 whenever k exceeds n.
+    """
+    n, k = check_args(n, k)
+    fac = factorize(n)
+    mobius = fac.mobius()
     weights: dict[int, int] = {}
-    for d in divs:
-        for delta in divs:
-            mu_delta = mu[delta]
-            if mu_delta == 0 or gcd(delta, d) != 1:
+    for d, phi_d in fac.totients().items():
+        for delta, mu_delta in mobius.items():
+            if gcd(delta, d) != 1:
                 continue
             upper = n // delta
             first = mod_inverse(delta, d)
-            _add_progression(weights, upper, first, d, upper, phi[d] * mu_delta)
+            _add_progression(weights, upper, first, d, upper, phi_d * mu_delta)
     return _weighted_total(weights, n, k, cache)
 
 
-def _check_prime_power(p: int, t: int) -> None:
+def _check_prime_power(p, t, k) -> tuple[int, int, int | None]:
+    p, k = check_args(p, k)
+    t = as_int(t, "t")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if t < 1:
         raise ValueError("exponent t must be >= 1")
+    return p, t, k
 
 
 def menon_sum_prime_power(
-    p: int, t: int, sieve: SieveTables, cache: MemoCache | None = None
+    p: int, t: int, k: int | None = None, cache: MemoCache | None = None
 ) -> int:
     """Collapsed form of menon_sum at n = p**t."""
-    return _prime_power_sum(p, t, sieve, cache, k=None)
-
-
-def menon_sum_k_prime_power(
-    p: int, t: int, k: int, sieve: SieveTables, cache: MemoCache | None = None
-) -> int:
-    """Collapsed form of menon_sum_k at n = p**t."""
-    return _prime_power_sum(p, t, sieve, cache, k=k)
-
-
-def _prime_power_sum(
-    p: int, t: int, sieve: SieveTables, cache: MemoCache | None, k: int | None
-) -> int:
     # sum of F(n // j) over j in 1..n, minus the same over 1..n/p, plus
     # (p - 1) * p^(s-1) * F(n // j) over j = 1 + (m - 1) p^s, m <= p^(t-s).
-    _check_prime_power(p, t)
-    n = _check(p**t, sieve)
+    p, t, k = _check_prime_power(p, t, k)
+    n = p**t
     weights: dict[int, int] = {}
     _add_progression(weights, n, 1, 1, n, 1)
     _add_progression(weights, n // p, 1, 1, n // p, -1)
@@ -215,34 +159,15 @@ def _prime_power_sum(
     return _weighted_total(weights, n, k, cache)
 
 
-def menon_sum_prime(
-    p: int, sieve: SieveTables, cache: MemoCache | None = None
-) -> int:
-    """Prime specialization: p * f(p) - 1 + sum over j in 2..p of f(floor(p/j))."""
-    return _prime_sum(p, sieve, cache, k=None)
-
-
-def menon_sum_k_prime(
-    p: int, k: int, sieve: SieveTables, cache: MemoCache | None = None
-) -> int:
-    """Prime specialization of the k-subset sum."""
-    return _prime_sum(p, sieve, cache, k=k)
-
-
-def _prime_sum(
-    p: int, sieve: SieveTables, cache: MemoCache | None, k: int | None
-) -> int:
-    # p * F(p) - F(1) + sum over j in 2..p of F(p // j)
-    _check_prime_power(p, 1)
-    p = _check(p, sieve)
+def menon_sum_prime(p: int, k: int | None = None, cache: MemoCache | None = None) -> int:
+    """Prime specialization: p * F(p) - F(1) + sum over j in 2..p of F(floor(p/j))."""
+    p, _, k = _check_prime_power(p, 1, k)
     weights = {p: p - 1, 1: -1}
     _add_progression(weights, p, 1, 1, p, 1)
     return _weighted_total(weights, p, k, cache)
 
 
-def evaluate(
-    params: MenonParams, sieve: SieveTables, cache: MemoCache | None = None
-) -> int:
+def evaluate(params: MenonParams, cache: MemoCache | None = None) -> int:
     """Evaluate the subset gcd sum for `params`, dispatching on strategy.
 
     AUTO picks the collapsed prime-power route when n is a prime power and
@@ -254,12 +179,7 @@ def evaluate(
     if strategy == AUTO:
         strategy = PRIME_POWER if split is not None else THEOREM
     if strategy == THEOREM:
-        if params.k is None:
-            return menon_sum(params.n, sieve, cache)
-        return menon_sum_k(params.n, params.k, sieve, cache)
+        return menon_sum(params.n, params.k, cache)
     if split is None:
         raise ValueError(f"{params.n} is not a prime power")
-    p, t = split
-    if params.k is None:
-        return menon_sum_prime_power(p, t, sieve, cache)
-    return menon_sum_k_prime_power(p, t, params.k, sieve, cache)
+    return menon_sum_prime_power(*split, params.k, cache)

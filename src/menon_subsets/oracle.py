@@ -1,26 +1,35 @@
 """Independent ground-truth evaluators for the counting functions and gcd sums.
 
-Two flavours:
+Three flavours:
 
 * definitional brute force over all 2^n - 1 nonempty subsets of {1..n},
-  encoded as bitmasks (bit i-1 <-> element i), and
+  encoded as bitmasks (bit i-1 <-> element i);
+* the textbook Möbius sum for the relatively prime count,
+  sum over d in 1..n of mu(d) * g(floor(n/d)) with g(q) = 2^q - 1 or
+  C(q, k), reading mu from the sieve tables; and
 * a gcd-class route: the nonempty subsets of {1..n} whose gcd is exactly j
   biject with the relatively prime subsets of {1..floor(n/j)}, so the
-  subset gcd sum collapses to a single sum over j.  O(n) subset-count
-  evaluations instead of 2^n subsets.
+  subset gcd sum collapses to a single sum over j of Möbius-sum counts.
+  O(n) subset-count evaluations instead of 2^n subsets.
 
+Every count and sum takes an optional k and then counts k-element subsets
+only.
 The gcd-class identity is validated against full enumeration in the test
 suite before anything trusts it at scales enumeration cannot reach.
-No clever subset DP here on purpose: the whole value of this module is
-that it is obviously correct.
+Nothing here calls the counting or gcd-sum modules: the oracles read mu
+from the sieve, not from a factorisation, and memoise under the family
+("mobius", k), which the core never reads.  No clever subset DP here on
+purpose: the whole value of this module is that it is obviously correct.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
-from .counts import MemoCache, relprime_k_subsets, relprime_subsets
-from .sieve import SieveTables, gcd
+from .counts import MemoCache
+from .sieve import SieveTables, check_args, gcd
 
 DEFAULT_ENUMERATION_LIMIT = 24
 
@@ -35,14 +44,14 @@ class SubsetSum:
     total: int
 
 
-def _check_enum(n: int, limit: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _check_enum(n: int, k: int | None, limit: int) -> tuple[int, int | None]:
+    n, k = check_args(n, k)
     if n > limit:
         raise ValueError(
             f"enumerating 2^{n} subsets exceeds the limit {limit}; "
             "pass a larger `limit` explicitly if you really mean it"
         )
+    return n, k
 
 
 def _mask_gcd(mask: int) -> int:
@@ -58,76 +67,43 @@ def _mask_gcd(mask: int) -> int:
     return g
 
 
-def enumerate_relprime_subsets(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
-    """Count nonempty subsets of {1..n} whose elements have gcd 1."""
-    _check_enum(n, limit)
-    return sum(1 for mask in range(1, 1 << n) if _mask_gcd(mask) == 1)
+def _masks(n: int, k: int | None):
+    # Every nonempty subset of {1..n} as a bitmask, or every k-subset: the
+    # sums of k distinct bits, C(n, k) masks rather than a filter over 2^n.
+    if k is None:
+        return range(1, 1 << n)
+    return map(sum, combinations([1 << i for i in range(n)], k))
 
 
-def enumerate_relprime_k_subsets(
-    n: int, k: int, limit: int = DEFAULT_ENUMERATION_LIMIT
+def enumerate_relprime_subsets(
+    n: int, k: int | None = None, *, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> int:
-    """Count k-element subsets of {1..n} whose elements have gcd 1."""
-    _check_enum(n, limit)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return sum(
-        1
-        for mask in range(1, 1 << n)
-        if mask.bit_count() == k and _mask_gcd(mask) == 1
-    )
+    """Count nonempty (k-element) subsets of {1..n} whose elements have gcd 1."""
+    n, k = _check_enum(n, k, limit)
+    return sum(1 for mask in _masks(n, k) if _mask_gcd(mask) == 1)
 
 
-def enumerate_coprime_subsets(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
-    """Count nonempty subsets of {1..n} whose gcd is coprime to n."""
-    _check_enum(n, limit)
-    return sum(1 for mask in range(1, 1 << n) if gcd(_mask_gcd(mask), n) == 1)
-
-
-def enumerate_coprime_k_subsets(
-    n: int, k: int, limit: int = DEFAULT_ENUMERATION_LIMIT
+def enumerate_coprime_subsets(
+    n: int, k: int | None = None, *, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> int:
-    """Count k-element subsets of {1..n} whose gcd is coprime to n."""
-    _check_enum(n, limit)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return sum(
-        1
-        for mask in range(1, 1 << n)
-        if mask.bit_count() == k and gcd(_mask_gcd(mask), n) == 1
-    )
+    """Count nonempty (k-element) subsets of {1..n} whose gcd is coprime to n."""
+    n, k = _check_enum(n, k, limit)
+    return sum(1 for mask in _masks(n, k) if gcd(_mask_gcd(mask), n) == 1)
 
 
-def enumerate_menon_sum(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> SubsetSum:
-    """Accumulate gcd(g - 1, n) over nonempty subsets with gcd g coprime to n.
+def enumerate_menon_sum(
+    n: int, k: int | None = None, *, limit: int = DEFAULT_ENUMERATION_LIMIT
+) -> SubsetSum:
+    """Accumulate gcd(g - 1, n) over nonempty (k-)subsets with gcd g coprime to n.
 
     Note gcd(0, n) = n, so subsets with g = 1 contribute n each.  Returns
     the term count alongside the total; the count must equal the coprime
     subset count.
     """
-    _check_enum(n, limit)
+    n, k = _check_enum(n, k, limit)
     count = 0
     total = 0
-    for mask in range(1, 1 << n):
-        g = _mask_gcd(mask)
-        if gcd(g, n) == 1:
-            count += 1
-            total += gcd(g - 1, n)
-    return SubsetSum(n=n, k=None, count=count, total=total)
-
-
-def enumerate_menon_sum_k(
-    n: int, k: int, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> SubsetSum:
-    """k-subset restriction of enumerate_menon_sum."""
-    _check_enum(n, limit)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    count = 0
-    total = 0
-    for mask in range(1, 1 << n):
-        if mask.bit_count() != k:
-            continue
+    for mask in _masks(n, k):
         g = _mask_gcd(mask)
         if gcd(g, n) == 1:
             count += 1
@@ -144,44 +120,64 @@ def subset_gcd_histogram(
     relatively prime subset count of floor(n/j); both facts back the
     gcd-class evaluators below.
     """
-    _check_enum(n, limit)
+    n, _ = _check_enum(n, None, limit)
     hist: dict[int, int] = {}
-    for mask in range(1, 1 << n):
+    for mask in _masks(n, None):
         g = _mask_gcd(mask)
         hist[g] = hist.get(g, 0) + 1
     return hist
 
 
+def mobius_subset_count(
+    n: int, sieve: SieveTables, k: int | None = None, cache: MemoCache | None = None
+) -> int:
+    """Relatively prime (k-)subset count of {1..n} by the Möbius sum over 1..n.
+
+    sum over d in 1..n of mu(d) * (2^floor(n/d) - 1), or of
+    mu(d) * C(floor(n/d), k): Θ(n) terms, mu read from `sieve`, which must
+    reach n.
+    """
+    n, k = _check_sieve(n, k, sieve)
+    return _mobius_count(n, k, sieve.mu, cache)
+
+
+def _check_sieve(n, k, sieve: SieveTables) -> tuple[int, int | None]:
+    n, k = check_args(n, k)
+    if sieve.limit < n:
+        raise ValueError(f"sieve limit {sieve.limit} is too small for n = {n}")
+    return n, k
+
+
+def _mobius_count(n: int, k: int | None, mu: list[int], cache: MemoCache | None) -> int:
+    table = cache.table(("mobius", k)) if cache is not None else {}
+    if n in table:
+        cache.hits += 1
+        return table[n]
+    total = 0
+    for d in range(1, n + 1):
+        if mu[d]:
+            q = n // d
+            total += mu[d] * (((1 << q) - 1) if k is None else comb(q, k))
+    if cache is not None:
+        cache.misses += 1
+    table[n] = total
+    return total
+
+
 def gcd_class_menon_sum(
-    n: int, sieve: SieveTables, cache: MemoCache | None = None
+    n: int, sieve: SieveTables, k: int | None = None, cache: MemoCache | None = None
 ) -> int:
     """Subset gcd sum via grouping by the exact gcd value j.
 
     total = sum over j in 1..n with gcd(j, n) = 1 of
-            gcd(j - 1, n) * (# subsets with gcd exactly j),
+            gcd(j - 1, n) * (# (k-)subsets with gcd exactly j),
     and the subset count for gcd j is the relatively prime subset count at
-    floor(n/j).  Shares no code with the divisor-sum evaluator beyond the
-    subset-count function itself.
+    floor(n/j), here the Möbius sum over the sieve.  Shares no code with
+    the divisor-sum evaluator.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n, k = _check_sieve(n, k, sieve)
     total = 0
     for j in range(1, n + 1):
         if gcd(j, n) == 1:
-            total += gcd(j - 1, n) * relprime_subsets(n // j, sieve, cache=cache)
-    return total
-
-
-def gcd_class_menon_sum_k(
-    n: int, k: int, sieve: SieveTables, cache: MemoCache | None = None
-) -> int:
-    """k-subset restriction of gcd_class_menon_sum."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    total = 0
-    for j in range(1, n + 1):
-        if gcd(j, n) == 1:
-            total += gcd(j - 1, n) * relprime_k_subsets(n // j, k, sieve, cache=cache)
+            total += gcd(j - 1, n) * _mobius_count(n // j, k, sieve.mu, cache)
     return total

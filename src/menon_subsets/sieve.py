@@ -1,23 +1,131 @@
-"""Linear sieves and elementary number-theoretic helpers.
+"""Elementary number theory: one factorisation of n, and a linear sieve.
 
-Everything is exact integer arithmetic.  A SieveTables instance is built
-once per run and shared read-only by the counting and gcd-sum modules.
+The counting and gcd-sum modules read mu, phi and the divisors only at
+divisors of n, so they take them from factorize(n), a single trial-division
+pass.  The sieve tables over 1..limit remain as the oracles' independent
+source of mu and phi; no production count reads them.  The strict integer
+checks on n and k that every public function applies live here too, at the
+bottom of the import graph, so the oracles share them without importing
+the code they check.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 # Python's gcd already follows the conventions we need:
 # gcd(0, n) = n and gcd(0, 0) = 0.
 gcd = math.gcd
 
 
+def as_int(value, name: str) -> int:
+    """`value` as a plain int; TypeError for a bool or a non-integer."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"{name} must be an integer, not {type(value).__name__}"
+        ) from None
+
+
+def check_args(n, k=None) -> tuple[int, int | None]:
+    """(n, k) as plain ints, n >= 1 and k None or >= 1; TypeError or ValueError."""
+    n = as_int(n, "n")
+    if n < 1:
+        raise ValueError("n must be >= 1 (subsets of {1..n})")
+    if k is not None:
+        k = as_int(k, "k")
+        if k < 1:
+            raise ValueError("k must be >= 1")
+    return n, k
+
+
+class Factorization(NamedTuple):
+    """n = product of p**e over `factors`, the (p, e) pairs with p ascending."""
+
+    n: int
+    factors: tuple[tuple[int, int], ...]
+
+    @property
+    def mu(self) -> int:
+        if any(e > 1 for _, e in self.factors):
+            return 0
+        return -1 if len(self.factors) % 2 else 1
+
+    @property
+    def phi(self) -> int:
+        return math.prod(p ** (e - 1) * (p - 1) for p, e in self.factors)
+
+    @property
+    def tau(self) -> int:
+        return math.prod(e + 1 for _, e in self.factors)
+
+    def totients(self) -> dict[int, int]:
+        """d -> phi(d) for every divisor d of n, d ascending."""
+        out = [(1, 1)]
+        for p, e in self.factors:
+            out += [(d * p**i, f * p ** (i - 1) * (p - 1))
+                    for d, f in out for i in range(1, e + 1)]
+        return dict(sorted(out))
+
+    def mobius(self) -> dict[int, int]:
+        """delta -> mu(delta) for every squarefree divisor delta of n."""
+        out = {1: 1}
+        for p, _ in self.factors:
+            out |= {d * p: -m for d, m in out.items()}
+        return out
+
+    def divisors(self) -> list[int]:
+        return list(self.totients())
+
+
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 by trial division up to sqrt(n)."""
+    n = as_int(n, "n")
+    if n < 1:
+        raise ValueError("factorize() needs n >= 1")
+    factors = []
+    m, p = n, 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        factors.append((m, 1))
+    return Factorization(n, tuple(factors))
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n in ascending order."""
+    return factorize(n).divisors()
+
+
+def is_prime(n: int) -> bool:
+    """True when n is prime; a view of factorize."""
+    return as_int(n, "n") >= 2 and factorize(n).factors == ((n, 1),)
+
+
+def prime_power_split(n: int) -> tuple[int, int] | None:
+    """Return (p, t) with n = p**t and p prime, or None if n is not one."""
+    if as_int(n, "n") < 2:
+        return None
+    factors = factorize(n).factors
+    return factors[0] if len(factors) == 1 else None
+
+
 @dataclass(eq=False)
 class SieveTables:
-    """Möbius, totient and smallest-prime-factor tables for 1..limit.
+    """Möbius and totient tables for 1..limit.
 
     Entry i of each list corresponds to the integer i; index 0 is padding.
     Instances are treated as immutable after construction and are safe to
@@ -27,7 +135,6 @@ class SieveTables:
     limit: int
     mu: list[int]
     phi: list[int]
-    spf: list[int]
 
     @cached_property
     def mertens(self) -> list[int]:
@@ -42,22 +149,21 @@ class SieveTables:
 
 
 def build_sieve(limit: int) -> SieveTables:
-    """Build mu, phi and smallest-prime-factor tables up to `limit`.
+    """Build mu and phi tables up to `limit`.
 
     Linear sieve: every composite is crossed off exactly once, via its
-    smallest prime factor, so construction is O(limit).
+    smallest prime factor, so construction is O(limit).  phi[i] is still 0
+    when the loop reaches i exactly if i is prime.
     """
     if limit < 1:
         raise ValueError("sieve limit must be a positive integer")
     mu = [0] * (limit + 1)
     phi = [0] * (limit + 1)
-    spf = [0] * (limit + 1)
     mu[1] = 1
     phi[1] = 1
     primes: list[int] = []
     for i in range(2, limit + 1):
-        if spf[i] == 0:
-            spf[i] = i
+        if phi[i] == 0:
             primes.append(i)
             mu[i] = -1
             phi[i] = i - 1
@@ -65,36 +171,12 @@ def build_sieve(limit: int) -> SieveTables:
             ip = i * p
             if ip > limit:
                 break
-            spf[ip] = p
             if i % p == 0:
-                mu[ip] = 0
                 phi[ip] = phi[i] * p
                 break
             mu[ip] = -mu[i]
             phi[ip] = phi[i] * (p - 1)
-    return SieveTables(limit, mu, phi, spf)
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n in ascending order.
-
-    Trial division up to sqrt(n), so it works for any n regardless of the
-    sieve limit.
-    """
-    if n < 1:
-        raise ValueError("divisors() needs n >= 1")
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            q = n // d
-            if q != d:
-                large.append(q)
-        d += 1
-    large.reverse()
-    return small + large
+    return SieveTables(limit, mu, phi)
 
 
 def mod_inverse(a: int, m: int) -> int:

@@ -13,34 +13,15 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
-from .counts import (
-    BLOCKED,
-    DIRECT,
-    MemoCache,
-    coprime_k_subsets,
-    coprime_subsets,
-    relprime_k_subsets,
-    relprime_subsets,
-)
-from .menon import (
-    menon_classic,
-    menon_sum,
-    menon_sum_k,
-    menon_sum_k_prime,
-    menon_sum_k_prime_power,
-    menon_sum_prime,
-    menon_sum_prime_power,
-)
+from .counts import MemoCache, coprime_subsets, relprime_subsets
+from .menon import menon_classic, menon_sum, menon_sum_prime, menon_sum_prime_power
 from .oracle import (
     DEFAULT_ENUMERATION_LIMIT,
-    enumerate_coprime_k_subsets,
     enumerate_coprime_subsets,
     enumerate_menon_sum,
-    enumerate_menon_sum_k,
-    enumerate_relprime_k_subsets,
     enumerate_relprime_subsets,
     gcd_class_menon_sum,
-    gcd_class_menon_sum_k,
+    mobius_subset_count,
     subset_gcd_histogram,
 )
 from .sieve import SieveTables, build_sieve
@@ -134,9 +115,11 @@ def run_verification(
     """Run every formula-vs-oracle check and return the report.
 
     n_max_enum bounds the 2^n brute-force enumerations, n_max_formula the
-    polynomial-cost sweeps.  A prebuilt sieve may be injected (the test
-    harness uses this to prove that corruption is detected); it must cover
-    max(n_max_formula, 256).
+    polynomial-cost sweeps.  The sieve feeds the oracle side only (the
+    Möbius-sum counts, the gcd-class sums and the totient partial sums); the
+    evaluators under test factor n themselves.  A prebuilt sieve may be
+    injected (the test harness uses this to prove that corruption is
+    detected); it must cover max(n_max_formula, n_max_enum, 256).
     """
     if n_max_enum > enumeration_limit:
         raise ValueError(
@@ -173,11 +156,11 @@ def run_verification(
 
     def known_values():
         rows = (
-            ("f", F_PREFIX, lambda n: relprime_subsets(n, sieve, cache)),
-            ("f2", F2_PREFIX, lambda n: relprime_k_subsets(n, 2, sieve, cache)),
-            ("phi", PHI_PREFIX, lambda n: coprime_subsets(n, sieve)),
-            ("mbar", MBAR_PREFIX, lambda n: menon_sum(n, sieve, cache)),
-            ("mbar2", MBAR2_PREFIX, lambda n: menon_sum_k(n, 2, sieve, cache)),
+            ("f", F_PREFIX, lambda n: relprime_subsets(n, None, cache)),
+            ("f2", F2_PREFIX, lambda n: relprime_subsets(n, 2, cache)),
+            ("phi", PHI_PREFIX, lambda n: coprime_subsets(n)),
+            ("mbar", MBAR_PREFIX, lambda n: menon_sum(n, None, cache)),
+            ("mbar2", MBAR2_PREFIX, lambda n: menon_sum(n, 2, cache)),
         )
         for tag, prefix, fn in rows:
             for i in range(prefix_n):
@@ -193,10 +176,10 @@ def run_verification(
         for n in range(1, n_max_enum + 1):
             yield
             pairs = (
-                ("f", enumerate_relprime_subsets(n, enumeration_limit),
-                 relprime_subsets(n, sieve, cache)),
-                ("phi", enumerate_coprime_subsets(n, enumeration_limit),
-                 coprime_subsets(n, sieve)),
+                ("f", enumerate_relprime_subsets(n, limit=enumeration_limit),
+                 relprime_subsets(n, None, cache)),
+                ("phi", enumerate_coprime_subsets(n, limit=enumeration_limit),
+                 coprime_subsets(n)),
             )
             for tag, expected, got in pairs:
                 if got != expected:
@@ -210,12 +193,12 @@ def run_verification(
         for n in range(1, n_max_enum + 1):
             for k in sorted(set(k_set) | {n}):
                 yield
-                expected = enumerate_relprime_k_subsets(n, k, enumeration_limit)
-                got = relprime_k_subsets(n, k, sieve, cache)
+                expected = enumerate_relprime_subsets(n, k, limit=enumeration_limit)
+                got = relprime_subsets(n, k, cache)
                 if got != expected:
                     return _mm(n, k, f"fk:{expected}", got)
-                expected = enumerate_coprime_k_subsets(n, k, enumeration_limit)
-                got = coprime_k_subsets(n, k, sieve)
+                expected = enumerate_coprime_subsets(n, k, limit=enumeration_limit)
+                got = coprime_subsets(n, k)
                 if got != expected:
                     return _mm(n, k, f"phik:{expected}", got)
         return None
@@ -226,9 +209,9 @@ def run_verification(
     def three_way():
         for n in range(1, n_max_enum + 1):
             yield
-            enum = enumerate_menon_sum(n, enumeration_limit).total
-            gcls = gcd_class_menon_sum(n, sieve, cache)
-            thrm = menon_sum(n, sieve, cache)
+            enum = enumerate_menon_sum(n, limit=enumeration_limit).total
+            gcls = gcd_class_menon_sum(n, sieve, None, cache)
+            thrm = menon_sum(n, None, cache)
             if not (enum == gcls == thrm):
                 return _mm(n, None, f"enum:{enum}", f"gcd-class:{gcls}, divisor-sum:{thrm}")
         return None
@@ -240,9 +223,9 @@ def run_verification(
         for n in range(1, n_max_enum + 1):
             for k in sorted(set(k_set) | {n}):
                 yield
-                enum = enumerate_menon_sum_k(n, k, enumeration_limit).total
-                gcls = gcd_class_menon_sum_k(n, k, sieve, cache)
-                thrm = menon_sum_k(n, k, sieve, cache)
+                enum = enumerate_menon_sum(n, k, limit=enumeration_limit).total
+                gcls = gcd_class_menon_sum(n, sieve, k, cache)
+                thrm = menon_sum(n, k, cache)
                 if not (enum == gcls == thrm):
                     return _mm(n, k, f"enum:{enum}",
                                f"gcd-class:{gcls}, divisor-sum:{thrm}")
@@ -253,8 +236,8 @@ def run_verification(
     def gcd_class_medium():
         for n in range(1, n_max_formula + 1):
             yield
-            gcls = gcd_class_menon_sum(n, sieve, cache)
-            thrm = menon_sum(n, sieve, cache)
+            gcls = gcd_class_menon_sum(n, sieve, None, cache)
+            thrm = menon_sum(n, None, cache)
             if gcls != thrm:
                 return _mm(n, None, gcls, thrm)
         return None
@@ -265,7 +248,7 @@ def run_verification(
     def singleton_sweep():
         for n in range(1, n_max_formula + 1):
             yield
-            got = relprime_k_subsets(n, 1, sieve, strategy=BLOCKED)
+            got = relprime_subsets(n, 1, cache)
             if got != 1:
                 return _mm(n, 1, 1, got)
         return None
@@ -273,22 +256,18 @@ def run_verification(
     run("singleton-count-is-one", f"fk(n, 1) = 1, n <= {n_max_formula}",
         singleton_sweep)
 
-    def strategy_invariance():
+    def core_vs_mobius():
         for n in range(1, n_max_formula + 1):
             yield
-            a = relprime_subsets(n, sieve, strategy=DIRECT)
-            b = relprime_subsets(n, sieve, strategy=BLOCKED)
-            if a != b:
-                return _mm(n, None, a, b)
-            for k in k_set:
-                a = relprime_k_subsets(n, k, sieve, strategy=DIRECT)
-                b = relprime_k_subsets(n, k, sieve, strategy=BLOCKED)
-                if a != b:
-                    return _mm(n, k, a, b)
+            for k in (None, *k_set):
+                expected = mobius_subset_count(n, sieve, k, cache)
+                got = relprime_subsets(n, k, cache)
+                if got != expected:
+                    return _mm(n, k, expected, got)
         return None
 
-    run("direct-vs-blocked", f"count strategies agree, n <= {n_max_formula}",
-        strategy_invariance)
+    run("core-vs-mobius-sum", f"floor_counts = sieve-mu Mobius sum, n <= {n_max_formula}, "
+        f"k in {{None, {', '.join(map(str, k_set))}}}", core_vs_mobius)
 
     def prime_power_consistency():
         for p in SPECIALIZATION_PRIMES:
@@ -296,32 +275,26 @@ def run_verification(
             while p**t <= PRIME_POWER_CAP:
                 yield
                 n = p**t
-                general = menon_sum(n, sieve, cache)
-                collapsed = menon_sum_prime_power(p, t, sieve, cache)
-                if general != collapsed:
-                    return _mm(n, None, general, collapsed)
-                for k in k_set:
-                    general = menon_sum_k(n, k, sieve, cache)
-                    collapsed = menon_sum_k_prime_power(p, t, k, sieve, cache)
-                    if general != collapsed:
-                        return _mm(n, k, general, collapsed)
+                for k in (None, *k_set):
+                    general = menon_sum(n, k, cache)
+                    collapsed = menon_sum_prime_power(p, t, k, cache)
+                    gcls = gcd_class_menon_sum(n, sieve, k, cache)
+                    if not (gcls == general == collapsed):
+                        return _mm(n, k, f"gcd-class:{gcls}",
+                                   f"general:{general}, collapsed:{collapsed}")
                 t += 1
         return None
 
     run("prime-power-consistency",
-        f"collapsed = general at prime powers <= {PRIME_POWER_CAP}",
+        f"collapsed = general = gcd-class at prime powers <= {PRIME_POWER_CAP}",
         prime_power_consistency)
 
     def prime_consistency():
         for p in SPECIALIZATION_PRIMES:
             yield
-            a = menon_sum_prime(p, sieve, cache)
-            b = menon_sum_prime_power(p, 1, sieve, cache)
-            if a != b:
-                return _mm(p, None, b, a)
-            for k in k_set:
-                a = menon_sum_k_prime(p, k, sieve, cache)
-                b = menon_sum_k_prime_power(p, 1, k, sieve, cache)
+            for k in (None, *k_set):
+                a = menon_sum_prime(p, k, cache)
+                b = menon_sum_prime_power(p, 1, k, cache)
                 if a != b:
                     return _mm(p, k, b, a)
         return None
@@ -332,8 +305,8 @@ def run_verification(
     def menon_reduction():
         for n in range(1, n_max_formula + 1):
             yield
-            expected = menon_classic(n, sieve)
-            got = menon_sum_k(n, 1, sieve, cache)
+            expected = menon_classic(n)
+            got = menon_sum(n, 1, cache)
             if got != expected:
                 return _mm(n, 1, expected, got)
         return None
@@ -344,8 +317,8 @@ def run_verification(
     def classic_direct():
         for n in range(1, n_max_formula + 1):
             yield
-            product = menon_classic(n, sieve)
-            direct = menon_classic(n, sieve, direct_sum=True)
+            product = menon_classic(n)
+            direct = menon_classic(n, direct_sum=True)
             if product != direct:
                 return _mm(n, None, direct, product)
         return None
@@ -353,26 +326,25 @@ def run_verification(
     run("classic-product-vs-direct", f"phi*tau = residue sum, n <= {n_max_formula}",
         classic_direct)
 
+    diagonal_n = min(24, n_max_formula)
+    partition_n = min(60, n_max_formula)
+
     def diagonal():
-        for n in range(1, min(24, n_max_formula) + 1):
+        for n in range(1, diagonal_n + 1):
             yield
-            got = menon_sum_k(n, n, sieve, cache)
+            got = menon_sum(n, n, cache)
             if got != n:
                 return _mm(n, n, n, got)
         return None
 
-    run("full-set-diagonal", "k = n gives exactly n, n <= 24", diagonal)
+    run("full-set-diagonal", f"k = n gives exactly n, n <= {diagonal_n}", diagonal)
 
     def term_count_law():
         for n in range(1, n_max_enum + 1):
             yield
-            result = enumerate_menon_sum(n, enumeration_limit)
-            expected = coprime_subsets(n, sieve)
-            if result.count != expected:
-                return _mm(n, None, expected, result.count)
-            for k in k_set:
-                result = enumerate_menon_sum_k(n, k, enumeration_limit)
-                expected = coprime_k_subsets(n, k, sieve)
+            for k in (None, *k_set):
+                result = enumerate_menon_sum(n, k, limit=enumeration_limit)
+                expected = coprime_subsets(n, k)
                 if result.count != expected:
                     return _mm(n, k, expected, result.count)
         return None
@@ -381,33 +353,33 @@ def run_verification(
         term_count_law)
 
     def partitions():
-        for n in range(1, min(60, n_max_formula) + 1):
+        for n in range(1, partition_n + 1):
             yield
-            total = sum(relprime_k_subsets(n, k, sieve, cache) for k in range(1, n + 1))
-            whole = relprime_subsets(n, sieve, cache)
+            total = sum(relprime_subsets(n, k, cache) for k in range(1, n + 1))
+            whole = relprime_subsets(n, None, cache)
             if total != whole:
                 return _mm(n, None, f"f:{whole}", total)
-            total = sum(coprime_k_subsets(n, k, sieve) for k in range(1, n + 1))
-            whole = coprime_subsets(n, sieve)
+            total = sum(coprime_subsets(n, k) for k in range(1, n + 1))
+            whole = coprime_subsets(n)
             if total != whole:
                 return _mm(n, None, f"phi:{whole}", total)
-        for n in range(1, min(24, n_max_formula) + 1):
+        for n in range(1, diagonal_n + 1):
             yield
-            total = sum(menon_sum_k(n, k, sieve, cache) for k in range(1, n + 1))
-            whole = menon_sum(n, sieve, cache)
+            total = sum(menon_sum(n, k, cache) for k in range(1, n + 1))
+            whole = menon_sum(n, None, cache)
             if total != whole:
                 return _mm(n, None, f"mbar:{whole}", total)
         return None
 
-    run("cardinality-partitions", "sums over k rebuild the unrestricted values",
-        partitions)
+    run("cardinality-partitions", "sums over k rebuild the unrestricted values, "
+        f"f and phi n <= {partition_n}, mbar n <= {diagonal_n}", partitions)
 
     def totient_partial_sum():
         acc = 0
         for n in range(2, n_max_formula + 1):
             yield
             acc += sieve.phi[n]
-            got = relprime_k_subsets(n, 2, sieve, cache)
+            got = relprime_subsets(n, 2, cache)
             if got != acc:
                 return _mm(n, 2, acc, got)
         return None
@@ -422,7 +394,7 @@ def run_verification(
             if sum(hist.values()) != (1 << n) - 1:
                 return _mm(n, None, (1 << n) - 1, sum(hist.values()))
             for j, count in hist.items():
-                expected = relprime_subsets(n // j, sieve, cache)
+                expected = relprime_subsets(n // j, None, cache)
                 if count != expected:
                     return _mm(n, j, expected, count)
         return None

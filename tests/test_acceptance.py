@@ -11,33 +11,23 @@ import time
 import pytest
 
 from menon_subsets import (
-    BLOCKED,
-    DIRECT,
     MemoCache,
     MenonParams,
     build_sieve,
-    coprime_k_subsets,
     coprime_subsets,
     evaluate,
     menon_classic,
     menon_sum,
-    menon_sum_k,
-    menon_sum_k_prime,
-    menon_sum_k_prime_power,
     menon_sum_prime,
     menon_sum_prime_power,
-    relprime_k_subsets,
     relprime_subsets,
 )
 from menon_subsets.oracle import (
-    enumerate_coprime_k_subsets,
     enumerate_coprime_subsets,
     enumerate_menon_sum,
-    enumerate_menon_sum_k,
-    enumerate_relprime_k_subsets,
     enumerate_relprime_subsets,
     gcd_class_menon_sum,
-    gcd_class_menon_sum_k,
+    mobius_subset_count,
     subset_gcd_histogram,
 )
 
@@ -68,14 +58,14 @@ def _report(num, description, ok, elapsed, budget=None):
     assert in_budget, f"criterion {num} took {elapsed:.2f}s, budget {budget}s"
 
 
-def test_criterion_1_value_tables(sieve, cache):
+def test_criterion_1_value_tables(cache):
     start = time.perf_counter()
     ok = (
-        [relprime_subsets(n, sieve, cache) for n in range(1, 7)] == list(F_TABLE)
-        and [relprime_k_subsets(n, 2, sieve, cache) for n in range(1, 7)]
+        [relprime_subsets(n, None, cache) for n in range(1, 7)] == list(F_TABLE)
+        and [relprime_subsets(n, 2, cache) for n in range(1, 7)]
         == list(F2_TABLE)
-        and [menon_sum(n, sieve, cache) for n in range(1, 7)] == list(MBAR_TABLE)
-        and [menon_sum_k(n, 2, sieve, cache) for n in range(1, 7)]
+        and [menon_sum(n, None, cache) for n in range(1, 7)] == list(MBAR_TABLE)
+        and [menon_sum(n, 2, cache) for n in range(1, 7)]
         == list(MBAR2_TABLE)
     )
     _report(1, "tabulated values for f, f2, subset gcd sums reproduced",
@@ -88,22 +78,20 @@ def test_criterion_2_three_way_agreement(sieve, cache):
     ok = True
     for n in range(1, n_max + 1):
         ks = sorted({1, 2, 3, n})
-        ok &= enumerate_relprime_subsets(n) == relprime_subsets(n, sieve, cache)
-        ok &= enumerate_coprime_subsets(n) == coprime_subsets(n, sieve)
+        ok &= enumerate_relprime_subsets(n) == relprime_subsets(n, None, cache)
+        ok &= enumerate_coprime_subsets(n) == coprime_subsets(n)
         hist = subset_gcd_histogram(n)
-        ok &= all(hist[j] == relprime_subsets(n // j, sieve, cache) for j in hist)
+        ok &= all(hist[j] == relprime_subsets(n // j, None, cache) for j in hist)
         for k in ks:
-            ok &= enumerate_relprime_k_subsets(n, k) == \
-                relprime_k_subsets(n, k, sieve, cache)
-            ok &= enumerate_coprime_k_subsets(n, k) == \
-                coprime_k_subsets(n, k, sieve)
+            ok &= enumerate_relprime_subsets(n, k) == relprime_subsets(n, k, cache)
+            ok &= enumerate_coprime_subsets(n, k) == coprime_subsets(n, k)
         enum = enumerate_menon_sum(n).total
-        ok &= enum == gcd_class_menon_sum(n, sieve, cache)
-        ok &= enum == menon_sum(n, sieve, cache)
+        ok &= enum == gcd_class_menon_sum(n, sieve, None, cache)
+        ok &= enum == menon_sum(n, None, cache)
         for k in ks:
-            enum = enumerate_menon_sum_k(n, k).total
-            ok &= enum == gcd_class_menon_sum_k(n, k, sieve, cache)
-            ok &= enum == menon_sum_k(n, k, sieve, cache)
+            enum = enumerate_menon_sum(n, k).total
+            ok &= enum == gcd_class_menon_sum(n, sieve, k, cache)
+            ok &= enum == menon_sum(n, k, cache)
         if not ok:
             break
     scope = f"n <= {n_max}" + (" (extended)" if EXTENDED else "")
@@ -111,57 +99,45 @@ def test_criterion_2_three_way_agreement(sieve, cache):
             ok, time.perf_counter() - start, budget=60.0)
 
 
-def test_criterion_3_singleton_sweep(sieve):
+def test_criterion_3_singleton_sweep():
     start = time.perf_counter()
-    ok = all(
-        relprime_k_subsets(n, 1, sieve, strategy=BLOCKED) == 1
-        for n in range(1, 100_001)
-    )
-    _report(3, "fk(n, 1) = 1 for every n <= 100000 via the Mobius sum",
+    shared = MemoCache()
+    ok = all(relprime_subsets(n, 1, shared) == 1 for n in range(1, 100_001))
+    _report(3, "fk(n, 1) = 1 for every n <= 100000 via the floor-value recursion",
             ok, time.perf_counter() - start, budget=60.0)
 
 
-def test_criterion_4_specialization_consistency(sieve, cache):
+def test_criterion_4_specialization_consistency(cache):
     start = time.perf_counter()
     ok = True
     for p in (2, 3, 5, 7, 11, 13):
         t = 1
         while p**t <= 256:
             n = p**t
-            ok &= menon_sum_prime_power(p, t, sieve, cache) == \
-                menon_sum(n, sieve, cache)
-            for k in (1, 2, 3):
-                ok &= menon_sum_k_prime_power(p, t, k, sieve, cache) == \
-                    menon_sum_k(n, k, sieve, cache)
+            for k in (None, 1, 2, 3):
+                ok &= menon_sum_prime_power(p, t, k, cache) == menon_sum(n, k, cache)
             t += 1
-        ok &= menon_sum_prime(p, sieve, cache) == \
-            menon_sum_prime_power(p, 1, sieve, cache)
-        for k in (1, 2, 3):
-            ok &= menon_sum_k_prime(p, k, sieve, cache) == \
-                menon_sum_k_prime_power(p, 1, k, sieve, cache)
+        for k in (None, 1, 2, 3):
+            ok &= menon_sum_prime(p, k, cache) == menon_sum_prime_power(p, 1, k, cache)
     _report(4, "collapsed forms match the general sum at prime powers <= 256",
             ok, time.perf_counter() - start, budget=30.0)
 
 
-def test_criterion_5_classic_reduction(sieve, cache):
+def test_criterion_5_classic_reduction(cache):
     start = time.perf_counter()
-    ok = all(
-        menon_sum_k(n, 1, sieve, cache) == menon_classic(n, sieve)
-        for n in range(1, 501)
-    )
-    ok = ok and all(menon_sum_k(n, n, sieve, cache) == n for n in range(1, 25))
+    ok = all(menon_sum(n, 1, cache) == menon_classic(n) for n in range(1, 501))
+    ok = ok and all(menon_sum(n, n, cache) == n for n in range(1, 25))
     _report(5, "k = 1 reduces to phi*tau for n <= 500; k = n gives n for n <= 24",
             ok, time.perf_counter() - start)
 
 
-def test_criterion_6_term_count_law(sieve, cache):
+def test_criterion_6_term_count_law():
     start = time.perf_counter()
     ok = True
     for n in range(1, 17):
-        ok &= enumerate_menon_sum(n).count == coprime_subsets(n, sieve)
+        ok &= enumerate_menon_sum(n).count == coprime_subsets(n)
         for k in sorted({1, 2, 3, n}):
-            ok &= enumerate_menon_sum_k(n, k).count == \
-                coprime_k_subsets(n, k, sieve)
+            ok &= enumerate_menon_sum(n, k).count == coprime_subsets(n, k)
     _report(6, "enumerated sums have phi / phi_k terms for n <= 16",
             ok, time.perf_counter() - start)
 
@@ -170,16 +146,16 @@ def test_criterion_7_structural_identities(sieve, cache):
     start = time.perf_counter()
     ok = True
     for n in range(1, 25):
-        ok &= sum(relprime_k_subsets(n, k, sieve, cache)
-                  for k in range(1, n + 1)) == relprime_subsets(n, sieve, cache)
-        ok &= sum(coprime_k_subsets(n, k, sieve)
-                  for k in range(1, n + 1)) == coprime_subsets(n, sieve)
-        ok &= sum(menon_sum_k(n, k, sieve, cache)
-                  for k in range(1, n + 1)) == menon_sum(n, sieve, cache)
+        ok &= sum(relprime_subsets(n, k, cache)
+                  for k in range(1, n + 1)) == relprime_subsets(n, None, cache)
+        ok &= sum(coprime_subsets(n, k)
+                  for k in range(1, n + 1)) == coprime_subsets(n)
+        ok &= sum(menon_sum(n, k, cache)
+                  for k in range(1, n + 1)) == menon_sum(n, None, cache)
     acc = 0
     for n in range(2, 1001):
         acc += sieve.phi[n]
-        ok &= relprime_k_subsets(n, 2, sieve) == acc
+        ok &= relprime_subsets(n, 2) == acc
     _report(7, "cardinality partitions for n <= 24; pair counts are totient sums "
             "to 1000", ok, time.perf_counter() - start)
 
@@ -187,13 +163,12 @@ def test_criterion_7_structural_identities(sieve, cache):
 def test_criterion_8_performance(sieve):
     cache = MemoCache()
     start = time.perf_counter()
-    via_divisor_sum = menon_sum(3000, sieve, cache)
+    via_divisor_sum = menon_sum(3000, None, cache)
     elapsed = time.perf_counter() - start
-    ok = via_divisor_sum == gcd_class_menon_sum(3000, sieve, cache)
-    ok = ok and relprime_subsets(5000, sieve, strategy=DIRECT) == \
-        relprime_subsets(5000, sieve, strategy=BLOCKED)
+    ok = via_divisor_sum == gcd_class_menon_sum(3000, sieve, None, cache)
+    ok = ok and relprime_subsets(5000) == mobius_subset_count(5000, sieve)
     _report(8, "memoized divisor sum at n = 3000 matches the gcd-class oracle; "
-            "f(5000) strategy-invariant", ok, elapsed, budget=60.0)
+            "f(5000) matches the sieve Mobius sum", ok, elapsed, budget=60.0)
 
 
 def test_criterion_9_blocked_sums_at_scale(sieve):
@@ -201,9 +176,9 @@ def test_criterion_9_blocked_sums_at_scale(sieve):
     ok = True
     for n in (55440, 65536):  # theorem route, collapsed prime-power route
         cache = MemoCache()
-        ok &= evaluate(MenonParams(n), sieve, MemoCache()) == \
-            gcd_class_menon_sum(n, sieve, cache)
-        ok &= evaluate(MenonParams(n, 2), sieve, MemoCache()) == \
-            gcd_class_menon_sum_k(n, 2, sieve, cache)
+        ok &= evaluate(MenonParams(n), MemoCache()) == \
+            gcd_class_menon_sum(n, sieve, None, cache)
+        ok &= evaluate(MenonParams(n, 2), MemoCache()) == \
+            gcd_class_menon_sum(n, sieve, 2, cache)
     _report(9, "blocked gcd sums match the gcd-class oracle at n = 55440 and "
             "n = 65536, k in {none, 2}", ok, time.perf_counter() - start, budget=60.0)

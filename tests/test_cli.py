@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from menon_subsets import MemoCache
+from menon_subsets import MemoCache, relprime_subsets
 from menon_subsets.cli import _bench_runs, main
 from menon_subsets.oracle import gcd_class_menon_sum
 
@@ -152,12 +152,22 @@ def test_bench_menon_strategies(capsys):
 
 
 def test_bench_count_strategies(capsys):
-    code, out, _ = run_cli(
-        capsys, "bench", "f", "--n", "500",
-        "--strategies", "direct,blocked", "--reps", "1",
-    )
+    code, out, _ = run_cli(capsys, "bench", "f", "--n", "500", "--reps", "1")
     assert code == 0
-    assert "identical values" in out
+    first, timing = out.splitlines()
+    assert first.endswith(f"value=<{len(str(relprime_subsets(500)))} decimal digits>")
+    assert "floor-counts" in timing and "count-evaluations=" in timing
+
+    with pytest.raises(SystemExit) as err:
+        main(["bench", "fk", "--n", "500", "--k", "2", "--strategies", "direct"])
+    assert err.value.code == 2
+    capsys.readouterr()
+
+
+def test_bench_menon_defaults_to_auto(capsys):
+    code, out, _ = run_cli(capsys, "bench", "mbark", "--n", "64", "--k", "2", "--reps", "1")
+    assert code == 0
+    assert out.splitlines()[1].split()[0] == "auto"
 
 
 def test_bench_value_matches_gcd_class_oracle(capsys, sieve):
@@ -166,12 +176,12 @@ def test_bench_value_matches_gcd_class_oracle(capsys, sieve):
     )
     assert code == 0
     reported = int(out.splitlines()[0].split("value=")[1])
-    assert reported == gcd_class_menon_sum(64, sieve, MemoCache())
+    assert reported == gcd_class_menon_sum(64, sieve, cache=MemoCache())
 
 
 def test_bench_runs_match_oracle_at_210(sieve):
-    value, _ = _bench_runs("mbar", 210, None, "theorem", sieve)
-    assert value == gcd_class_menon_sum(210, sieve, MemoCache())
+    value, _ = _bench_runs("mbar", 210, None, "theorem")
+    assert value == gcd_class_menon_sum(210, sieve, cache=MemoCache())
 
 
 def test_bench_refuses_mismatched_values(capsys, monkeypatch):
@@ -180,7 +190,7 @@ def test_bench_refuses_mismatched_values(capsys, monkeypatch):
     fake_values = iter([(1, 1), (2, 1)])
     monkeypatch.setattr(cli_mod, "_bench_runs", lambda *args: next(fake_values))
     code = cli_mod.main(
-        ["bench", "f", "--n", "10", "--strategies", "direct,blocked", "--reps", "1"]
+        ["bench", "mbar", "--n", "16", "--strategies", "theorem,prime-power", "--reps", "1"]
     )
     captured = capsys.readouterr()
     assert code == 1
@@ -246,3 +256,29 @@ def test_verify_refuses_vacuous_pass(capsys):
     assert code == 1
     assert "SKIP  enumeration-counts " in out
     assert "overall: FAIL" in out
+
+
+def test_verify_scopes_report_the_ranges_run(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n-max-enum", "4", "--n-max-formula", "1")
+    lines = {line.split()[1]: line for line in out.splitlines() if "  " in line}
+    assert "exactly n, n <= 1  (1 cases" in lines["full-set-diagonal"]
+    assert "f and phi n <= 1, mbar n <= 1" in lines["cardinality-partitions"]
+    assert "n <= 24" not in out
+    assert len(lines) == 17
+
+
+def test_table_rows_share_one_cache(capsys, monkeypatch):
+    import menon_subsets.cli as cli_mod
+
+    caches = []
+    original = cli_mod._compute_one
+
+    def spy(tag, n, k, strategy, cache):
+        caches.append(cache)
+        return original(tag, n, k, strategy, cache)
+
+    monkeypatch.setattr(cli_mod, "_compute_one", spy)
+    code, out, _ = run_cli(capsys, "table", "fk", "--k", "3", "--n-max", "40")
+    assert code == 0
+    assert len(caches) == 40 and len({id(c) for c in caches}) == 1
+    assert caches[0].misses == 40  # one new floor value per row

@@ -14,14 +14,11 @@ from menon_subsets import (
     is_prime,
     menon_classic,
     menon_sum,
-    menon_sum_k,
-    menon_sum_k_prime,
-    menon_sum_k_prime_power,
     menon_sum_prime,
     menon_sum_prime_power,
     prime_power_split,
 )
-from menon_subsets.oracle import gcd_class_menon_sum, gcd_class_menon_sum_k
+from menon_subsets.oracle import gcd_class_menon_sum
 
 # Frozen from the bitmask enumeration oracle; index i holds n = i + 1.
 MBAR = (1, 4, 16, 46, 134, 320, 822, 1898, 4414, 9844, 22106, 48208,
@@ -32,118 +29,118 @@ MBAR_3 = (0, 0, 3, 16, 50, 114, 239, 416, 715, 1092, 1705, 2352, 3430, 4558)
 PRIMES_TO_13 = (2, 3, 5, 7, 11, 13)
 
 
-def test_classic_small_values(sieve):
-    assert menon_classic(1, sieve) == 1
-    assert menon_classic(4, sieve) == 6  # (0,4) + (2,4) over a in {1, 3}
-    assert menon_classic(12, sieve) == 24
+def test_classic_small_values():
+    assert menon_classic(1) == 1
+    assert menon_classic(4) == 6  # (0,4) + (2,4) over a in {1, 3}
+    assert menon_classic(12) == 24
 
 
-def test_classic_product_equals_direct_sum(sieve):
+def test_classic_product_equals_direct_sum():
     for n in range(1, 241):
-        assert menon_classic(n, sieve) == menon_classic(n, sieve, direct_sum=True)
+        assert menon_classic(n) == menon_classic(n, direct_sum=True)
 
 
-def test_known_values(sieve):
+def test_known_values():
     cache = MemoCache()
-    assert [menon_sum(n, sieve, cache) for n in range(1, 15)] == list(MBAR)
-    assert [menon_sum_k(n, 2, sieve, cache) for n in range(1, 15)] == list(MBAR_2)
-    assert [menon_sum_k(n, 3, sieve, cache) for n in range(1, 15)] == list(MBAR_3)
+    assert [menon_sum(n, cache=cache) for n in range(1, 15)] == list(MBAR)
+    assert [menon_sum(n, 2, cache) for n in range(1, 15)] == list(MBAR_2)
+    assert [menon_sum(n, 3, cache) for n in range(1, 15)] == list(MBAR_3)
 
 
-def test_reduces_to_classic_at_k1(sieve):
+def test_reduces_to_classic_at_k1():
     cache = MemoCache()
     for n in range(1, 241):
-        assert menon_sum_k(n, 1, sieve, cache) == menon_classic(n, sieve)
+        assert menon_sum(n, 1, cache) == menon_classic(n)
 
 
-def test_full_set_diagonal(sieve):
+def test_full_set_diagonal():
     cache = MemoCache()
     for n in range(1, 21):
-        assert menon_sum_k(n, n, sieve, cache) == n
+        assert menon_sum(n, n, cache) == n
 
 
-def test_k_beyond_n_is_zero(sieve):
-    assert menon_sum_k(4, 9, sieve) == 0
+def test_k_beyond_n_is_zero():
+    assert menon_sum(4, 9) == 0
 
 
-def test_cardinality_partition(sieve):
+def test_cardinality_partition():
     cache = MemoCache()
     for n in range(1, 17):
-        total = sum(menon_sum_k(n, k, sieve, cache) for k in range(1, n + 1))
-        assert total == menon_sum(n, sieve, cache)
+        total = sum(menon_sum(n, k, cache) for k in range(1, n + 1))
+        assert total == menon_sum(n, cache=cache)
 
 
-def test_prime_power_examples(sieve):
+def test_prime_power_examples():
     cache = MemoCache()
-    assert menon_sum_prime_power(2, 1, sieve, cache) == 4
-    assert menon_sum_prime_power(2, 2, sieve, cache) == 46
-    assert menon_sum_prime_power(3, 2, sieve, cache) == menon_sum(9, sieve, cache)
+    assert menon_sum_prime_power(2, 1, cache=cache) == 4
+    assert menon_sum_prime_power(2, 2, cache=cache) == 46
+    assert menon_sum_prime_power(3, 2, cache=cache) == menon_sum(9, cache=cache)
 
 
-def test_prime_power_matches_general(sieve):
+def test_prime_power_matches_general():
     cache = MemoCache()
     for p in PRIMES_TO_13:
         t = 1
         while p**t <= 256:
             n = p**t
-            assert menon_sum_prime_power(p, t, sieve, cache) == \
-                menon_sum(n, sieve, cache)
+            assert menon_sum_prime_power(p, t, cache=cache) == \
+                menon_sum(n, cache=cache)
             for k in (1, 2, 3):
-                assert menon_sum_k_prime_power(p, t, k, sieve, cache) == \
-                    menon_sum_k(n, k, sieve, cache)
+                assert menon_sum_prime_power(p, t, k, cache) == \
+                    menon_sum(n, k, cache)
             t += 1
 
 
-def test_prime_form_examples(sieve):
+def test_prime_form_examples():
     cache = MemoCache()
-    assert menon_sum_prime(3, sieve, cache) == 16   # 3*5 - 1 + 1 + 1
-    assert menon_sum_prime(5, sieve, cache) == 134
-    assert menon_sum_k_prime(3, 2, sieve, cache) == 9  # 3*3 - 0 + 0 + 0
+    assert menon_sum_prime(3, cache=cache) == 16   # 3*5 - 1 + 1 + 1
+    assert menon_sum_prime(5, cache=cache) == 134
+    assert menon_sum_prime(3, 2, cache) == 9  # 3*3 - 0 + 0 + 0
 
 
-def test_prime_form_matches_prime_power_form(sieve):
+def test_prime_form_matches_prime_power_form():
     cache = MemoCache()
     for p in PRIMES_TO_13:
-        assert menon_sum_prime(p, sieve, cache) == \
-            menon_sum_prime_power(p, 1, sieve, cache)
+        assert menon_sum_prime(p, cache=cache) == \
+            menon_sum_prime_power(p, 1, cache=cache)
         for k in (1, 2, 3):
-            assert menon_sum_k_prime(p, k, sieve, cache) == \
-                menon_sum_k_prime_power(p, 1, k, sieve, cache)
+            assert menon_sum_prime(p, k, cache) == \
+                menon_sum_prime_power(p, 1, k, cache)
 
 
-def test_k1_prime_power_is_classic(sieve):
-    assert menon_sum_k_prime_power(3, 2, 1, sieve) == 18  # phi(9) * tau(9)
+def test_k1_prime_power_is_classic():
+    assert menon_sum_prime_power(3, 2, 1) == 18  # phi(9) * tau(9)
     for p, t in ((2, 3), (5, 2), (7, 1)):
-        assert menon_sum_k_prime_power(p, t, 1, sieve) == \
-            menon_classic(p**t, sieve)
+        assert menon_sum_prime_power(p, t, 1) == \
+            menon_classic(p**t)
 
 
-def test_specializations_reject_nonprime(sieve):
+def test_specializations_reject_nonprime():
     with pytest.raises(ValueError):
-        menon_sum_prime(4, sieve)
+        menon_sum_prime(4)
     with pytest.raises(ValueError):
-        menon_sum_prime_power(6, 2, sieve)
+        menon_sum_prime_power(6, 2)
     with pytest.raises(ValueError):
-        menon_sum_k_prime(9, 2, sieve)
+        menon_sum_prime(9, 2)
     with pytest.raises(ValueError):
-        menon_sum_k_prime_power(1, 1, 2, sieve)
+        menon_sum_prime_power(1, 1, 2)
     with pytest.raises(ValueError):
-        menon_sum_prime_power(2, 0, sieve)
+        menon_sum_prime_power(2, 0)
 
 
-def test_rejects_bad_arguments(sieve):
+def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        menon_sum(0, sieve)
+        menon_sum(0)
     with pytest.raises(ValueError):
-        menon_sum_k(5, 0, sieve)
+        menon_sum(5, 0)
     with pytest.raises(ValueError):
-        menon_classic(0, sieve)
+        menon_classic(0)
 
 
 def test_matches_gcd_class_oracle(sieve):
     cache = MemoCache()
     for n in range(1, 201):
-        assert menon_sum(n, sieve, cache) == gcd_class_menon_sum(n, sieve, cache)
+        assert menon_sum(n, cache=cache) == gcd_class_menon_sum(n, sieve, cache=cache)
 
 
 def test_is_prime_small():
@@ -173,27 +170,46 @@ def test_params_validation():
     MenonParams(n=8, strategy=PRIME_POWER)  # fine: 8 = 2^3
 
 
-def test_evaluate_dispatch(sieve):
+def test_evaluate_dispatch():
     cache = MemoCache()
     for n in range(1, 65):
-        via_auto = evaluate(MenonParams(n=n, strategy=AUTO), sieve, cache)
-        via_theorem = evaluate(MenonParams(n=n, strategy=THEOREM), sieve, cache)
-        assert via_auto == via_theorem == menon_sum(n, sieve, cache)
+        via_auto = evaluate(MenonParams(n=n, strategy=AUTO), cache)
+        via_theorem = evaluate(MenonParams(n=n, strategy=THEOREM), cache)
+        assert via_auto == via_theorem == menon_sum(n, cache=cache)
     for n in (8, 27, 64, 121):
-        assert evaluate(MenonParams(n=n, strategy=PRIME_POWER), sieve, cache) == \
-            menon_sum(n, sieve, cache)
+        assert evaluate(MenonParams(n=n, strategy=PRIME_POWER), cache) == \
+            menon_sum(n, cache=cache)
     for n, k in ((16, 2), (25, 3)):
-        assert evaluate(MenonParams(n=n, k=k, strategy=PRIME_POWER), sieve, cache) == \
-            menon_sum_k(n, k, sieve, cache)
+        assert evaluate(MenonParams(n=n, k=k, strategy=PRIME_POWER), cache) == \
+            menon_sum(n, k, cache)
 
 
-def test_shared_cache_is_reused(sieve):
+def test_shared_cache_is_reused():
     cache = MemoCache()
-    first = menon_sum(30, sieve, cache)
+    first = menon_sum(30, cache=cache)
     misses = cache.misses
-    second = menon_sum(30, sieve, cache)
+    second = menon_sum(30, cache=cache)
     assert first == second
     assert cache.misses == misses  # second run served entirely from the cache
+
+
+@pytest.mark.parametrize("gcd_sum", [
+    menon_sum,
+    menon_sum_prime,
+    lambda n, k=None: menon_sum_prime_power(n, 1, k),
+])
+@pytest.mark.parametrize("bad", [True, 2.0, "3"])
+def test_gcd_sums_reject_non_integer_n_and_k(gcd_sum, bad):
+    with pytest.raises(TypeError):
+        gcd_sum(bad)
+    with pytest.raises(TypeError):
+        gcd_sum(7, bad)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3"])
+def test_prime_power_rejects_non_integer_exponent(bad):
+    with pytest.raises(TypeError):
+        menon_sum_prime_power(2, bad)
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, "3"])
@@ -238,16 +254,12 @@ def oracle_cache():
 @settings(max_examples=60, deadline=None)
 @given(SHAPED_N, st.sampled_from((None, 1, 2, 3)))
 def test_evaluate_matches_gcd_class_oracle(oracle_cache, n, k):
-    got = evaluate(MenonParams(n, k), BIG_SIEVE, MemoCache())
-    if k is None:
-        expected = gcd_class_menon_sum(n, BIG_SIEVE, oracle_cache)
-    else:
-        expected = gcd_class_menon_sum_k(n, k, BIG_SIEVE, oracle_cache)
-    assert got == expected
+    got = evaluate(MenonParams(n, k), MemoCache())
+    assert got == gcd_class_menon_sum(n, BIG_SIEVE, k, oracle_cache)
 
 
 @settings(deadline=None)
 @given(SHAPED_N)
 def test_singleton_sum_is_phi_times_tau(n):
     expected = BIG_SIEVE.phi[n] * len(divisors(n))
-    assert evaluate(MenonParams(n, 1), BIG_SIEVE) == expected
+    assert evaluate(MenonParams(n, 1)) == expected

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from menon_subsets import build_sieve, divisors, gcd, mod_inverse
+from menon_subsets import (
+    build_sieve,
+    divisors,
+    factorize,
+    gcd,
+    is_prime,
+    mod_inverse,
+    prime_power_split,
+)
 
 
 def test_smallest_table():
@@ -45,31 +53,38 @@ def test_totient_matches_coprime_count(sieve):
         assert sieve.phi[n] == sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
 
 
-def _mu_by_factorization(n, spf):
-    if n == 1:
-        return 1
-    distinct = 0
-    while n > 1:
-        p = spf[n]
-        n //= p
-        if n % p == 0:
-            return 0
-        distinct += 1
-    return -1 if distinct % 2 else 1
-
-
-def test_mobius_matches_spf_factorization(sieve):
+def test_factorize_matches_sieve_tables_and_naive_scan(sieve):
     for n in range(1, sieve.limit + 1):
-        assert sieve.mu[n] == _mu_by_factorization(n, sieve.spf)
+        fac = factorize(n)
+        naive = [d for d in range(1, n + 1) if n % d == 0]
+        assert math.prod(p**e for p, e in fac.factors) == n
+        assert all(is_prime(p) and e >= 1 for p, e in fac.factors)
+        assert (fac.mu, fac.phi) == (sieve.mu[n], sieve.phi[n])
+        assert fac.tau == len(naive)
+        assert fac.divisors() == divisors(n) == naive
+        assert fac.totients() == {d: sieve.phi[d] for d in naive}
+        assert fac.mobius() == {d: sieve.mu[d] for d in naive if sieve.mu[d]}
 
 
-def test_spf_divides_and_is_prime(sieve):
-    for n in range(2, sieve.limit + 1):
-        p = sieve.spf[n]
-        assert n % p == 0
-        assert all(p % q for q in range(2, math.isqrt(p) + 1))
-        if all(n % q for q in range(2, math.isqrt(n) + 1)):
-            assert p == n
+def test_factorize_examples():
+    assert factorize(1).factors == ()
+    assert factorize(360).factors == ((2, 3), (3, 2), (5, 1))
+    assert factorize(97).factors == ((97, 1),)
+    assert factorize(2 * 10007).factors == ((2, 1), (10007, 1))
+    with pytest.raises(ValueError):
+        factorize(0)
+    for bad in (True, 2.0, "3"):
+        for view in (factorize, is_prime, prime_power_split):
+            with pytest.raises(TypeError):
+                view(bad)
+
+
+@given(st.integers(0, 10**6))
+def test_prime_views_agree_with_factorize(n):
+    factors = factorize(n).factors if n >= 1 else ()
+    assert is_prime(n) == (factors == ((n, 1),))
+    assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)))
+    assert prime_power_split(n) == (factors[0] if len(factors) == 1 else None)
 
 
 def test_mertens_prefix(sieve):

@@ -97,3 +97,22 @@ def test_skipped_check_is_not_a_pass():
     assert skipped.status == "SKIP"
     assert not VerificationReport([skipped]).overall
     assert VerificationReport([CheckResult("probe", "scope", True, cases=3)]).overall
+
+
+def test_battery_has_seventeen_checks_and_checks_the_core_against_the_oracle():
+    report = run_verification(n_max_enum=4, n_max_formula=30, k_set=(2,))
+    assert len(report.checks) == 17
+    check = next(c for c in report.checks if c.name == "core-vs-mobius-sum")
+    assert check.status == "PASS" and check.cases == 30
+    assert "k in {None, 2}" in check.scope
+
+
+def test_corruption_reaches_the_battery_through_the_oracle_side():
+    bad = build_sieve(300)
+    bad.mu[10] = -1
+    failing = {c.name for c in run_verification(4, 60, sieve=bad).checks if not c.passed}
+    assert "core-vs-mobius-sum" in failing
+    bad = build_sieve(300)
+    bad.phi[7] = 5
+    failing = {c.name for c in run_verification(4, 60, sieve=bad).checks if not c.passed}
+    assert failing == {"pair-count-totient-sum"}
