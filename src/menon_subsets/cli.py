@@ -15,12 +15,16 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .counts import MemoCache, coprime_subsets, relprime_subsets
-from .menon import AUTO, MENON_STRATEGIES, MenonParams, evaluate, menon_classic
+from .menon import (AUTO, MENON_STRATEGIES, MenonParams, divisor_pairs, evaluate,
+                    menon_classic)
+from .sieve import factorize
 from .verification import run_verification
 
 TAGS = ("f", "fk", "phi", "phik", "menon", "mbar", "mbark")
 K_TAGS = frozenset({"fk", "phik", "mbark"})
 STRATEGY_TAGS = frozenset({"mbar", "mbark"})
+MAX_N = 1 << 20  # compute, bench: a value at n has about n bits, here 1 Mbit
+MAX_TABLE_ROWS = 1 << 12  # table: about n_max^2 / 2 = 8 Mbit of values
 
 
 @dataclass
@@ -78,6 +82,8 @@ def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _validate_k(parser, args.function, args.k)
+    if not 1 <= args.n_max <= MAX_TABLE_ROWS:
+        parser.error(f"--n-max must be in 1..{MAX_TABLE_ROWS} (output-size bound)")
     try:
         cache = MemoCache()  # shared: each new row costs one block pass
         rows = [
@@ -173,6 +179,8 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 1
 
     value = values.pop()
+    pairs = (f"   divisor-pairs={len(divisor_pairs(factorize(args.n)))}"
+             if tag in STRATEGY_TAGS else "")
     digits = len(str(value))
     shown = str(value) if digits <= 40 else f"<{digits} decimal digits>"
     print(f"{tag} n={args.n}" + (f" k={args.k}" if args.k is not None else "")
@@ -180,7 +188,7 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if len(results) > 1:
         print("all strategies produced identical values")
     for strategy, seconds, _, evals in results:
-        print(f"  {strategy:12s} {seconds * 1000:10.2f} ms   count-evaluations={evals}")
+        print(f"  {strategy:12s} {seconds * 1000:10.2f} ms   count-evaluations={evals}{pairs}")
     return 0
 
 
@@ -225,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("compute", "bench") and args.n > MAX_N:
+        parser.error(f"--n {args.n} is past the output-size bound {MAX_N}")
     handler = {
         "compute": cmd_compute,
         "table": cmd_table,

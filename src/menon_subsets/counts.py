@@ -10,10 +10,10 @@ unrestricted counts grow like 2^n, so nothing here may round.  The signed
 sums are checked nonnegative before they are returned -- a negative total
 would mean a defect, never a valid answer.
 
-relprime_subsets reads F(n) off floor_counts, which builds F at every floor
-value of n bottom-up from the gcd-histogram identity (see its docstring);
-coprime_subsets sums mu over the squarefree divisors of n, taken from one
-factorisation.  Neither reads a sieve.
+relprime_subsets reads F(n) off floor_counts' bottom-up recursion (see its
+docstring), which with a shared cache computes F(n) alone once every
+smaller floor value of n is cached; coprime_subsets sums mu over the
+squarefree divisors of n, from one factorisation.  Neither reads a sieve.
 """
 
 from __future__ import annotations
@@ -75,6 +75,23 @@ def _floor_values(n: int) -> list[int]:
     return list(range(1, r + 1)) + [n // t for t in range(r, 0, -1) if n // t > r]
 
 
+def _floor_count(n: int) -> int:
+    r = isqrt(n)  # len(_floor_values(n)); r = n // r only when r^2 <= n < r^2 + r
+    return 2 * r - (r == n // r)
+
+
+def _block_pass(m: int, k: int | None, table: dict[int, int]) -> int:
+    # g(m) - sum over j >= 2 of F(m // j); KeyError if an F(m // j) is absent.
+    value = _term(m, k)
+    j = 2
+    while j <= m:
+        q = m // j
+        last = m // q
+        value -= (last - j + 1) * table[q]
+        j = last + 1
+    return _finish(value)
+
+
 def _fill(n: int, k: int | None, cache: MemoCache | None) -> dict[int, int]:
     # A dict m -> F(m) holding at least every floor value of n: the cache's
     # table for k, completed bottom-up.  The table is closed under
@@ -83,20 +100,19 @@ def _fill(n: int, k: int | None, cache: MemoCache | None) -> dict[int, int]:
     if n in table:
         cache.hits += 1
         return table
-    values = _floor_values(n)
-    missing = [m for m in values if m not in table]
-    for m in missing:
-        value = _term(m, k)
-        j = 2
-        while j <= m:
-            q = m // j
-            last = m // q
-            value -= (last - j + 1) * table[q]
-            j = last + 1
-        table[m] = _finish(value)
+    try:
+        # Fast path, the usual case in a sweep over n: every proper floor
+        # value n // j (j >= 2) is already there, so n is the only miss.
+        table[n] = _block_pass(n, k, table)
+        computed = 1
+    except KeyError:
+        missing = [m for m in _floor_values(n) if m not in table]
+        for m in missing:
+            table[m] = _block_pass(m, k, table)
+        computed = len(missing)
     if cache is not None:
-        cache.hits += len(values) - len(missing)
-        cache.misses += len(missing)
+        cache.hits += _floor_count(n) - computed
+        cache.misses += computed
     return table
 
 

@@ -15,33 +15,32 @@ the relatively prime subset counts F = relprime_subsets(., k):
         sum over j in 1..n/delta with delta * j = 1 (mod d) of
           F(floor(n / (j * delta)))
 
-phi(d) and mu(delta) come from one factorisation of n.  The sum is
-evaluated in two passes.  The weight pass walks each (d, delta) pair's
+The (d, delta) pairs and their weights phi(d) * mu(delta) are built prime
+by prime from one factorisation of n.  The weight pass walks each pair's
 progression j = delta^-1 (mod d) in blocks of constant
-floor(n / (j * delta)), counts the progression's members in each block in
-O(1), and adds phi(d) * mu(delta) * count to a small-integer weight w_q of
-that floor value q.  The count pass then gets F(q) for every floor value q
-of n at once from counts.floor_counts, and the result is the single sum of
-w_q * F(q) over the about 2 sqrt(n) q with w_q != 0: no per-j count
-evaluation and no n-bit addition per j.  Prime-power and prime inputs admit
-collapsed forms (the only surviving (d, delta) pairs are (1, 1), (1, p) and
-(p^s, 1)), exposed as menon_sum_prime_power and menon_sum_prime and
-evaluated by the same two passes; `evaluate` dispatches between the general
-and collapsed routes.
+floor(n / (j * delta)), counts its members in each block in O(1), and adds
+phi(d) * mu(delta) * count to a small-integer weight w_q of that floor
+value q.  The count pass reads F(q) at every floor value q of n off the
+count core's table, and the result is the single sum of w_q * F(q) over
+the about 2 sqrt(n) q with w_q != 0: no per-j count evaluation and no
+n-bit addition per j.  Prime-power and prime inputs admit collapsed forms
+(the only surviving (d, delta) pairs are (1, 1), (1, p) and (p^s, 1)),
+exposed as menon_sum_prime_power and menon_sum_prime and evaluated by the
+same two passes; `evaluate` factors n once and picks the route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counts import MemoCache, floor_counts
+from .counts import MemoCache, _fill
 from .sieve import (
+    Factorization,
     as_int,
     check_args,
     factorize,
     gcd,
     is_prime,
-    mod_inverse,
     prime_power_split,
 )
 
@@ -93,24 +92,45 @@ def _add_progression(
     O(1), so the cost is the smaller of the member count and the ~2 sqrt(N)
     blocks.
     """
+    get = weights.get
     j = first
     while j <= last:
         q = N // j
-        count = (min(N // q, last) - j) // step + 1
-        weights[q] = weights.get(q, 0) + w * count
+        hi = N // q
+        count = ((hi if hi < last else last) - j) // step + 1
+        weights[q] = get(q, 0) + w * count
         j += count * step
 
 
 def _weighted_total(
     weights: dict[int, int], n: int, k: int | None, cache: MemoCache | None
 ) -> int:
-    # sum of w_q * F(q); every key q is a floor value of n.  floor_counts
-    # also rejects a k that is not a positive integer.
-    counts = floor_counts(n, k, cache)
+    # sum of w_q * F(q) over floor values q of n; n and k are checked already.
+    counts = _fill(n, k, cache)
     total = sum(w * counts[q] for q, w in weights.items() if w)
     if total < 0:
         raise ArithmeticError(f"gcd sum came out negative ({total})")
     return total
+
+
+def divisor_pairs(fac: Factorization) -> list[tuple[int, int, int]]:
+    """(d, delta, phi(d) * mu(delta)) for all coprime d | n, squarefree delta | n."""
+    # Each p^e || n goes into d as one of p^1..p^e, into delta, or into
+    # neither, so every coprime pair is built once: prod(e + 2) triples.
+    out = [(1, 1, 1)]
+    for p, e in fac.factors:
+        out += [(d * p**i, delta, w * (p - 1) * p ** (i - 1))
+                for d, delta, w in out for i in range(1, e + 1)
+                ] + [(d, delta * p, -w) for d, delta, w in out]
+    return out
+
+
+def _triple_sum(fac: Factorization, k: int | None, cache: MemoCache | None) -> int:
+    weights: dict[int, int] = {}
+    for d, delta, w in divisor_pairs(fac):
+        first = pow(delta, -1, d) if d > 1 else 1
+        _add_progression(weights, fac.n // delta, first, d, fac.n // delta, w)
+    return _weighted_total(weights, fac.n, k, cache)
 
 
 def menon_sum(n: int, k: int | None = None, cache: MemoCache | None = None) -> int:
@@ -119,17 +139,7 @@ def menon_sum(n: int, k: int | None = None, cache: MemoCache | None = None) -> i
     0 whenever k exceeds n.
     """
     n, k = check_args(n, k)
-    fac = factorize(n)
-    mobius = fac.mobius()
-    weights: dict[int, int] = {}
-    for d, phi_d in fac.totients().items():
-        for delta, mu_delta in mobius.items():
-            if gcd(delta, d) != 1:
-                continue
-            upper = n // delta
-            first = mod_inverse(delta, d)
-            _add_progression(weights, upper, first, d, upper, phi_d * mu_delta)
-    return _weighted_total(weights, n, k, cache)
+    return _triple_sum(factorize(n), k, cache)
 
 
 def _check_prime_power(p, t, k) -> tuple[int, int, int | None]:
@@ -146,9 +156,12 @@ def menon_sum_prime_power(
     p: int, t: int, k: int | None = None, cache: MemoCache | None = None
 ) -> int:
     """Collapsed form of menon_sum at n = p**t."""
+    return _prime_power_sum(*_check_prime_power(p, t, k), cache)
+
+
+def _prime_power_sum(p: int, t: int, k: int | None, cache: MemoCache | None) -> int:
     # sum of F(n // j) over j in 1..n, minus the same over 1..n/p, plus
     # (p - 1) * p^(s-1) * F(n // j) over j = 1 + (m - 1) p^s, m <= p^(t-s).
-    p, t, k = _check_prime_power(p, t, k)
     n = p**t
     weights: dict[int, int] = {}
     _add_progression(weights, n, 1, 1, n, 1)
@@ -175,11 +188,11 @@ def evaluate(params: MenonParams, cache: MemoCache | None = None) -> int:
     wherever both apply.
     """
     strategy = params.strategy
-    split = prime_power_split(params.n)
+    fac = factorize(params.n)
     if strategy == AUTO:
-        strategy = PRIME_POWER if split is not None else THEOREM
+        strategy = PRIME_POWER if len(fac.factors) == 1 else THEOREM
     if strategy == THEOREM:
-        return menon_sum(params.n, params.k, cache)
-    if split is None:
+        return _triple_sum(fac, params.k, cache)
+    if len(fac.factors) != 1:
         raise ValueError(f"{params.n} is not a prime power")
-    return menon_sum_prime_power(*split, params.k, cache)
+    return _prime_power_sum(*fac.factors[0], params.k, cache)

@@ -149,6 +149,11 @@ def test_bench_menon_strategies(capsys):
     assert code == 0
     assert "identical values" in out
     assert "theorem" in out and "prime-power" in out
+    timings = out.splitlines()[2:]
+    assert len(timings) == 3
+    # 64 = 2^6: (1, 1), (1, 2) and (2^s, 1) for s = 1..6
+    assert all("count-evaluations=" in line and line.endswith("divisor-pairs=8")
+               for line in timings)
 
 
 def test_bench_count_strategies(capsys):
@@ -282,3 +287,88 @@ def test_table_rows_share_one_cache(capsys, monkeypatch):
     assert code == 0
     assert len(caches) == 40 and len({id(c) for c in caches}) == 1
     assert caches[0].misses == 40  # one new floor value per row
+
+
+@pytest.mark.parametrize("tag, k", [("mbar", None), ("mbark", "2")])
+def test_sum_tables_compute_one_floor_value_per_row(capsys, monkeypatch, tag, k):
+    import menon_subsets.cli as cli_mod
+
+    caches = []
+    original = cli_mod._compute_one
+
+    def spy(*args):
+        caches.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(cli_mod, "_compute_one", spy)
+    argv = ["table", tag] + (["--k", k] if k else []) + ["--n-max", "60"]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(caches) == 60 and len({id(c) for c in caches}) == 1
+    assert caches[0].misses == 60
+
+
+def test_bench_reports_divisor_pairs_for_gcd_sums_only(capsys):
+    # 55440 = 2^4 3^2 5 7 11: (4 + 2)(2 + 2) 3^3 = 648 pairs
+    code, out, _ = run_cli(capsys, "bench", "mbark", "--n", "55440", "--k", "2", "--reps", "1")
+    assert code == 0
+    assert out.splitlines()[1].endswith("divisor-pairs=648")
+    code, out, _ = run_cli(capsys, "bench", "f", "--n", "500", "--reps", "1")
+    assert code == 0
+    assert "divisor-pairs" not in out
+
+
+@pytest.mark.parametrize("n_max", ["0", "-1", "-100"])
+def test_table_rejects_n_max_below_one(capsys, n_max):
+    with pytest.raises(SystemExit) as err:
+        main(["table", "f", "--n-max", n_max])
+    assert err.value.code == 2
+    assert "--n-max" in capsys.readouterr().err
+
+
+def _refuse_evaluation(monkeypatch):
+    import menon_subsets.cli as cli_mod
+
+    def fail(*args):
+        raise AssertionError("evaluated past the size bound")
+
+    monkeypatch.setattr(cli_mod, "_compute_one", fail)
+    monkeypatch.setattr(cli_mod, "_bench_runs", fail)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "f", "--n", "100000000"],
+    ["compute", "mbark", "--n", "1048577", "--k", "2"],
+    ["bench", "mbar", "--n", "100000000"],
+    ["table", "f", "--n-max", "100000"],
+])
+def test_size_guard_exits_before_evaluating(capsys, monkeypatch, argv):
+    _refuse_evaluation(monkeypatch)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "bound" in capsys.readouterr().err
+
+
+def test_size_guard_follows_the_bounds(capsys, monkeypatch):
+    import menon_subsets.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "MAX_N", 50)
+    monkeypatch.setattr(cli_mod, "MAX_TABLE_ROWS", 10)
+    assert run_cli(capsys, "compute", "mbar", "--n", "50")[0] == 0
+    assert run_cli(capsys, "bench", "f", "--n", "50", "--reps", "1")[0] == 0
+    code, out, _ = run_cli(capsys, "table", "f", "--n-max", "10")
+    assert code == 0 and len(out.splitlines()) == 11
+    _refuse_evaluation(monkeypatch)
+    for argv in (["compute", "mbar", "--n", "51"], ["bench", "f", "--n", "51"],
+                 ["table", "f", "--n-max", "11"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        capsys.readouterr()
+
+
+def test_size_bounds_admit_the_documented_workloads():
+    import menon_subsets.cli as cli_mod
+
+    assert cli_mod.MAX_N >= 20000 and cli_mod.MAX_TABLE_ROWS >= 2520

@@ -10,6 +10,7 @@ from menon_subsets import (
     floor_counts,
     relprime_subsets,
 )
+from menon_subsets.counts import _floor_count, _floor_values
 from menon_subsets.oracle import (
     enumerate_coprime_subsets,
     enumerate_relprime_subsets,
@@ -236,3 +237,12 @@ def test_floor_counts_reject_out_of_range():
         floor_counts(0)
     with pytest.raises(ValueError):
         floor_counts(5, 0)
+
+
+def test_floor_count_is_the_number_of_floor_values():
+    assert all(_floor_count(n) == len(_floor_values(n)) for n in range(1, 100_001))
+
+
+@given(st.integers(1, 10**9))
+def test_floor_count_property(n):
+    assert _floor_count(n) == len(_floor_values(n)) == len(set(_floor_values(n)))

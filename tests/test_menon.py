@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,8 @@ from menon_subsets import (
     MemoCache,
     build_sieve,
     divisors,
+    factorize,
+    gcd,
     MenonParams,
     evaluate,
     is_prime,
@@ -17,7 +21,10 @@ from menon_subsets import (
     menon_sum_prime,
     menon_sum_prime_power,
     prime_power_split,
+    relprime_subsets,
 )
+from menon_subsets.counts import _floor_count, _floor_values
+from menon_subsets.menon import divisor_pairs
 from menon_subsets.oracle import gcd_class_menon_sum
 
 # Frozen from the bitmask enumeration oracle; index i holds n = i + 1.
@@ -263,3 +270,53 @@ def test_evaluate_matches_gcd_class_oracle(oracle_cache, n, k):
 def test_singleton_sum_is_phi_times_tau(n):
     expected = BIG_SIEVE.phi[n] * len(divisors(n))
     assert evaluate(MenonParams(n, 1)) == expected
+
+
+def test_divisor_pairs_are_the_filtered_double_loop():
+    # The pairs built prime by prime are exactly the (divisor, squarefree
+    # divisor) pairs with gcd 1, each once, with the weight phi(d) * mu(delta).
+    for n in range(1, 3001):
+        fac = factorize(n)
+        filtered = sorted(
+            (d, delta, phi_d * mu_delta)
+            for d, phi_d in fac.totients().items()
+            for delta, mu_delta in fac.mobius().items()
+            if gcd(d, delta) == 1
+        )
+        pairs = divisor_pairs(fac)
+        assert sorted(pairs) == filtered
+        assert len(pairs) == math.prod(e + 2 for _, e in fac.factors)
+
+
+@st.composite
+def seeded_queries(draw):
+    """(n, smaller n evaluated first, k): a random set, or every m < n."""
+    n = draw(st.integers(1, 300))
+    smaller = st.sets(st.integers(1, n - 1), max_size=20) if n > 1 else st.just(set())
+    seeds = draw(st.one_of(smaller, st.just(set(range(1, n)))))
+    return n, sorted(seeds), draw(st.sampled_from((None, 1, 2, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeded_queries())
+def test_preseeded_cache_matches_cold_calls(query):
+    # A warm cache takes either the one-block-pass path (every proper floor
+    # value of n is cached) or the listing fallback; both must match a cold
+    # call, and count hits and misses per floor value of n.
+    n, seeds, k = query
+
+    def seeded():
+        cache = MemoCache()
+        for m in seeds:
+            evaluate(MenonParams(m, k), cache)
+        return cache
+
+    cache = seeded()
+    table = cache.table(("floor", k))
+    absent = sum(q not in table for q in _floor_values(n))
+    hits, misses = cache.hits, cache.misses
+    assert relprime_subsets(n, k, cache) == relprime_subsets(n, k)
+    assert cache.hits == hits + _floor_count(n) - absent  # n itself is absent
+    assert cache.misses == misses + absent
+    assert menon_sum(n, k, seeded()) == menon_sum(n, k)
+    assert evaluate(MenonParams(n, k), seeded()) == evaluate(MenonParams(n, k))
