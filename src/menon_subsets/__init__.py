@@ -9,7 +9,6 @@ from .counts import (
     MemoCache,
     binomial,
     coprime_subsets,
-    floor_counts,
     relprime_subsets,
 )
 from .menon import (
@@ -68,7 +67,6 @@ __all__ = [
     "enumerate_relprime_subsets",
     "evaluate",
     "factorize",
-    "floor_counts",
     "gcd",
     "gcd_class_menon_sum",
     "is_prime",

@@ -25,6 +25,7 @@ K_TAGS = frozenset({"fk", "phik", "mbark"})
 STRATEGY_TAGS = frozenset({"mbar", "mbark"})
 MAX_N = 1 << 20  # compute, bench: a value at n has about n bits, here 1 Mbit
 MAX_TABLE_ROWS = 1 << 12  # table: about n_max^2 / 2 = 8 Mbit of values
+MAX_FORMULA_N = 4000  # verify: ~18 s on a 2-vCPU Xeon, growing about as n^2
 
 
 @dataclass
@@ -85,7 +86,7 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if not 1 <= args.n_max <= MAX_TABLE_ROWS:
         parser.error(f"--n-max must be in 1..{MAX_TABLE_ROWS} (output-size bound)")
     try:
-        cache = MemoCache()  # shared: each new row costs one block pass
+        cache = MemoCache()  # shared: each new n appends one prefix row
         rows = [
             (n, _compute_one(args.function, n, args.k, AUTO, cache))
             for n in range(1, args.n_max + 1)
@@ -108,6 +109,8 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.n_max_formula > MAX_FORMULA_N:
+        parser.error(f"--n-max-formula {args.n_max_formula} is past the bound {MAX_FORMULA_N}")
     try:
         k_set = tuple(int(part) for part in args.k_set.split(","))
         if not k_set or any(k < 1 for k in k_set):
@@ -135,6 +138,14 @@ def _bench_runs(tag, n, k, strategy):
     cache = MemoCache()
     value = _compute_one(tag, n, k, strategy, cache)
     return value, cache.misses
+
+
+def _decimal_digits(value: int) -> int:
+    """len(str(value)) for value >= 0, without building the string."""
+    # b bits give d - 1 or d digits, d = floor(b log10 2) + 1; 20 digits of
+    # log10 2 keep that floor exact for every b up to 3 * 10^6 (checked).
+    d = value.bit_length() * 30102999566398119521 // 10**20 + 1
+    return d if value >= 10 ** (d - 1) else max(d - 1, 1)
 
 
 def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -181,7 +192,7 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     value = values.pop()
     pairs = (f"   divisor-pairs={len(divisor_pairs(factorize(args.n)))}"
              if tag in STRATEGY_TAGS else "")
-    digits = len(str(value))
+    digits = _decimal_digits(value)
     shown = str(value) if digits <= 40 else f"<{digits} decimal digits>"
     print(f"{tag} n={args.n}" + (f" k={args.k}" if args.k is not None else "")
           + f"  reps={args.reps}  value={shown}")
@@ -214,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the formula-vs-oracle suite")
     verify.add_argument("--n-max-enum", type=int, default=16)
-    verify.add_argument("--n-max-formula", type=int, default=300)
+    verify.add_argument("--n-max-formula", type=int, default=300,
+                        help=f"bound of the polynomial-cost sweeps, at most {MAX_FORMULA_N}")
     verify.add_argument("--k-set", default="1,2,3")
     verify.add_argument("--json", action="store_true")
 

@@ -10,10 +10,12 @@ unrestricted counts grow like 2^n, so nothing here may round.  The signed
 sums are checked nonnegative before they are returned -- a negative total
 would mean a defect, never a valid answer.
 
-relprime_subsets reads F(n) off floor_counts' bottom-up recursion (see its
-docstring), which with a shared cache computes F(n) alone once every
-smaller floor value of n is cached; coprime_subsets sums mu over the
-squarefree divisors of n, from one factorisation.  Neither reads a sieve.
+The count core, weighted_count, returns the sum of w_q * F(q) over floor
+values q of n for small-integer weights w_q, F = relprime_subsets(., k):
+by an adjoint pass on small integers and one big-integer sum, or, when a
+shared cache holds F(1..n-1), by one new prefix row.  relprime_subsets is
+the weight vector {n: 1}; the gcd sums in menon.py pass theirs.  mu comes
+from one factorisation of n; nothing here reads a sieve.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ binomial = comb  # exact; comb(a, k) = 0 for k > a and comb(a, 0) = 1
 class MemoCache:
     """Memo of subset counts shared across calls: one dict m -> value per family.
 
-    The core keeps F(m) for each k under the family ("floor", k); the
-    oracles keep their own values under families the core never reads.  A
-    cached value always equals a fresh recomputation; the cache only ever
-    short-circuits work.  `hits` and `misses` count the values found and
-    computed, and feed the benchmark report.  Lookups and inserts are plain
-    dict operations, so sharing one instance across threads behaves as if
-    serialized.
+    The core keeps the prefix rows F(lo..N) for each k under the family
+    ("prefix", k); the oracles keep their own values under families the
+    core never reads.  A cached value always equals a fresh recomputation.
+    `misses` counts the values computed (prefix rows appended, or the floor
+    values an adjoint pass walked), `hits` the calls answered without
+    computing any.  Lookups and inserts are plain dict operations, so
+    sharing one instance across threads behaves as if serialized.
     """
 
     __slots__ = ("_tables", "hits", "misses")
@@ -62,6 +64,16 @@ def _term(q: int, k: int | None) -> int:
     return ((1 << q) - 1) if k is None else comb(q, k)
 
 
+def _top_term(q: int, k: int | None) -> int:
+    # The nonempty (k-)subsets of {1..q} whose largest element is q.
+    return (1 << (q - 1)) if k is None else comb(q - 1, k - 1)
+
+
+def _mobius_sum(n: int, term, k: int | None) -> int:
+    # sum over squarefree delta | n of mu(delta) * term(n // delta, k)
+    return sum(m * term(n // d, k) for d, m in factorize(n).mobius().items())
+
+
 def _finish(total: int) -> int:
     # Signed Möbius accumulation must land on a count.
     if total < 0:
@@ -70,86 +82,108 @@ def _finish(total: int) -> int:
 
 
 def _floor_values(n: int) -> list[int]:
-    # Every q <= isqrt(n) is a floor value; the larger ones are n // t, t <= r.
-    r = isqrt(n)
-    return list(range(1, r + 1)) + [n // t for t in range(r, 0, -1) if n // t > r]
+    # The distinct n // t, t >= 1, in descending order: n // t while it
+    # exceeds isqrt(n), then every q from isqrt(n) down to 1.
+    s = isqrt(n)
+    return [n // t for t in range(1, s + (n // s > s))] + list(range(s, 0, -1))
 
 
 def _floor_count(n: int) -> int:
-    r = isqrt(n)  # len(_floor_values(n)); r = n // r only when r^2 <= n < r^2 + r
-    return 2 * r - (r == n // r)
+    s = isqrt(n)  # len(_floor_values(n)); s = n // s only when s^2 <= n < s^2 + s
+    return 2 * s - (n // s == s)
 
 
-def _block_pass(m: int, k: int | None, table: dict[int, int]) -> int:
-    # g(m) - sum over j >= 2 of F(m // j); KeyError if an F(m // j) is absent.
-    value = _term(m, k)
-    j = 2
-    while j <= m:
-        q = m // j
-        last = m // q
-        value -= (last - j + 1) * table[q]
-        j = last + 1
-    return _finish(value)
+def _adjoint(weights: dict[int, int], n: int) -> list[tuple[int, int]]:
+    # The nonzero (r, W_r), r ascending, of the W with L^T W = w (see
+    # weighted_count).  At m, taken in descending order, W_m is final; it
+    # then leaves -(block length) * W_m at every m // j, j >= 2, one block
+    # of constant m // j at a time.  W_q sits in a dict for q > isqrt(n)
+    # and in a list indexed by q below.
+    s = isqrt(n)
+    floors = _floor_values(n)
+    big = floors[:len(floors) - s]  # the floor values > s
+    W = {q: weights.get(q, 0) for q in big}
+    small = [weights.get(q, 0) for q in range(s + 1)]
+    for m in floors[:-1]:  # m = 1 leaves nothing below it
+        w = W[m] if m > s else small[m]
+        if not w:
+            continue
+        j, stop = 2, m // (s + 1)  # m // j > s exactly while j <= stop
+        while j <= stop:
+            q = m // j
+            last = m // q
+            W[q] -= (last - j + 1) * w
+            j = last + 1
+        while j <= m:
+            q = m // j
+            last = m // q
+            small[q] -= (last - j + 1) * w
+            j = last + 1
+    return ([(q, w) for q, w in enumerate(small) if w]
+            + [(q, W[q]) for q in reversed(big) if W[q]])
 
 
-def _fill(n: int, k: int | None, cache: MemoCache | None) -> dict[int, int]:
-    # A dict m -> F(m) holding at least every floor value of n: the cache's
-    # table for k, completed bottom-up.  The table is closed under
-    # m -> m // j, so once it holds n it holds every floor value of n.
-    table = {} if cache is None else cache.table(("floor", k))
-    if n in table:
-        cache.hits += 1
-        return table
-    try:
-        # Fast path, the usual case in a sweep over n: every proper floor
-        # value n // j (j >= 2) is already there, so n is the only miss.
-        table[n] = _block_pass(n, k, table)
-        computed = 1
-    except KeyError:
-        missing = [m for m in _floor_values(n) if m not in table]
-        for m in missing:
-            table[m] = _block_pass(m, k, table)
-        computed = len(missing)
-    if cache is not None:
-        cache.hits += _floor_count(n) - computed
-        cache.misses += computed
-    return table
+def _term_sum(terms: list[tuple[int, int]], k: int | None) -> int:
+    """Sum of w * g(r) over the (r, w) pairs of `terms`, r ascending.
 
-
-def floor_counts(
-    n: int, k: int | None = None, cache: MemoCache | None = None
-) -> dict[int, int]:
-    """Map q -> relprime count F(q) for every q in {floor(n/t) : t >= 1}.
-
-    F is relprime_subsets(., k).  Grouping the nonempty (k-)subsets of
-    {1..m} by their gcd j gives
-
-        sum over j in 1..m of F(floor(m/j)) = g(m),
-
-    with g(m) = 2^m - 1, or C(m, k).  Every floor(m/j) of a floor value m of
-    n is again a floor value of n, so walking the floor values in ascending
-    order and summing each left side in blocks of constant floor(m/j) yields
-    F(m) = g(m) - sum over j >= 2 of F(floor(m/j)): O(n^(3/4)) small steps,
-    O(sqrt n) values, no Möbius table (the Mertens-style recursion of
-    Deléglise and Rivat).  With a cache, values are memoised per k and a
-    floor value already there is not recomputed, so a sweep over n costs one
-    block pass per new n.
+    The powers 2^r are summed by merging neighbours pairwise, the upper one
+    shifted by its offset above the lower: a round adds about max(r) bits
+    in all, not per term.  A loop, as a recursive closure is a reference
+    cycle that leaves each call's lists to the cyclic garbage collector.
     """
-    n, k = check_args(n, k)
-    table = _fill(n, k, cache)
-    return {q: table[q] for q in _floor_values(n)}
+    if k is not None:
+        return sum(w * comb(r, k) for r, w in terms)
+    total = -sum(w for _, w in terms)
+    while len(terms) > 1:
+        merged = [(r, w + (v << (s - r)))
+                  for (r, w), (s, v) in zip(terms[::2], terms[1::2])]
+        terms = merged + terms[len(merged) * 2:]
+    return total + (terms[0][1] << terms[0][0] if terms else 0)
 
 
-def relprime_subsets(
-    n: int, k: int | None = None, cache: MemoCache | None = None
+def weighted_count(
+    weights: dict[int, int], n: int, k: int | None, cache: MemoCache | None
 ) -> int:
+    """Sum of weights[q] * F(q) over q in `weights`, F = relprime_subsets(., k).
+
+    The keys must be floor values n // t of n; n and k are checked already.
+    Grouping the (k-)subsets of {1..m} by their gcd j gives sum over j of
+    F(m // j) = g(m): a unit lower-triangular system L F = g on the floor
+    values.  So the sum is sum of W_r * g(r) with L^T W = w, and the
+    adjoint pass finds W in O(n^(3/4)) small-integer steps, whatever k is.
+    When `cache` knows F(1..n-1) for this k (a sweep from 1, or from k, as
+    F(m) = 0 for m < k), the row F(n) = F(n-1) + sum over squarefree
+    delta | n of mu(delta) * g'(n / delta) is appended instead, where
+    g'(q) = 2^(q-1) or C(q-1, k-1) counts the subsets of {1..q} with
+    largest element q, and F(q) is read off the rows.
+    """
+    if cache is None:
+        return _finish(_term_sum(_adjoint(weights, n), k))
+    rows = cache.table(("prefix", k))
+    # The rows are F(lo..top): lo = 1, or k for a k first asked at n = k.
+    lo = next(iter(rows)) if rows else (k if n == k else 1)
+    top = lo + len(rows) - 1
+    if top < n - 1:
+        cache.misses += _floor_count(n)  # the floor values the pass walks
+        return _finish(_term_sum(_adjoint(weights, n), k))
+    if top < n:
+        rows[n] = rows.get(n - 1, 0) + _finish(_mobius_sum(n, _top_term, k))
+        cache.misses += 1
+    else:
+        cache.hits += 1
+    if weights == {n: 1}:  # relprime_subsets: the row itself, so no copy is kept
+        return rows.get(n, 0)
+    return _finish(sum(w * rows.get(q, 0) for q, w in weights.items()))
+
+
+def relprime_subsets(n: int, k: int | None = None, cache: MemoCache | None = None) -> int:
     """Number of nonempty (k-element) subsets of {1..n} with gcd 1.
 
     Equals the Möbius sum over d in 1..n of mu(d) * g(floor(n/d)); computed
-    by floor_counts.  0 whenever k > n.
+    by weighted_count with the weight vector {n: 1}.  0 whenever k > n.
     """
     n, k = check_args(n, k)
-    return _fill(n, k, cache)[n]
+    return weighted_count({n: 1}, n, k, cache)
 
 
 def coprime_subsets(n: int, k: int | None = None) -> int:
@@ -160,5 +194,4 @@ def coprime_subsets(n: int, k: int | None = None) -> int:
     not the empty set.
     """
     n, k = check_args(n, k)
-    total = sum(m * _term(n // d, k) for d, m in factorize(n).mobius().items())
-    return _finish(total)
+    return _finish(_mobius_sum(n, _term, k))

@@ -20,20 +20,20 @@ by prime from one factorisation of n.  The weight pass walks each pair's
 progression j = delta^-1 (mod d) in blocks of constant
 floor(n / (j * delta)), counts its members in each block in O(1), and adds
 phi(d) * mu(delta) * count to a small-integer weight w_q of that floor
-value q.  The count pass reads F(q) at every floor value q of n off the
-count core's table, and the result is the single sum of w_q * F(q) over
-the about 2 sqrt(n) q with w_q != 0: no per-j count evaluation and no
-n-bit addition per j.  Prime-power and prime inputs admit collapsed forms
-(the only surviving (d, delta) pairs are (1, 1), (1, p) and (p^s, 1)),
-exposed as menon_sum_prime_power and menon_sum_prime and evaluated by the
-same two passes; `evaluate` factors n once and picks the route.
+value q.  The count core, counts.weighted_count, returns the sum of
+w_q * F(q): an adjoint pass on small integers and one big-integer sum, or,
+in a sweep whose cache holds F(1..n-1), one new prefix row.  Prime-power
+and prime inputs admit collapsed forms (the only surviving (d, delta)
+pairs are (1, 1), (1, p) and (p^s, 1)), exposed as menon_sum_prime_power
+and menon_sum_prime and evaluated the same way; `evaluate` factors n once
+and picks the route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counts import MemoCache, _fill
+from .counts import MemoCache, weighted_count
 from .sieve import (
     Factorization,
     as_int,
@@ -102,17 +102,6 @@ def _add_progression(
         j += count * step
 
 
-def _weighted_total(
-    weights: dict[int, int], n: int, k: int | None, cache: MemoCache | None
-) -> int:
-    # sum of w_q * F(q) over floor values q of n; n and k are checked already.
-    counts = _fill(n, k, cache)
-    total = sum(w * counts[q] for q, w in weights.items() if w)
-    if total < 0:
-        raise ArithmeticError(f"gcd sum came out negative ({total})")
-    return total
-
-
 def divisor_pairs(fac: Factorization) -> list[tuple[int, int, int]]:
     """(d, delta, phi(d) * mu(delta)) for all coprime d | n, squarefree delta | n."""
     # Each p^e || n goes into d as one of p^1..p^e, into delta, or into
@@ -130,7 +119,7 @@ def _triple_sum(fac: Factorization, k: int | None, cache: MemoCache | None) -> i
     for d, delta, w in divisor_pairs(fac):
         first = pow(delta, -1, d) if d > 1 else 1
         _add_progression(weights, fac.n // delta, first, d, fac.n // delta, w)
-    return _weighted_total(weights, fac.n, k, cache)
+    return weighted_count(weights, fac.n, k, cache)
 
 
 def menon_sum(n: int, k: int | None = None, cache: MemoCache | None = None) -> int:
@@ -169,7 +158,7 @@ def _prime_power_sum(p: int, t: int, k: int | None, cache: MemoCache | None) -> 
     for s in range(1, t + 1):
         ps = p**s
         _add_progression(weights, n, 1, ps, n - ps + 1, (p - 1) * p ** (s - 1))
-    return _weighted_total(weights, n, k, cache)
+    return weighted_count(weights, n, k, cache)
 
 
 def menon_sum_prime(p: int, k: int | None = None, cache: MemoCache | None = None) -> int:
@@ -177,7 +166,7 @@ def menon_sum_prime(p: int, k: int | None = None, cache: MemoCache | None = None
     p, _, k = _check_prime_power(p, 1, k)
     weights = {p: p - 1, 1: -1}
     _add_progression(weights, p, 1, 1, p, 1)
-    return _weighted_total(weights, p, k, cache)
+    return weighted_count(weights, p, k, cache)
 
 
 def evaluate(params: MenonParams, cache: MemoCache | None = None) -> int:

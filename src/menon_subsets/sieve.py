@@ -76,10 +76,10 @@ class Factorization(NamedTuple):
 
     def mobius(self) -> dict[int, int]:
         """delta -> mu(delta) for every squarefree divisor delta of n."""
-        out = {1: 1}
+        out = [(1, 1)]
         for p, _ in self.factors:
-            out |= {d * p: -m for d, m in out.items()}
-        return out
+            out += [(d * p, -m) for d, m in out]
+        return dict(out)
 
     def divisors(self) -> list[int]:
         return list(self.totients())

@@ -172,56 +172,30 @@ def run_verification(
 
     run("known-values", f"tabulated prefixes, n <= {prefix_n}", known_values)
 
-    def enum_unrestricted():
+    def enum_counts(with_k):
+        # The brute-force checks run once with k None, once over k_set and n.
         for n in range(1, n_max_enum + 1):
-            yield
-            pairs = (
-                ("f", enumerate_relprime_subsets(n, limit=enumeration_limit),
-                 relprime_subsets(n, None, cache)),
-                ("phi", enumerate_coprime_subsets(n, limit=enumeration_limit),
-                 coprime_subsets(n)),
-            )
-            for tag, expected, got in pairs:
-                if got != expected:
-                    return _mm(n, None, f"{tag}:{expected}", got)
+            for k in sorted(set(k_set) | {n}) if with_k else (None,):
+                yield
+                suffix = "" if k is None else "k"
+                for tag, expected, got in (
+                    ("f", enumerate_relprime_subsets(n, k, limit=enumeration_limit),
+                     relprime_subsets(n, k, cache)),
+                    ("phi", enumerate_coprime_subsets(n, k, limit=enumeration_limit),
+                     coprime_subsets(n, k)),
+                ):
+                    if got != expected:
+                        return _mm(n, k, f"{tag}{suffix}:{expected}", got)
         return None
 
     run("enumeration-counts", f"f and phi vs brute force, n <= {n_max_enum}",
-        enum_unrestricted)
-
-    def enum_k_variants():
-        for n in range(1, n_max_enum + 1):
-            for k in sorted(set(k_set) | {n}):
-                yield
-                expected = enumerate_relprime_subsets(n, k, limit=enumeration_limit)
-                got = relprime_subsets(n, k, cache)
-                if got != expected:
-                    return _mm(n, k, f"fk:{expected}", got)
-                expected = enumerate_coprime_subsets(n, k, limit=enumeration_limit)
-                got = coprime_subsets(n, k)
-                if got != expected:
-                    return _mm(n, k, f"phik:{expected}", got)
-        return None
-
+        lambda: enum_counts(False))
     run("enumeration-counts-k", f"fk and phik vs brute force, n <= {n_max_enum}",
-        enum_k_variants)
+        lambda: enum_counts(True))
 
-    def three_way():
+    def three_way(with_k):
         for n in range(1, n_max_enum + 1):
-            yield
-            enum = enumerate_menon_sum(n, limit=enumeration_limit).total
-            gcls = gcd_class_menon_sum(n, sieve, None, cache)
-            thrm = menon_sum(n, None, cache)
-            if not (enum == gcls == thrm):
-                return _mm(n, None, f"enum:{enum}", f"gcd-class:{gcls}, divisor-sum:{thrm}")
-        return None
-
-    run("three-way-gcd-sum", f"enumeration = gcd-class = divisor sum, n <= {n_max_enum}",
-        three_way)
-
-    def three_way_k():
-        for n in range(1, n_max_enum + 1):
-            for k in sorted(set(k_set) | {n}):
+            for k in sorted(set(k_set) | {n}) if with_k else (None,):
                 yield
                 enum = enumerate_menon_sum(n, k, limit=enumeration_limit).total
                 gcls = gcd_class_menon_sum(n, sieve, k, cache)
@@ -231,7 +205,10 @@ def run_verification(
                                f"gcd-class:{gcls}, divisor-sum:{thrm}")
         return None
 
-    run("three-way-gcd-sum-k", f"k-subset variant, n <= {n_max_enum}", three_way_k)
+    run("three-way-gcd-sum", f"enumeration = gcd-class = divisor sum, n <= {n_max_enum}",
+        lambda: three_way(False))
+    run("three-way-gcd-sum-k", f"k-subset variant, n <= {n_max_enum}",
+        lambda: three_way(True))
 
     def gcd_class_medium():
         for n in range(1, n_max_formula + 1):
@@ -266,7 +243,7 @@ def run_verification(
                     return _mm(n, k, expected, got)
         return None
 
-    run("core-vs-mobius-sum", f"floor_counts = sieve-mu Mobius sum, n <= {n_max_formula}, "
+    run("core-vs-mobius-sum", f"count core = sieve-mu Mobius sum, n <= {n_max_formula}, "
         f"k in {{None, {', '.join(map(str, k_set))}}}", core_vs_mobius)
 
     def prime_power_consistency():

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from menon_subsets import MemoCache, relprime_subsets
-from menon_subsets.cli import _bench_runs, main
+from menon_subsets.cli import _bench_runs, _decimal_digits, main
 from menon_subsets.oracle import gcd_class_menon_sum
 
 EXPECTED_F_CSV = "n,value\n1,1\n2,2\n3,5\n4,11\n5,26\n6,53\n"
@@ -372,3 +373,67 @@ def test_size_bounds_admit_the_documented_workloads():
     import menon_subsets.cli as cli_mod
 
     assert cli_mod.MAX_N >= 20000 and cli_mod.MAX_TABLE_ROWS >= 2520
+
+
+def test_decimal_digits_match_str():
+    # Powers of 10 and their neighbours are where a digit count can slip.
+    assert _decimal_digits(0) == 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()  # 3.11+
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for j in range(0, 5001):
+            p = 10**j
+            for v in (p - 1, p, p + 1):
+                if v:
+                    assert _decimal_digits(v) == len(str(v)), j
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_bench_prints_big_values_as_a_digit_count(capsys):
+    code, out, _ = run_cli(capsys, "bench", "f", "--n", "200", "--reps", "1")
+    assert code == 0
+    assert f"value=<{len(str(relprime_subsets(200)))} decimal digits>" in out
+
+
+def test_verify_formula_bound(capsys, monkeypatch):
+    import menon_subsets.cli as cli_mod
+
+    limit = cli_mod.MAX_FORMULA_N
+    seen = []
+
+    class Reached(Exception):
+        pass
+
+    def stub(**kwargs):
+        seen.append(kwargs["n_max_formula"])
+        raise Reached
+
+    monkeypatch.setattr(cli_mod, "run_verification", stub)
+    with pytest.raises(Reached):  # the limit itself is admitted
+        main(["verify", "--n-max-formula", str(limit)])
+    assert seen == [limit]
+    start = time.perf_counter()
+    for past in (limit + 1, 100_000):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--n-max-formula", str(past)])
+        assert err.value.code == 2
+        assert f"bound {limit}" in capsys.readouterr().err
+    assert seen == [limit]  # no check ran past the limit
+    assert time.perf_counter() - start < 5.0
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert f"at most {limit}" in capsys.readouterr().out
+
+
+def test_verify_formula_bound_runs_the_battery_at_the_limit(capsys, monkeypatch):
+    import menon_subsets.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "MAX_FORMULA_N", 40)
+    code, out, _ = run_cli(capsys, "verify", "--n-max-enum", "4", "--n-max-formula", "40")
+    assert code == 0 and "n <= 40" in out
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--n-max-enum", "4", "--n-max-formula", "41"])
+    assert err.value.code == 2

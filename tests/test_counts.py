@@ -4,13 +4,14 @@ from hypothesis import strategies as st
 
 from menon_subsets import (
     MemoCache,
+    MenonParams,
     binomial,
     build_sieve,
     coprime_subsets,
-    floor_counts,
+    evaluate,
     relprime_subsets,
 )
-from menon_subsets.counts import _floor_count, _floor_values
+from menon_subsets.counts import _floor_count, _floor_values, _term_sum, weighted_count
 from menon_subsets.oracle import (
     enumerate_coprime_subsets,
     enumerate_relprime_subsets,
@@ -137,7 +138,7 @@ def test_shared_cache_in_any_order_matches_fresh_calls(order, k):
     shared = MemoCache()
     for n in order:
         assert relprime_subsets(n, k, shared) == relprime_subsets(n, k)
-        assert floor_counts(n, k, shared) == floor_counts(n, k)
+        assert evaluate(MenonParams(n, k), shared) == evaluate(MenonParams(n, k))
 
 
 def test_matches_enumeration():
@@ -158,21 +159,45 @@ def test_cache_is_transparent():
     again = [relprime_subsets(n, cache=shared) for n in range(1, 101)]
     assert again == without
     for (tag, n, *rest), value in shared.items():
-        assert tag == "floor"
+        assert tag == "prefix"
         assert value == relprime_subsets(n)
 
 
 def test_cache_counts_hits_and_misses():
-    # A miss is one floor value computed; 30 has ten: 1..5, 6, 7, 10, 15, 30.
+    # Without the rows F(1..n-1) a call takes the adjoint pass: it computes
+    # (misses) one value per floor value of n and caches nothing.  30 has
+    # ten floor values: 1..5, 6, 7, 10, 15, 30; so has 31.
     cache = MemoCache()
     relprime_subsets(30, 2, cache=cache)
-    assert (cache.hits, cache.misses, len(cache)) == (0, 10, 10)
+    assert (cache.hits, cache.misses, len(cache)) == (0, 10, 0)
     relprime_subsets(30, 2, cache=cache)
-    assert (cache.hits, cache.misses, len(cache)) == (1, 10, 10)
+    assert (cache.hits, cache.misses, len(cache)) == (0, 20, 0)
     relprime_subsets(30, 3, cache=cache)
-    assert (cache.hits, cache.misses, len(cache)) == (1, 20, 20)
-    relprime_subsets(31, 3, cache=cache)  # only 31 itself is new
-    assert (cache.hits, cache.misses, len(cache)) == (10, 21, 21)
+    assert (cache.hits, cache.misses, len(cache)) == (0, 30, 0)
+    relprime_subsets(31, 3, cache=cache)
+    assert (cache.hits, cache.misses, len(cache)) == (0, 40, 0)
+    # A sweep from 1 appends one prefix row per n; a call at or below the
+    # last row is a hit and computes nothing.
+    for n in range(1, 32):
+        relprime_subsets(n, 3, cache=cache)
+    assert (cache.hits, cache.misses, len(cache)) == (0, 71, 31)
+    relprime_subsets(31, 3, cache=cache)
+    relprime_subsets(10, 3, cache=cache)
+    assert (cache.hits, cache.misses, len(cache)) == (2, 71, 31)
+    relprime_subsets(32, 3, cache=cache)  # only the row 32 is new
+    assert (cache.hits, cache.misses, len(cache)) == (2, 72, 32)
+
+
+def test_rows_for_a_k_may_start_at_k():
+    # F(m) = 0 for m < k, so a k first asked at n = k starts its rows there.
+    cache = MemoCache()
+    assert relprime_subsets(5, 5, cache) == 1
+    assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
+    assert [relprime_subsets(n, 5, cache) for n in range(1, 9)] == \
+        [relprime_subsets(n, 5) for n in range(1, 9)]
+    # 1..5 are answered from the rows, 6..8 each append one
+    assert (cache.hits, cache.misses, len(cache)) == (5, 4, 4)
+    assert evaluate(MenonParams(8, 5), cache) == evaluate(MenonParams(8, 5))
 
 
 def test_rejects_bad_arguments():
@@ -195,48 +220,32 @@ def test_counts_reject_non_integer_n_and_k(count, bad):
         count(10, bad)
 
 
+def test_floor_counts_small_cases():
+    # Unit weights read F(q) off one floor value of n; 6 has 1, 2, 3 and 6.
+    def at(q, n, k=None):
+        return weighted_count({q: 1}, n, k, None)
+
+    assert at(1, 1) == 1
+    assert [at(q, 6) for q in (1, 2, 3, 6)] == [1, 2, 5, 53]
+    assert [at(q, 6, 2) for q in (1, 2, 3, 6)] == [0, 1, 3, 11]
+    assert [at(q, 4, 9) for q in (1, 2, 4)] == [0, 0, 0]
+    assert weighted_count({6: 2, 3: -1, 1: 0}, 6, None, None) == 2 * 53 - 5
+    assert weighted_count({}, 6, None, None) == 0
+
+
 @given(st.integers(1, 1200), st.sampled_from((None, 1, 2, 3, 5)))
 def test_floor_counts_match_direct_counts(sieve, n, k):
-    counts = floor_counts(n, k)
-    assert set(counts) == {n // t for t in range(1, n + 1)}
-    for q, value in counts.items():
-        assert value == mobius_subset_count(q, sieve, k)
-
-
-def test_floor_counts_small_cases():
-    assert floor_counts(1) == {1: 1}
-    assert floor_counts(6) == {1: 1, 2: 2, 3: 5, 6: 53}
-    assert floor_counts(6, 2) == {1: 0, 2: 1, 3: 3, 6: 11}
-    assert floor_counts(4, 9) == {1: 0, 2: 0, 4: 0}
-
-
-def test_floor_counts_memoise_under_their_own_keys():
+    # Unit weights read F(q) off every floor value of n, by the adjoint
+    # pass and through the prefix rows of a sweep to n.
+    floors = _floor_values(n)
+    assert set(floors) == {n // t for t in range(1, n + 1)}
     cache = MemoCache()
-    first = floor_counts(30, cache=cache)
-    assert cache.misses == len(first)
-    assert {key for key, _ in cache.items()} == {("floor", q, None) for q in first}
-    assert floor_counts(30, cache=cache) == first
-    assert cache.misses == len(first)  # the second call only hit
-    assert floor_counts(15, 2, cache=cache) == floor_counts(15, 2)
-
-
-@pytest.mark.parametrize("bad", [True, 2.0, "3", None])
-def test_floor_counts_reject_non_integer_n(bad):
-    with pytest.raises(TypeError):
-        floor_counts(bad)
-
-
-@pytest.mark.parametrize("bad", [True, 2.0, "3"])
-def test_floor_counts_reject_non_integer_k(bad):
-    with pytest.raises(TypeError):
-        floor_counts(10, bad)
-
-
-def test_floor_counts_reject_out_of_range():
-    with pytest.raises(ValueError):
-        floor_counts(0)
-    with pytest.raises(ValueError):
-        floor_counts(5, 0)
+    for m in range(1, n + 1):
+        relprime_subsets(m, k, cache)
+    for q in floors:
+        expected = mobius_subset_count(q, sieve, k)
+        assert weighted_count({q: 1}, n, k, None) == expected
+        assert weighted_count({q: 1}, n, k, cache) == expected
 
 
 def test_floor_count_is_the_number_of_floor_values():
@@ -246,3 +255,78 @@ def test_floor_count_is_the_number_of_floor_values():
 @given(st.integers(1, 10**9))
 def test_floor_count_property(n):
     assert _floor_count(n) == len(_floor_values(n)) == len(set(_floor_values(n)))
+    assert _floor_values(n) == sorted(_floor_values(n), reverse=True)
+
+
+@st.composite
+def sparse_floor_weights(draw):
+    """(n, weights): a few signed integer weights on floor values of n."""
+    n = draw(st.integers(1, 3000))
+    floors = sorted({n // t for t in range(1, n + 1)})
+    keys = draw(st.lists(st.sampled_from(floors), min_size=1, max_size=8, unique=True))
+    return n, {q: draw(st.integers(-1000, 1000)) for q in keys}
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_floor_weights(), st.sampled_from((None, 1, 2, 3)))
+def test_adjoint_total_matches_mobius_sum(weighted, k):
+    n, weights = weighted
+    expected = sum(w * mobius_subset_count(q, BIG_SIEVE, k) for q, w in weights.items())
+    if expected < 0:  # a count core never returns a negative total
+        weights = {q: -w for q, w in weights.items()}
+        expected = -expected
+    before = dict(weights)
+    assert weighted_count(weights, n, k, None) == expected
+    assert weights == before  # not modified
+    cache = MemoCache()
+    assert weighted_count(weights, n, k, cache) == expected
+    if 1 < n != k:  # no rows below n: the adjoint pass, one miss per floor value
+        floors = len({n // t for t in range(1, n + 1)})
+        assert (cache.hits, cache.misses, len(cache)) == (0, floors, 0)
+
+
+def test_negative_total_is_refused():
+    with pytest.raises(ArithmeticError):
+        weighted_count({6: -1}, 6, None, None)
+    with pytest.raises(ArithmeticError):
+        weighted_count({6: -1}, 6, 2, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 400), st.sampled_from((None, 1, 2, 3)), st.data())
+def test_prefix_rows_match_the_cold_adjoint_value(n, k, data):
+    # A sweep that resumes at a random prefix length appends one row per
+    # new n, and every value equals the cold adjoint value.
+    start = data.draw(st.integers(0, n - 1), label="rows cached first")
+    cache = MemoCache()
+    for m in range(1, start + 1):
+        relprime_subsets(m, k, cache)
+    assert (cache.hits, cache.misses, len(cache)) == (0, start, start)
+    for m in range(start + 1, n + 1):
+        assert relprime_subsets(m, k, cache) == relprime_subsets(m, k)
+    assert (cache.hits, cache.misses, len(cache)) == (0, n, n)
+    # Every floor value of n is a row now: a gcd sum is answered from them.
+    assert evaluate(MenonParams(n, k), cache) == evaluate(MenonParams(n, k))
+    assert (cache.hits, cache.misses, len(cache)) == (1, n, n)
+
+
+EXPONENTS = st.lists(st.integers(0, 2000), max_size=40).map(sorted)
+
+
+@given(EXPONENTS, st.data(), st.sampled_from((None, None, 1, 2, 3)))
+def test_term_sum_matches_the_naive_sum(exponents, data, k):
+    # Sorted exponents, repeats allowed, with signed weights including 0.
+    weights = data.draw(st.lists(st.integers(-10**20, 10**20),
+                                 min_size=len(exponents), max_size=len(exponents)))
+    terms = list(zip(exponents, weights))
+    g = (lambda r: (1 << r) - 1) if k is None else (lambda r: binomial(r, k))
+    assert _term_sum(terms, k) == sum(w * g(r) for r, w in terms)
+
+
+def test_term_sum_edge_cases():
+    assert _term_sum([], None) == 0
+    assert _term_sum([(5, 3)], None) == 3 * 31
+    assert _term_sum([(0, 7)], None) == 0
+    assert _term_sum([(2, 0), (9, 0)], None) == 0
+    assert _term_sum([(1, -1), (4, 2), (4, 1), (60, -1)], None) == \
+        -1 + 2 * 15 + 15 - ((1 << 60) - 1)

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -23,7 +24,6 @@ from menon_subsets import (
     prime_power_split,
     relprime_subsets,
 )
-from menon_subsets.counts import _floor_count, _floor_values
 from menon_subsets.menon import divisor_pairs
 from menon_subsets.oracle import gcd_class_menon_sum
 
@@ -197,7 +197,14 @@ def test_shared_cache_is_reused():
     misses = cache.misses
     second = menon_sum(30, cache=cache)
     assert first == second
-    assert cache.misses == misses  # second run served entirely from the cache
+    # No rows F(1..29): each call takes the adjoint pass and caches nothing.
+    assert (cache.hits, cache.misses, len(cache)) == (0, 2 * misses, 0)
+    for n in range(1, 31):  # a sweep from 1 leaves the rows F(1..30)
+        menon_sum(n, cache=cache)
+    misses = cache.misses
+    assert menon_sum(30, cache=cache) == first
+    assert cache.misses == misses  # third run served entirely from the cache
+    assert cache.hits == 1
 
 
 @pytest.mark.parametrize("gcd_sum", [
@@ -300,9 +307,10 @@ def seeded_queries(draw):
 @settings(max_examples=40, deadline=None)
 @given(seeded_queries())
 def test_preseeded_cache_matches_cold_calls(query):
-    # A warm cache takes either the one-block-pass path (every proper floor
-    # value of n is cached) or the listing fallback; both must match a cold
-    # call, and count hits and misses per floor value of n.
+    # A warm cache takes the prefix route when its rows reach F(n-1) (the
+    # seeds were every m < n, or every m from k on) and the adjoint pass
+    # otherwise; both must match a cold call.  A row costs one miss, the
+    # adjoint pass one per floor value of n, and neither moves the hits.
     n, seeds, k = query
 
     def seeded():
@@ -312,11 +320,33 @@ def test_preseeded_cache_matches_cold_calls(query):
         return cache
 
     cache = seeded()
-    table = cache.table(("floor", k))
-    absent = sum(q not in table for q in _floor_values(n))
+    rows = cache.table(("prefix", k))
+    first = min(rows, default=k if n == k else 1)  # F(m) = 0 below k
+    row = first + len(rows) == n
     hits, misses = cache.hits, cache.misses
     assert relprime_subsets(n, k, cache) == relprime_subsets(n, k)
-    assert cache.hits == hits + _floor_count(n) - absent  # n itself is absent
-    assert cache.misses == misses + absent
+    computed = 1 if row else len({n // t for t in range(1, n + 1)})
+    assert cache.hits == hits
+    assert cache.misses == misses + computed
     assert menon_sum(n, k, seeded()) == menon_sum(n, k)
     assert evaluate(MenonParams(n, k), seeded()) == evaluate(MenonParams(n, k))
+
+
+def test_hot_path_leaves_no_reference_cycles():
+    # Every object the evaluation creates is freed by reference counting, so
+    # repeated calls do not pile work (and memory) up for the cyclic GC.
+    gc.collect()
+    gc.disable()
+    try:
+        for k in (None, 2):
+            for n in (55440, 48090, 65536, 65521):
+                evaluate(MenonParams(n, k), MemoCache())
+            relprime_subsets(5000, k)
+            relprime_subsets(5000, k, MemoCache())
+            sweep = MemoCache()
+            for n in range(1, 60):
+                evaluate(MenonParams(n, k), sweep)
+                relprime_subsets(n, k, sweep)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
