@@ -26,6 +26,7 @@ STRATEGY_TAGS = frozenset({"mbar", "mbark"})
 MAX_N = 1 << 20  # compute, bench: a value at n has about n bits, here 1 Mbit
 MAX_TABLE_ROWS = 1 << 12  # table: about n_max^2 / 2 = 8 Mbit of values
 MAX_FORMULA_N = 4000  # verify: ~18 s on a 2-vCPU Xeon, growing about as n^2
+MAX_K_VALUES = 10  # verify: each k adds 1-3.5 s at MAX_FORMULA_N, most near k = 1300
 
 
 @dataclass
@@ -112,11 +113,13 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.n_max_formula > MAX_FORMULA_N:
         parser.error(f"--n-max-formula {args.n_max_formula} is past the bound {MAX_FORMULA_N}")
     try:
-        k_set = tuple(int(part) for part in args.k_set.split(","))
+        k_set = tuple(dict.fromkeys(int(part) for part in args.k_set.split(",")))
         if not k_set or any(k < 1 for k in k_set):
             raise ValueError
     except ValueError:
         parser.error(f"--k-set must be comma-separated positive integers, got {args.k_set!r}")
+    if len(k_set) > MAX_K_VALUES:
+        parser.error(f"--k-set has {len(k_set)} distinct values, past the bound {MAX_K_VALUES}")
     try:
         report = run_verification(
             n_max_enum=args.n_max_enum,
@@ -227,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-max-enum", type=int, default=16)
     verify.add_argument("--n-max-formula", type=int, default=300,
                         help=f"bound of the polynomial-cost sweeps, at most {MAX_FORMULA_N}")
-    verify.add_argument("--k-set", default="1,2,3")
+    verify.add_argument("--k-set", default="1,2,3",
+                        help=f"comma-separated k >= 1, at most {MAX_K_VALUES} distinct values")
     verify.add_argument("--json", action="store_true")
 
     bench = sub.add_parser("bench", help="time evaluation strategies")

@@ -31,12 +31,13 @@ class MemoCache:
     """Memo of subset counts shared across calls: one dict m -> value per family.
 
     The core keeps the prefix rows F(lo..N) for each k under the family
-    ("prefix", k); the oracles keep their own values under families the
-    core never reads.  A cached value always equals a fresh recomputation.
-    `misses` counts the values computed (prefix rows appended, or the floor
-    values an adjoint pass walked), `hits` the calls answered without
-    computing any.  Lookups and inserts are plain dict operations, so
-    sharing one instance across threads behaves as if serialized.
+    ("prefix", k); the oracles keep their own values, per-n gcd histograms
+    among them, under families the core never reads.  A cached value always
+    equals a fresh recomputation.  `misses` counts the counts computed
+    (prefix rows appended, or the floor values an adjoint pass walked),
+    `hits` the count calls answered without computing any; histograms move
+    neither.  Lookups and inserts are plain dict operations, so sharing one
+    instance across threads behaves as if serialized.
     """
 
     __slots__ = ("_tables", "hits", "misses")

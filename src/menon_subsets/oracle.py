@@ -1,29 +1,29 @@
 """Independent ground-truth evaluators for the counting functions and gcd sums.
 
-Three flavours:
+Three flavours, each with an optional k that restricts it to k-subsets:
 
-* definitional brute force over all 2^n - 1 nonempty subsets of {1..n},
-  encoded as bitmasks (bit i-1 <-> element i);
-* the textbook Möbius sum for the relatively prime count,
-  sum over d in 1..n of mu(d) * g(floor(n/d)) with g(q) = 2^q - 1 or
-  C(q, k), reading mu from the sieve tables; and
-* a gcd-class route: the nonempty subsets of {1..n} whose gcd is exactly j
-  biject with the relatively prime subsets of {1..floor(n/j)}, so the
-  subset gcd sum collapses to a single sum over j of Möbius-sum counts.
-  O(n) subset-count evaluations instead of 2^n subsets.
+* brute force over the nonempty subsets of {1..n} as bitmasks (bit i-1 <->
+  element i): one naive walk per (n, k) takes every subset's gcd from
+  scratch and groups the subsets by it, and the enumerate_* counts and
+  subset_gcd_histogram read that histogram;
+* the textbook Möbius sum for the relatively prime count, sum over d in
+  1..n of mu(d) * g(floor(n/d)), g(q) = 2^q - 1 or C(q, k), mu from the sieve;
+* a gcd-class route: the subsets of {1..n} with gcd exactly j biject with
+  the relatively prime subsets of {1..floor(n/j)}, so the subset gcd sum is
+  one sum over j of Möbius-sum counts, O(n) of them instead of 2^n subsets.
 
-Every count and sum takes an optional k and then counts k-element subsets
-only.
 The gcd-class identity is validated against full enumeration in the test
 suite before anything trusts it at scales enumeration cannot reach.
-Nothing here calls the counting or gcd-sum modules: the oracles read mu
-from the sieve, not from a factorisation, and memoise under the family
-("mobius", k), which the core never reads.  No clever subset DP here on
+Nothing here calls the counting or gcd-sum modules: mu comes from the
+sieve, not from a factorisation.  A MemoCache, when given, keeps the
+histograms under ("enum", k) and the Möbius sums under ("mobius", k),
+families the core never reads; no memo outlives it.  No subset DP here on
 purpose: the whole value of this module is that it is obviously correct.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -42,16 +42,6 @@ class SubsetSum:
     k: int | None
     count: int
     total: int
-
-
-def _check_enum(n: int, k: int | None, limit: int) -> tuple[int, int | None]:
-    n, k = check_args(n, k)
-    if n > limit:
-        raise ValueError(
-            f"enumerating 2^{n} subsets exceeds the limit {limit}; "
-            "pass a larger `limit` explicitly if you really mean it"
-        )
-    return n, k
 
 
 def _mask_gcd(mask: int) -> int:
@@ -75,57 +65,54 @@ def _masks(n: int, k: int | None):
     return map(sum, combinations([1 << i for i in range(n)], k))
 
 
-def enumerate_relprime_subsets(
-    n: int, k: int | None = None, *, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> int:
+def _walk(n, k, limit: int, cache: MemoCache | None):
+    # (n, k) checked, and g -> number of nonempty (k-)subsets of {1..n} with
+    # gcd exactly g: one walk over the masks, one gcd from scratch per mask.
+    n, k = check_args(n, k)
+    if n > limit:
+        raise ValueError(f"enumerating 2^{n} subsets exceeds the limit {limit}; "
+                         "pass a larger `limit` explicitly if you really mean it")
+    table = cache.table(("enum", k)) if cache is not None else {}
+    if n not in table:
+        table[n] = Counter(map(_mask_gcd, _masks(n, k)))
+    return n, k, table[n]
+
+
+def enumerate_relprime_subsets(n: int, k: int | None = None, *, cache: MemoCache | None = None,
+                               limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
     """Count nonempty (k-element) subsets of {1..n} whose elements have gcd 1."""
-    n, k = _check_enum(n, k, limit)
-    return sum(1 for mask in _masks(n, k) if _mask_gcd(mask) == 1)
+    return _walk(n, k, limit, cache)[2].get(1, 0)
 
 
-def enumerate_coprime_subsets(
-    n: int, k: int | None = None, *, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> int:
+def enumerate_coprime_subsets(n: int, k: int | None = None, *, cache: MemoCache | None = None,
+                              limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
     """Count nonempty (k-element) subsets of {1..n} whose gcd is coprime to n."""
-    n, k = _check_enum(n, k, limit)
-    return sum(1 for mask in _masks(n, k) if gcd(_mask_gcd(mask), n) == 1)
+    n, _, hist = _walk(n, k, limit, cache)
+    return sum(c for g, c in hist.items() if gcd(g, n) == 1)
 
 
-def enumerate_menon_sum(
-    n: int, k: int | None = None, *, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> SubsetSum:
+def enumerate_menon_sum(n: int, k: int | None = None, *, cache: MemoCache | None = None,
+                        limit: int = DEFAULT_ENUMERATION_LIMIT) -> SubsetSum:
     """Accumulate gcd(g - 1, n) over nonempty (k-)subsets with gcd g coprime to n.
 
     Note gcd(0, n) = n, so subsets with g = 1 contribute n each.  Returns
     the term count alongside the total; the count must equal the coprime
     subset count.
     """
-    n, k = _check_enum(n, k, limit)
-    count = 0
-    total = 0
-    for mask in _masks(n, k):
-        g = _mask_gcd(mask)
-        if gcd(g, n) == 1:
-            count += 1
-            total += gcd(g - 1, n)
-    return SubsetSum(n=n, k=k, count=count, total=total)
+    n, k, hist = _walk(n, k, limit, cache)
+    terms = [(c, gcd(g - 1, n)) for g, c in hist.items() if gcd(g, n) == 1]
+    return SubsetSum(n, k, sum(c for c, _ in terms), sum(c * w for c, w in terms))
 
 
-def subset_gcd_histogram(
-    n: int, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> dict[int, int]:
+def subset_gcd_histogram(n: int, *, cache: MemoCache | None = None,
+                         limit: int = DEFAULT_ENUMERATION_LIMIT) -> dict[int, int]:
     """Map j -> number of nonempty subsets of {1..n} with gcd exactly j.
 
     The histogram values must sum to 2^n - 1, and entry j must equal the
     relatively prime subset count of floor(n/j); both facts back the
     gcd-class evaluators below.
     """
-    n, _ = _check_enum(n, None, limit)
-    hist: dict[int, int] = {}
-    for mask in _masks(n, None):
-        g = _mask_gcd(mask)
-        hist[g] = hist.get(g, 0) + 1
-    return hist
+    return dict(_walk(n, None, limit, cache)[2])
 
 
 def mobius_subset_count(

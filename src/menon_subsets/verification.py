@@ -131,7 +131,8 @@ def run_verification(
     elif sieve.limit < needed:
         raise ValueError(f"provided sieve limit {sieve.limit} < required {needed}")
 
-    cache = MemoCache()
+    cache = MemoCache()  # one per run: every enumerated (n, k) is walked once
+    walk = {"limit": enumeration_limit, "cache": cache}
     report = VerificationReport()
 
     def run(name: str, scope: str, fn) -> None:
@@ -179,9 +180,9 @@ def run_verification(
                 yield
                 suffix = "" if k is None else "k"
                 for tag, expected, got in (
-                    ("f", enumerate_relprime_subsets(n, k, limit=enumeration_limit),
+                    ("f", enumerate_relprime_subsets(n, k, **walk),
                      relprime_subsets(n, k, cache)),
-                    ("phi", enumerate_coprime_subsets(n, k, limit=enumeration_limit),
+                    ("phi", enumerate_coprime_subsets(n, k, **walk),
                      coprime_subsets(n, k)),
                 ):
                     if got != expected:
@@ -197,7 +198,7 @@ def run_verification(
         for n in range(1, n_max_enum + 1):
             for k in sorted(set(k_set) | {n}) if with_k else (None,):
                 yield
-                enum = enumerate_menon_sum(n, k, limit=enumeration_limit).total
+                enum = enumerate_menon_sum(n, k, **walk).total
                 gcls = gcd_class_menon_sum(n, sieve, k, cache)
                 thrm = menon_sum(n, k, cache)
                 if not (enum == gcls == thrm):
@@ -320,7 +321,7 @@ def run_verification(
         for n in range(1, n_max_enum + 1):
             yield
             for k in (None, *k_set):
-                result = enumerate_menon_sum(n, k, limit=enumeration_limit)
+                result = enumerate_menon_sum(n, k, **walk)
                 expected = coprime_subsets(n, k)
                 if result.count != expected:
                     return _mm(n, k, expected, result.count)
@@ -367,7 +368,7 @@ def run_verification(
     def histogram_consistency():
         for n in range(1, n_max_enum + 1):
             yield
-            hist = subset_gcd_histogram(n, enumeration_limit)
+            hist = subset_gcd_histogram(n, **walk)
             if sum(hist.values()) != (1 << n) - 1:
                 return _mm(n, None, (1 << n) - 1, sum(hist.values()))
             for j, count in hist.items():

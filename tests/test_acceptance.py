@@ -103,7 +103,7 @@ def test_criterion_3_singleton_sweep():
     start = time.perf_counter()
     shared = MemoCache()
     ok = all(relprime_subsets(n, 1, shared) == 1 for n in range(1, 100_001))
-    _report(3, "fk(n, 1) = 1 for every n <= 100000 via the floor-value recursion",
+    _report(3, "fk(n, 1) = 1 for every n <= 100000 via the prefix rows",
             ok, time.perf_counter() - start, budget=60.0)
 
 

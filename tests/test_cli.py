@@ -437,3 +437,50 @@ def test_verify_formula_bound_runs_the_battery_at_the_limit(capsys, monkeypatch)
     with pytest.raises(SystemExit) as err:
         main(["verify", "--n-max-enum", "4", "--n-max-formula", "41"])
     assert err.value.code == 2
+
+
+def test_verify_k_set_bound(capsys, monkeypatch):
+    import menon_subsets.cli as cli_mod
+
+    limit = cli_mod.MAX_K_VALUES
+    seen = []
+
+    class Reached(Exception):
+        pass
+
+    def stub(**kwargs):
+        seen.append(kwargs["k_set"])
+        raise Reached
+
+    monkeypatch.setattr(cli_mod, "run_verification", stub)
+    at_limit = ",".join(str(k) for k in range(1, limit + 1))
+    with pytest.raises(Reached):  # the limit itself is admitted
+        main(["verify", "--k-set", at_limit])
+    assert seen == [tuple(range(1, limit + 1))]
+
+    def failing(**kwargs):
+        raise AssertionError("no check may run past the k-set bound")
+
+    monkeypatch.setattr(cli_mod, "run_verification", failing)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--k-set", at_limit + f",{limit + 1}"])
+    assert err.value.code == 2
+    assert f"bound {limit}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert f"at most {limit} distinct" in capsys.readouterr().out
+
+
+def test_verify_k_set_is_deduplicated(capsys, monkeypatch):
+    import menon_subsets.cli as cli_mod
+    from menon_subsets.verification import VerificationReport
+
+    seen = []
+    monkeypatch.setattr(cli_mod, "run_verification",
+                        lambda **kw: seen.append(kw["k_set"]) or VerificationReport())
+    assert main(["verify", "--k-set", "2,2,2"]) == 0
+    assert main(["verify", "--k-set", "3,1,3,1"]) == 0
+    limit = cli_mod.MAX_K_VALUES
+    repeated = ",".join(["1"] * (limit + 5))
+    assert main(["verify", "--k-set", repeated]) == 0  # distinct values count
+    assert seen == [(2,), (3, 1), (1,)]

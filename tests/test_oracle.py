@@ -149,3 +149,62 @@ def test_k_subset_masks_partition_all_subsets():
         by_k = [m for k in range(1, n + 2) for m in _masks(n, k)]
         assert sorted(by_k) == list(_masks(n, None)) == list(range(1, 1 << n))
         assert all(m.bit_count() == k for k in range(1, n + 1) for m in _masks(n, k))
+
+
+ENUMERATORS = (
+    enumerate_relprime_subsets,
+    enumerate_coprime_subsets,
+    enumerate_menon_sum,
+)
+
+
+def test_cached_walk_gives_the_uncached_values():
+    cache = MemoCache()
+    for n in range(1, 15):
+        for k in (None, *range(1, n + 2)):
+            for oracle in ENUMERATORS:
+                fresh = oracle(n, k)
+                assert oracle(n, k, cache=cache) == fresh
+                assert oracle(n, k, cache=cache) == fresh
+        fresh = subset_gcd_histogram(n)
+        assert subset_gcd_histogram(n, cache=cache) == fresh
+        assert subset_gcd_histogram(n, cache=cache) == fresh
+
+
+def test_each_cache_walks_each_n_and_k_once(mask_gcd_calls):
+    first, second = MemoCache(), MemoCache()
+    for cache in (first, first, second):
+        for oracle in ENUMERATORS:
+            oracle(8, cache=cache)
+            oracle(8, 3, cache=cache)
+        subset_gcd_histogram(8, cache=cache)
+    assert len(mask_gcd_calls) == 2 * (255 + 56)  # once per cache, not once per call
+    mask_gcd_calls.clear()
+    assert enumerate_relprime_subsets(8) == enumerate_relprime_subsets(8) == 236
+    assert len(mask_gcd_calls) == 2 * 255  # no cache: no memo at all
+
+
+def test_cached_walk_never_bypasses_the_limit():
+    cache = MemoCache()
+    for oracle in ENUMERATORS:
+        oracle(8, cache=cache)
+        oracle(8, 2, cache=cache)
+    subset_gcd_histogram(8, cache=cache)
+    for oracle in ENUMERATORS:
+        for k in (None, 2):
+            with pytest.raises(ValueError):
+                oracle(8, k, limit=6, cache=cache)
+    with pytest.raises(ValueError):
+        subset_gcd_histogram(8, limit=6, cache=cache)
+
+
+def test_histogram_limit_is_keyword_only():
+    with pytest.raises(TypeError):
+        subset_gcd_histogram(8, 6)
+    with pytest.raises(ValueError):
+        subset_gcd_histogram(8, limit=6)
+    cache = MemoCache()
+    hist = subset_gcd_histogram(8, limit=8, cache=cache)
+    hist[1] = 0  # the caller's copy, not the memo
+    assert subset_gcd_histogram(8, cache=cache) == subset_gcd_histogram(8)
+    assert enumerate_relprime_subsets(8, cache=cache) == 236

@@ -116,3 +116,20 @@ def test_corruption_reaches_the_battery_through_the_oracle_side():
     bad.phi[7] = 5
     failing = {c.name for c in run_verification(4, 60, sieve=bad).checks if not c.passed}
     assert failing == {"pair-count-totient-sum"}
+
+
+def test_battery_walks_each_enumerated_n_and_k_once(mask_gcd_calls):
+    from math import comb
+
+    assert run_verification(n_max_enum=10, n_max_formula=30, k_set=(1, 2, 3)).overall
+    # Every (n, k) the battery enumerates: k None and k in {1, 2, 3, n}.
+    masks = sum((1 << n) - 1 + sum(comb(n, k) for k in {1, 2, 3, n}) for n in range(1, 11))
+    assert len(mask_gcd_calls) == masks
+
+
+def test_each_battery_run_walks_again(mask_gcd_calls):
+    run_verification(n_max_enum=8, n_max_formula=20, k_set=(2,))
+    once = len(mask_gcd_calls)
+    assert once > 0
+    run_verification(n_max_enum=8, n_max_formula=20, k_set=(2,))
+    assert len(mask_gcd_calls) == 2 * once  # no memo outlives a run
