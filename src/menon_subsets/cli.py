@@ -43,12 +43,13 @@ class SequenceTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        obj = {
-            "function": self.function,
-            "k": self.k,
-            "rows": [{"n": n, "value": str(value)} for n, value in self.rows],
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        # The bytes of json.dumps(obj, indent=2) + "\n" for obj = {"function",
+        # "k", "rows": [{"n", "value": str(value)}]}, written row by row: with
+        # an indent, json falls back to its pure-Python encoder.
+        rows = ",".join(f'\n    {{\n      "n": {n},\n      "value": "{value}"\n    }}'
+                        for n, value in self.rows) + ("\n  " if self.rows else "")
+        return (f'{{\n  "function": {json.dumps(self.function)},\n'
+                f'  "k": {json.dumps(self.k)},\n  "rows": [{rows}]\n}}\n')
 
 
 def _compute_one(tag, n, k, strategy, cache):

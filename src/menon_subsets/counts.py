@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import comb, isqrt
 
-from .sieve import check_args, factorize
+from .sieve import Factorization, check_args, factorize
 
 binomial = comb  # exact; comb(a, k) = 0 for k > a and comb(a, 0) = 1
 
@@ -70,9 +70,9 @@ def _top_term(q: int, k: int | None) -> int:
     return (1 << (q - 1)) if k is None else comb(q - 1, k - 1)
 
 
-def _mobius_sum(n: int, term, k: int | None) -> int:
+def _mobius_sum(fac: Factorization, term, k: int | None) -> int:
     # sum over squarefree delta | n of mu(delta) * term(n // delta, k)
-    return sum(m * term(n // d, k) for d, m in factorize(n).mobius().items())
+    return sum(m * term(fac.n // d, k) for d, m in fac.mobius().items())
 
 
 def _finish(total: int) -> int:
@@ -168,7 +168,7 @@ def weighted_count(
         cache.misses += _floor_count(n)  # the floor values the pass walks
         return _finish(_term_sum(_adjoint(weights, n), k))
     if top < n:
-        rows[n] = rows.get(n - 1, 0) + _finish(_mobius_sum(n, _top_term, k))
+        rows[n] = rows.get(n - 1, 0) + _finish(_mobius_sum(factorize(n), _top_term, k))
         cache.misses += 1
     else:
         cache.hits += 1
@@ -195,4 +195,4 @@ def coprime_subsets(n: int, k: int | None = None) -> int:
     not the empty set.
     """
     n, k = check_args(n, k)
-    return _finish(_mobius_sum(n, _term, k))
+    return _finish(_mobius_sum(factorize(n), _term, k))

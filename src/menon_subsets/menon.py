@@ -16,24 +16,26 @@ the relatively prime subset counts F = relprime_subsets(., k):
           F(floor(n / (j * delta)))
 
 The (d, delta) pairs and their weights phi(d) * mu(delta) are built prime
-by prime from one factorisation of n.  The weight pass walks each pair's
-progression j = delta^-1 (mod d) in blocks of constant
-floor(n / (j * delta)), counts its members in each block in O(1), and adds
-phi(d) * mu(delta) * count to a small-integer weight w_q of that floor
-value q.  The count core, counts.weighted_count, returns the sum of
-w_q * F(q): an adjoint pass on small integers and one big-integer sum, or,
-in a sweep whose cache holds F(1..n-1), one new prefix row.  Prime-power
-and prime inputs admit collapsed forms (the only surviving (d, delta)
-pairs are (1, 1), (1, p) and (p^s, 1)), exposed as menon_sum_prime_power
-and menon_sum_prime and evaluated the same way; `evaluate` factors n once
-and picks the route.
+by prime from one factorisation of n.  The d = 1 layer is closed: grouping
+the (k-)subsets of {1..N} by their gcd j gives sum over j <= N of
+F(N // j) = g(N), g(N) = 2^N - 1 or C(N, k), so the layer is the sum over
+squarefree delta | n of mu(delta) * g(n / delta) = Phi_k(n).  The weight
+pass walks only the d > 1 progressions j = delta^-1 (mod d), in blocks of
+constant floor(n / (j * delta)), and adds phi(d) * mu(delta) * (members in
+the block) to a small-integer weight w_q of that floor value q.  The count
+core, counts.weighted_count, returns the sum of w_q * F(q) (an adjoint
+pass and one big-integer sum, or one new prefix row in a sweep): the sum
+over the subsets of gcd(gcd(A) - 1, n) - 1, >= 0 and guarded as such.
+Prime powers admit a collapsed form (their only d > 1 pairs are (p^s, 1)),
+menon_sum_prime_power, with menon_sum_prime its t = 1 case; `evaluate`
+factors n once and picks the route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counts import MemoCache, weighted_count
+from .counts import MemoCache, _mobius_sum, _term, weighted_count
 from .sieve import (
     Factorization,
     as_int,
@@ -103,7 +105,11 @@ def _add_progression(
 
 
 def divisor_pairs(fac: Factorization) -> list[tuple[int, int, int]]:
-    """(d, delta, phi(d) * mu(delta)) for all coprime d | n, squarefree delta | n."""
+    """(d, delta, phi(d) * mu(delta)) for all coprime d | n, squarefree delta | n.
+
+    All prod(e + 2) of them, as bench's divisor-pairs= counts; the gcd sums
+    walk those with d > 1 and sum the 2^omega(n) with d = 1 in closed form.
+    """
     # Each p^e || n goes into d as one of p^1..p^e, into delta, or into
     # neither, so every coprime pair is built once: prod(e + 2) triples.
     out = [(1, 1, 1)]
@@ -115,11 +121,12 @@ def divisor_pairs(fac: Factorization) -> list[tuple[int, int, int]]:
 
 
 def _triple_sum(fac: Factorization, k: int | None, cache: MemoCache | None) -> int:
+    # The d = 1 layer is Phi_k(n) (see the module docstring); walk the rest.
     weights: dict[int, int] = {}
     for d, delta, w in divisor_pairs(fac):
-        first = pow(delta, -1, d) if d > 1 else 1
-        _add_progression(weights, fac.n // delta, first, d, fac.n // delta, w)
-    return weighted_count(weights, fac.n, k, cache)
+        if d > 1:
+            _add_progression(weights, fac.n // delta, pow(delta, -1, d), d, fac.n // delta, w)
+    return weighted_count(weights, fac.n, k, cache) + _mobius_sum(fac, _term, k)
 
 
 def menon_sum(n: int, k: int | None = None, cache: MemoCache | None = None) -> int:
@@ -145,28 +152,24 @@ def menon_sum_prime_power(
     p: int, t: int, k: int | None = None, cache: MemoCache | None = None
 ) -> int:
     """Collapsed form of menon_sum at n = p**t."""
-    return _prime_power_sum(*_check_prime_power(p, t, k), cache)
+    p, t, k = _check_prime_power(p, t, k)
+    return _prime_power_sum(Factorization(p**t, ((p, t),)), k, cache)
 
 
-def _prime_power_sum(p: int, t: int, k: int | None, cache: MemoCache | None) -> int:
-    # sum of F(n // j) over j in 1..n, minus the same over 1..n/p, plus
-    # (p - 1) * p^(s-1) * F(n // j) over j = 1 + (m - 1) p^s, m <= p^(t-s).
-    n = p**t
+def _prime_power_sum(fac: Factorization, k: int | None, cache: MemoCache | None) -> int:
+    # Phi_k(n) from d = 1, plus (p - 1) * p^(s-1) * F(n // j) over
+    # j = 1 + (m - 1) p^s, m <= p^(t-s), from each d = p^s.
+    (p, t), = fac.factors
     weights: dict[int, int] = {}
-    _add_progression(weights, n, 1, 1, n, 1)
-    _add_progression(weights, n // p, 1, 1, n // p, -1)
     for s in range(1, t + 1):
         ps = p**s
-        _add_progression(weights, n, 1, ps, n - ps + 1, (p - 1) * p ** (s - 1))
-    return weighted_count(weights, n, k, cache)
+        _add_progression(weights, fac.n, 1, ps, fac.n - ps + 1, (p - 1) * p ** (s - 1))
+    return weighted_count(weights, fac.n, k, cache) + _mobius_sum(fac, _term, k)
 
 
 def menon_sum_prime(p: int, k: int | None = None, cache: MemoCache | None = None) -> int:
-    """Prime specialization: p * F(p) - F(1) + sum over j in 2..p of F(floor(p/j))."""
-    p, _, k = _check_prime_power(p, 1, k)
-    weights = {p: p - 1, 1: -1}
-    _add_progression(weights, p, 1, 1, p, 1)
-    return weighted_count(weights, p, k, cache)
+    """Prime specialization: (p - 1) * F(p) + Phi_k(p), Phi_k(p) = g(p) - g(1)."""
+    return menon_sum_prime_power(p, 1, k, cache)
 
 
 def evaluate(params: MenonParams, cache: MemoCache | None = None) -> int:
@@ -184,4 +187,4 @@ def evaluate(params: MenonParams, cache: MemoCache | None = None) -> int:
         return _triple_sum(fac, params.k, cache)
     if len(fac.factors) != 1:
         raise ValueError(f"{params.n} is not a prime power")
-    return _prime_power_sum(*fac.factors[0], params.k, cache)
+    return _prime_power_sum(fac, params.k, cache)

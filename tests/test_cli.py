@@ -4,9 +4,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menon_subsets import MemoCache, relprime_subsets
-from menon_subsets.cli import _bench_runs, _decimal_digits, main
+from menon_subsets.cli import K_TAGS, TAGS, SequenceTable, _bench_runs, _decimal_digits, main
 from menon_subsets.oracle import gcd_class_menon_sum
 
 EXPECTED_F_CSV = "n,value\n1,1\n2,2\n3,5\n4,11\n5,26\n6,53\n"
@@ -106,6 +108,49 @@ def test_table_json_k_null_and_big_values_survive(capsys):
     biggest = int(payload["rows"][-1]["value"])
     assert biggest.bit_length() >= 128  # needs exact string transport
     assert all(isinstance(row["value"], str) for row in payload["rows"])
+
+
+def indented_json(table):
+    """The json module's indented encoding of a table: what to_json must write."""
+    obj = {
+        "function": table.function,
+        "k": table.k,
+        "rows": [{"n": n, "value": str(value)} for n, value in table.rows],
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n_max", ["1", "2", "37"])
+@pytest.mark.parametrize("tag", TAGS)
+def test_table_json_is_the_indented_json_encoding(capsys, tag, n_max):
+    k = ("--k", "2") if tag in K_TAGS else ()
+    code, csv_out, _ = run_cli(capsys, "table", tag, "--n-max", n_max, *k)
+    assert code == 0
+    rows = [tuple(map(int, line.split(","))) for line in csv_out.splitlines()[1:]]
+    code, out, _ = run_cli(capsys, "table", tag, "--n-max", n_max, *k, "--format", "json")
+    assert code == 0
+    assert out == indented_json(SequenceTable(tag, 2 if k else None, rows))
+    for k_value in (None, 2):
+        table = SequenceTable(tag, k_value, rows)
+        assert table.to_json() == indented_json(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(TAGS),
+    st.none() | st.integers(1, 10**6),
+    st.lists(st.tuples(st.integers(1, 4096), st.integers(0, (1 << 10**4) - 1)), max_size=12),
+)
+def test_table_json_matches_the_indented_encoding_for_any_rows(tag, k, rows):
+    table = SequenceTable(tag, k, rows)
+    assert table.to_json() == indented_json(table)
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_table_json_without_rows(k):
+    table = SequenceTable("mbar", k, [])
+    assert table.to_json() == indented_json(table)
+    assert json.loads(table.to_json()) == {"function": "mbar", "k": k, "rows": []}
 
 
 def test_table_unwritable_path(tmp_path, capsys):

@@ -330,3 +330,21 @@ def test_term_sum_edge_cases():
     assert _term_sum([(2, 0), (9, 0)], None) == 0
     assert _term_sum([(1, -1), (4, 2), (4, 1), (60, -1)], None) == \
         -1 + 2 * 15 + 15 - ((1 << 60) - 1)
+
+
+SWEEPS = {}  # k -> a MemoCache whose prefix rows F(1..m) grow across examples
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 10**4), st.sampled_from((None, 1, 2, 3, 4)))
+def test_gcd_classes_of_the_subsets_sum_to_g(N, k):
+    # Grouping the nonempty (k-)subsets of {1..N} by their gcd j gives
+    # sum over j <= N of F(N // j) = g(N), with g(N) = 2^N - 1 or C(N, k):
+    # the identity that puts the gcd sums' d = 1 layer in closed form.  F is
+    # read off the prefix rows, which rest on another identity (the subsets
+    # grouped by their largest element).
+    cache = SWEEPS.setdefault(k, MemoCache())
+    for m in range(len(cache) + 1, N + 1):
+        relprime_subsets(m, k, cache)
+    g = (1 << N) - 1 if k is None else binomial(N, k)
+    assert sum(relprime_subsets(N // j, k, cache) for j in range(1, N + 1)) == g

@@ -11,6 +11,7 @@ from menon_subsets import (
     THEOREM,
     MemoCache,
     build_sieve,
+    coprime_subsets,
     divisors,
     factorize,
     gcd,
@@ -24,8 +25,9 @@ from menon_subsets import (
     prime_power_split,
     relprime_subsets,
 )
-from menon_subsets.menon import divisor_pairs
-from menon_subsets.oracle import gcd_class_menon_sum
+from menon_subsets.counts import weighted_count
+from menon_subsets.menon import _add_progression, divisor_pairs
+from menon_subsets.oracle import enumerate_menon_sum, gcd_class_menon_sum
 
 # Frozen from the bitmask enumeration oracle; index i holds n = i + 1.
 MBAR = (1, 4, 16, 46, 134, 320, 822, 1898, 4414, 9844, 22106, 48208,
@@ -350,3 +352,50 @@ def test_hot_path_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def walked_weights(n):
+    """Weights of the triple sum with every prod(e + 2) triple walked, d = 1 included.
+
+    The route the closed-form d = 1 layer replaced, kept as its reference;
+    the weights do not depend on k.
+    """
+    weights = {}
+    for d, delta, w in divisor_pairs(factorize(n)):
+        first = pow(delta, -1, d) if d > 1 else 1
+        _add_progression(weights, n // delta, first, d, n // delta, w)
+    return weights
+
+
+def assert_layer_matches_walk(n_max, cache):
+    # menon_sum, and the collapsed forms at prime powers, against the walked
+    # triple sum, for k in {None, 1, 2, 3}; one shared cache, or None.
+    for n in range(1, n_max + 1):
+        weights = walked_weights(n)
+        split = prime_power_split(n)
+        for k in (None, 1, 2, 3):
+            got = menon_sum(n, k, cache)  # first, so a sweep appends its rows
+            assert got == weighted_count(weights, n, k, cache), (n, k)
+            if split is not None:
+                p, t = split
+                assert menon_sum_prime_power(p, t, k, cache) == got, (n, k)
+                if t == 1:
+                    assert menon_sum_prime(p, k, cache) == got, (n, k)
+
+
+def test_closed_form_layer_matches_the_walked_layer_cold():
+    assert_layer_matches_walk(1000, None)
+
+
+def test_closed_form_layer_matches_the_walked_layer_in_a_sweep():
+    assert_layer_matches_walk(3000, MemoCache())
+
+
+def test_remainder_over_the_layer_is_the_excess_gcd_sum():
+    # menon_sum - Phi_k(n) sums gcd(gcd(A) - 1, n) - 1 over the subsets A:
+    # what the weight pass and the core's guard now see, never negative.
+    for n in range(1, 15):
+        for k in (None, *range(1, n + 2)):
+            brute = enumerate_menon_sum(n, k)
+            remainder = menon_sum(n, k) - coprime_subsets(n, k)
+            assert remainder == brute.total - brute.count >= 0, (n, k)
