@@ -10,12 +10,12 @@ unrestricted counts grow like 2^n, so nothing here may round.  The signed
 sums are checked nonnegative before they are returned -- a negative total
 would mean a defect, never a valid answer.
 
-The count core, weighted_count, returns the sum of w_q * F(q) over floor
-values q of n for small-integer weights w_q, F = relprime_subsets(., k):
-by an adjoint pass on small integers and one big-integer sum, or, when a
-shared cache holds F(1..n-1), by one new prefix row.  relprime_subsets is
-the weight vector {n: 1}; the gcd sums in menon.py pass theirs.  mu comes
-from one factorisation of n; nothing here reads a sieve.
+The count core, vector_count, returns the sum of w_q * F(q), F =
+relprime_subsets(., k), over small-integer weights w_q on the floor values q
+of n, held in t-indexed lists (floor_vectors): by an adjoint pass and one
+big-integer sum, or by reading the prefix rows of a shared cache.
+weighted_count takes the weights as a dict; relprime_subsets is {n: 1}.  mu
+comes from one factorisation of n; nothing here reads a sieve.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ class MemoCache:
     The core keeps the prefix rows F(lo..N) for each k under the family
     ("prefix", k); the oracles keep their own values, per-n gcd histograms
     among them, under families the core never reads.  A cached value always
-    equals a fresh recomputation.  `misses` counts the counts computed
-    (prefix rows appended, or the floor values an adjoint pass walked),
-    `hits` the count calls answered without computing any; histograms move
-    neither.  Lookups and inserts are plain dict operations, so sharing one
+    equals a fresh recomputation.  `misses` counts the counts computed: prefix
+    rows appended, or the _floor_count(n) floor_vectors entries an adjoint pass
+    walks.  `hits` counts the calls answered without computing any; histograms
+    move neither.  Lookups and inserts are plain dict operations, so sharing one
     instance across threads behaves as if serialized.
     """
 
@@ -82,46 +82,45 @@ def _finish(total: int) -> int:
     return total
 
 
-def _floor_values(n: int) -> list[int]:
-    # The distinct n // t, t >= 1, in descending order: n // t while it
-    # exceeds isqrt(n), then every q from isqrt(n) down to 1.
+def floor_vectors(n: int) -> tuple[list[int], list[int]]:
+    # Zeroed (big, small), one entry per floor value of n: big[u] for n // u > isqrt(n),
+    # u <= n // (isqrt(n) + 1), and small[q] for q <= isqrt(n); index 0 is padding.
     s = isqrt(n)
-    return [n // t for t in range(1, s + (n // s > s))] + list(range(s, 0, -1))
+    return [0] * (n // (s + 1) + 1), [0] * (s + 1)
 
 
 def _floor_count(n: int) -> int:
-    s = isqrt(n)  # len(_floor_values(n)); s = n // s only when s^2 <= n < s^2 + s
-    return 2 * s - (n // s == s)
+    return n // (isqrt(n) + 1) + isqrt(n)  # the entries of floor_vectors(n)
 
 
-def _adjoint(weights: dict[int, int], n: int) -> list[tuple[int, int]]:
-    # The nonzero (r, W_r), r ascending, of the W with L^T W = w (see
-    # weighted_count).  At m, taken in descending order, W_m is final; it
-    # then leaves -(block length) * W_m at every m // j, j >= 2, one block
-    # of constant m // j at a time.  W_q sits in a dict for q > isqrt(n)
-    # and in a list indexed by q below.
-    s = isqrt(n)
-    floors = _floor_values(n)
-    big = floors[:len(floors) - s]  # the floor values > s
-    W = {q: weights.get(q, 0) for q in big}
-    small = [weights.get(q, 0) for q in range(s + 1)]
-    for m in floors[:-1]:  # m = 1 leaves nothing below it
-        w = W[m] if m > s else small[m]
-        if not w:
-            continue
-        j, stop = 2, m // (s + 1)  # m // j > s exactly while j <= stop
-        while j <= stop:
-            q = m // j
-            last = m // q
-            W[q] -= (last - j + 1) * w
-            j = last + 1
-        while j <= m:
-            q = m // j
-            last = m // q
-            small[q] -= (last - j + 1) * w
-            j = last + 1
+def _push(small: list[int], m: int, j: int, w: int) -> None:
+    # -w into small[m // i] for i = j..m, all m // j <= isqrt(n): one division per
+    # m // i > r = isqrt(m), then each q <= r takes its block length, the ends carried.
+    r = isqrt(m)
+    for i in range(j, m // (r + 1) + 1):
+        small[m // i] -= w
+    hi = m
+    for q in range(1, r + 1):
+        lo = m // (q + 1)
+        small[q] -= (hi - lo) * w
+        hi = lo
+
+
+def _adjoint(big: list[int], small: list[int], n: int) -> list[tuple[int, int]]:
+    # The nonzero (r, W_r), r ascending, of the W with L^T W = w (see vector_count), in place.
+    # At m, descending, W_m is final; it leaves -(block length) * W_m at each m // j, j >= 2.
+    T = len(big) - 1
+    for t in range(1, T + 1):
+        w = big[t]
+        if w:
+            for u in range(2 * t, T + 1, t):  # n // (t * j) > isqrt(n): no division
+                big[u] -= w
+            _push(small, n // t, T // t + 1, w)
+    for m in range(len(small) - 1, 1, -1):  # m = 1 leaves nothing below it
+        if small[m]:
+            _push(small, m, 2, small[m])
     return ([(q, w) for q, w in enumerate(small) if w]
-            + [(q, W[q]) for q in reversed(big) if W[q]])
+            + [(n // u, big[u]) for u in range(T, 0, -1) if big[u]])
 
 
 def _term_sum(terms: list[tuple[int, int]], k: int | None) -> int:
@@ -142,39 +141,54 @@ def _term_sum(terms: list[tuple[int, int]], k: int | None) -> int:
     return total + (terms[0][1] << terms[0][0] if terms else 0)
 
 
-def weighted_count(
-    weights: dict[int, int], n: int, k: int | None, cache: MemoCache | None
-) -> int:
-    """Sum of weights[q] * F(q) over q in `weights`, F = relprime_subsets(., k).
-
-    The keys must be floor values n // t of n; n and k are checked already.
-    Grouping the (k-)subsets of {1..m} by their gcd j gives sum over j of
-    F(m // j) = g(m): a unit lower-triangular system L F = g on the floor
-    values.  So the sum is sum of W_r * g(r) with L^T W = w, and the
-    adjoint pass finds W in O(n^(3/4)) small-integer steps, whatever k is.
-    When `cache` knows F(1..n-1) for this k (a sweep from 1, or from k, as
-    F(m) = 0 for m < k), the row F(n) = F(n-1) + sum over squarefree
-    delta | n of mu(delta) * g'(n / delta) is appended instead, where
-    g'(q) = 2^(q-1) or C(q-1, k-1) counts the subsets of {1..q} with
-    largest element q, and F(q) is read off the rows.
-    """
+def _rows(n: int, k: int | None, cache: MemoCache | None) -> dict[int, int] | None:
+    # The prefix rows F(lo..n) for k (lo = 1, or k if first asked at n = k), else None: if
+    # they reach n - 1, F(n) = F(n-1) + sum over squarefree delta | n of mu(delta) * g'(n / delta)
+    # is appended, g'(q) = 2^(q-1) or C(q-1, k-1) the subsets of {1..q} with largest element q.
     if cache is None:
-        return _finish(_term_sum(_adjoint(weights, n), k))
+        return None
     rows = cache.table(("prefix", k))
-    # The rows are F(lo..top): lo = 1, or k for a k first asked at n = k.
     lo = next(iter(rows)) if rows else (k if n == k else 1)
     top = lo + len(rows) - 1
     if top < n - 1:
-        cache.misses += _floor_count(n)  # the floor values the pass walks
-        return _finish(_term_sum(_adjoint(weights, n), k))
+        cache.misses += _floor_count(n)  # the floor values the adjoint pass walks
+        return None
     if top < n:
         rows[n] = rows.get(n - 1, 0) + _finish(_mobius_sum(factorize(n), _top_term, k))
         cache.misses += 1
     else:
         cache.hits += 1
-    if weights == {n: 1}:  # relprime_subsets: the row itself, so no copy is kept
-        return rows.get(n, 0)
-    return _finish(sum(w * rows.get(q, 0) for q, w in weights.items()))
+    return rows
+
+
+def vector_count(big: list, small: list, n: int, k: int | None, cache: MemoCache | None) -> int:
+    """Sum of w * F(q) over the floor_vectors(n) entries, F = relprime_subsets(., k).
+
+    n and k are checked already; the lists are used up.  Grouping the (k-)subsets of
+    {1..m} by gcd j gives sum over j of F(m // j) = g(m): L F = g, unit lower triangular
+    on the floor values, so the sum is sum of W_r * g(r) with L^T W = w, which the adjoint
+    pass solves in O(n^(3/4)) small-integer steps of one floor division each, whatever k
+    is.  In a sweep the F(q) are read off the prefix rows.
+    """
+    rows = _rows(n, k, cache)
+    if rows is None:
+        return _finish(_term_sum(_adjoint(big, small, n), k))
+    return _finish(sum(w * rows.get(n // u, 0) for u, w in enumerate(big) if w)
+                   + sum(w * rows.get(q, 0) for q, w in enumerate(small) if w))
+
+
+def weighted_count(weights: dict, n: int, k: int | None, cache: MemoCache | None) -> int:
+    """vector_count of the weights {q: w_q} on the floor values q of n."""
+    rows = _rows(n, k, cache)
+    if rows is not None:
+        if weights == {n: 1}:  # relprime_subsets: the row itself, so no copy is kept
+            return rows.get(n, 0)
+        return _finish(sum(w * rows.get(q, 0) for q, w in weights.items()))
+    big, small = floor_vectors(n)
+    for q, w in weights.items():
+        vector, i = (small, q) if q < len(small) else (big, n // q)
+        vector[i] += w
+    return _finish(_term_sum(_adjoint(big, small, n), k))
 
 
 def relprime_subsets(n: int, k: int | None = None, cache: MemoCache | None = None) -> int:

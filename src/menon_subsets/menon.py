@@ -20,12 +20,11 @@ by prime from one factorisation of n.  The d = 1 layer is closed: grouping
 the (k-)subsets of {1..N} by their gcd j gives sum over j <= N of
 F(N // j) = g(N), g(N) = 2^N - 1 or C(N, k), so the layer is the sum over
 squarefree delta | n of mu(delta) * g(n / delta) = Phi_k(n).  The weight
-pass walks only the d > 1 progressions j = delta^-1 (mod d), in blocks of
-constant floor(n / (j * delta)), and adds phi(d) * mu(delta) * (members in
-the block) to a small-integer weight w_q of that floor value q.  The count
-core, counts.weighted_count, returns the sum of w_q * F(q) (an adjoint
-pass and one big-integer sum, or one new prefix row in a sweep): the sum
-over the subsets of gcd(gcd(A) - 1, n) - 1, >= 0 and guarded as such.
+pass walks only the d > 1 progressions j = delta^-1 (mod d), adding
+phi(d) * mu(delta) per member to the weight w_q of q = n // (j * delta) in
+the t-indexed lists of counts.floor_vectors.  The count core,
+counts.vector_count, returns the sum of w_q * F(q): the sum over the subsets
+of gcd(gcd(A) - 1, n) - 1, >= 0 and guarded as such.
 Prime powers admit a collapsed form (their only d > 1 pairs are (p^s, 1)),
 menon_sum_prime_power, with menon_sum_prime its t = 1 case; `evaluate`
 factors n once and picks the route.
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counts import MemoCache, _mobius_sum, _term, weighted_count
+from .counts import MemoCache, _mobius_sum, _term, floor_vectors, vector_count
 from .sieve import (
     Factorization,
     as_int,
@@ -84,24 +83,23 @@ def menon_classic(n: int, direct_sum: bool = False) -> int:
     return fac.phi * fac.tau
 
 
-def _add_progression(
-    weights: dict[int, int], N: int, first: int, step: int, last: int, w: int
-) -> None:
-    """Add w * #{j <= last : j = first (mod step), N // j = q} to weights[q].
+def _add_progression(big, small, n: int, delta: int, first: int, step: int, w: int) -> None:
+    """Add w to the floor_vectors(n) entry of n // (delta * j), j = first (mod step).
 
-    Needs last <= N.  Jumps from member to member of the progression one
-    block of constant N // j at a time, counting the block's members in
-    O(1), so the cost is the smaller of the member count and the ~2 sqrt(N)
-    blocks.
+    A j <= N = n // delta with delta * j < len(big) lands on big[delta * j], a range of
+    stride delta * step; the rest jump member to member one block of constant N // j
+    at a time: min(members, ~2 sqrt(N)) steps.
     """
-    get = weights.get
-    j = first
-    while j <= last:
+    N = n // delta
+    stop = min(N, (len(big) - 1) // delta)
+    for u in range(delta * first, delta * stop + 1, delta * step):
+        big[u] += w
+    j = first if first > stop else stop + 1 + (first - stop - 1) % step
+    while j <= N:
         q = N // j
-        hi = N // q
-        count = ((hi if hi < last else last) - j) // step + 1
-        weights[q] = get(q, 0) + w * count
-        j += count * step
+        members = (N // q - j) // step + 1
+        small[q] += w * members
+        j += members * step
 
 
 def divisor_pairs(fac: Factorization) -> list[tuple[int, int, int]]:
@@ -120,13 +118,13 @@ def divisor_pairs(fac: Factorization) -> list[tuple[int, int, int]]:
     return out
 
 
-def _triple_sum(fac: Factorization, k: int | None, cache: MemoCache | None) -> int:
-    # The d = 1 layer is Phi_k(n) (see the module docstring); walk the rest.
-    weights: dict[int, int] = {}
-    for d, delta, w in divisor_pairs(fac):
+def _gcd_sum(fac: Factorization, triples, k: int | None, cache: MemoCache | None) -> int:
+    # Phi_k(n), the d = 1 layer, plus the core's sum over the weights of the d > 1 triples.
+    big, small = floor_vectors(fac.n)
+    for d, delta, w in triples:
         if d > 1:
-            _add_progression(weights, fac.n // delta, pow(delta, -1, d), d, fac.n // delta, w)
-    return weighted_count(weights, fac.n, k, cache) + _mobius_sum(fac, _term, k)
+            _add_progression(big, small, fac.n, delta, pow(delta, -1, d), d, w)
+    return vector_count(big, small, fac.n, k, cache) + _mobius_sum(fac, _term, k)
 
 
 def menon_sum(n: int, k: int | None = None, cache: MemoCache | None = None) -> int:
@@ -135,7 +133,8 @@ def menon_sum(n: int, k: int | None = None, cache: MemoCache | None = None) -> i
     0 whenever k exceeds n.
     """
     n, k = check_args(n, k)
-    return _triple_sum(factorize(n), k, cache)
+    fac = factorize(n)
+    return _gcd_sum(fac, divisor_pairs(fac), k, cache)
 
 
 def _check_prime_power(p, t, k) -> tuple[int, int, int | None]:
@@ -157,14 +156,9 @@ def menon_sum_prime_power(
 
 
 def _prime_power_sum(fac: Factorization, k: int | None, cache: MemoCache | None) -> int:
-    # Phi_k(n) from d = 1, plus (p - 1) * p^(s-1) * F(n // j) over
-    # j = 1 + (m - 1) p^s, m <= p^(t-s), from each d = p^s.
+    # At n = p^t the only d > 1 pairs are (p^s, 1), phi(p^s) = (p - 1) * p^(s-1).
     (p, t), = fac.factors
-    weights: dict[int, int] = {}
-    for s in range(1, t + 1):
-        ps = p**s
-        _add_progression(weights, fac.n, 1, ps, fac.n - ps + 1, (p - 1) * p ** (s - 1))
-    return weighted_count(weights, fac.n, k, cache) + _mobius_sum(fac, _term, k)
+    return _gcd_sum(fac, [(p**s, 1, (p - 1) * p ** (s - 1)) for s in range(1, t + 1)], k, cache)
 
 
 def menon_sum_prime(p: int, k: int | None = None, cache: MemoCache | None = None) -> int:
@@ -184,7 +178,7 @@ def evaluate(params: MenonParams, cache: MemoCache | None = None) -> int:
     if strategy == AUTO:
         strategy = PRIME_POWER if len(fac.factors) == 1 else THEOREM
     if strategy == THEOREM:
-        return _triple_sum(fac, params.k, cache)
+        return _gcd_sum(fac, divisor_pairs(fac), params.k, cache)
     if len(fac.factors) != 1:
         raise ValueError(f"{params.n} is not a prime power")
     return _prime_power_sum(fac, params.k, cache)

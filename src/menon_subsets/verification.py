@@ -11,6 +11,7 @@ and a report with a SKIP is not an overall PASS.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from math import comb
 from time import perf_counter
 
 from .counts import MemoCache, coprime_subsets, relprime_subsets
@@ -321,14 +322,15 @@ def run_verification(
         for n in range(1, n_max_enum + 1):
             yield
             for k in (None, *k_set):
+                expected = sum(sieve.mu[d] * ((1 << n // d) - 1 if k is None else comb(n // d, k))
+                               for d in range(1, n + 1) if n % d == 0)
                 result = enumerate_menon_sum(n, k, **walk)
-                expected = coprime_subsets(n, k)
                 if result.count != expected:
                     return _mm(n, k, expected, result.count)
         return None
 
-    run("term-count-law", f"enumerated term counts equal phi variants, n <= {n_max_enum}",
-        term_count_law)
+    run("term-count-law", f"enumerated term counts = sieve-mu divisor sum Phi_k(n), "
+        f"n <= {n_max_enum}", term_count_law)
 
     def partitions():
         for n in range(1, partition_n + 1):

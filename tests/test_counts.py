@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +13,22 @@ from menon_subsets import (
     evaluate,
     relprime_subsets,
 )
-from menon_subsets.counts import _floor_count, _floor_values, _term_sum, weighted_count
+from menon_subsets.counts import _floor_count, _term_sum, floor_vectors, weighted_count
 from menon_subsets.oracle import (
     enumerate_coprime_subsets,
     enumerate_relprime_subsets,
     mobius_subset_count,
 )
+
+
+def _floor_values(n: int) -> list[int]:
+    """The distinct n // t, t >= 1, in descending order: the reference list.
+
+    n // t while it exceeds isqrt(n), then every q from isqrt(n) down to 1.
+    """
+    s = isqrt(n)
+    return [n // t for t in range(1, s + (n // s > s))] + list(range(s, 0, -1))
+
 
 # Frozen from the bitmask enumeration oracle (tests/test_oracle.py exercises
 # the oracle itself); index i holds the value at n = i + 1.
@@ -258,6 +270,20 @@ def test_floor_count_property(n):
     assert _floor_values(n) == sorted(_floor_values(n), reverse=True)
 
 
+def test_floor_count_closed_form():
+    assert all(_floor_count(n) == n // (isqrt(n) + 1) + isqrt(n) for n in range(1, 100_001))
+
+
+def test_floor_vectors_hold_each_floor_value_once():
+    # big[u] stands for n // u and small[q] for q: together the floor values, descending.
+    for n in range(1, 3001):
+        big, small = floor_vectors(n)
+        assert big[0] == small[0] == 0 and not any(big) and not any(small)
+        held = [n // u for u in range(1, len(big))] + list(range(len(small) - 1, 0, -1))
+        assert held == _floor_values(n)
+        assert len(held) == _floor_count(n)
+
+
 @st.composite
 def sparse_floor_weights(draw):
     """(n, weights): a few signed integer weights on floor values of n."""
@@ -283,6 +309,38 @@ def test_adjoint_total_matches_mobius_sum(weighted, k):
     if 1 < n != k:  # no rows below n: the adjoint pass, one miss per floor value
         floors = len({n // t for t in range(1, n + 1)})
         assert (cache.hits, cache.misses, len(cache)) == (0, floors, 0)
+
+
+@st.composite
+def edge_weights(draw):
+    """(n, weights): n at an edge of the range of isqrt(n), weights on floor values near it.
+
+    n is s^2, s^2 + s - 1, s^2 + s or (s + 1)^2 - 1, where the count of floor
+    values above s = isqrt(n) steps from s - 1 to s; the keys are taken among
+    the last big and first small entries of floor_vectors(n) and 1.
+    """
+    s = draw(st.integers(1, 3000), label="s")
+    n = draw(st.sampled_from((s * s, s * s + s - 1, s * s + s, (s + 1) ** 2 - 1)), label="n")
+    T = n // (s + 1)
+    near = {n // u for u in range(max(1, T - 6), T + 1)} | set(range(max(1, s - 6), s + 1))
+    near = sorted(q for q in near | {1} if q <= BIG_SIEVE.limit)
+    keys = draw(st.lists(st.sampled_from(near), min_size=1, max_size=6, unique=True))
+    return n, {q: draw(st.integers(-1000, 1000)) for q in keys}
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_weights(), st.sampled_from((None, 1, 2, 3)))
+def test_adjoint_total_matches_mobius_sum_at_the_edges(weighted, k):
+    n, weights = weighted
+    expected = sum(w * mobius_subset_count(q, BIG_SIEVE, k) for q, w in weights.items())
+    if expected < 0:
+        weights = {q: -w for q, w in weights.items()}
+        expected = -expected
+    assert weighted_count(weights, n, k, None) == expected
+    cache = MemoCache()
+    assert weighted_count(weights, n, k, cache) == expected
+    if 1 < n != k:
+        assert (cache.hits, cache.misses, len(cache)) == (0, _floor_count(n), 0)
 
 
 def test_negative_total_is_refused():

@@ -1,5 +1,6 @@
 import gc
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +26,9 @@ from menon_subsets import (
     prime_power_split,
     relprime_subsets,
 )
+import menon_subsets.menon as menon_mod
 from menon_subsets.counts import weighted_count
-from menon_subsets.menon import _add_progression, divisor_pairs
+from menon_subsets.menon import divisor_pairs
 from menon_subsets.oracle import enumerate_menon_sum, gcd_class_menon_sum
 
 # Frozen from the bitmask enumeration oracle; index i holds n = i + 1.
@@ -354,17 +356,67 @@ def test_hot_path_leaves_no_reference_cycles():
         gc.enable()
 
 
-def walked_weights(n):
+def dict_progression(weights, N, first, step, last, w):
+    """Add w * #{j <= last : j = first (mod step), N // j = q} to weights[q].
+
+    The dict weight pass the t-indexed lists replaced, kept as their
+    reference: it jumps from member to member one block of constant N // j
+    at a time.
+    """
+    j = first
+    while j <= last:
+        q = N // j
+        hi = N // q
+        count = ((hi if hi < last else last) - j) // step + 1
+        weights[q] = weights.get(q, 0) + w * count
+        j += count * step
+
+
+def walked_weights(n, with_layer=True):
     """Weights of the triple sum with every prod(e + 2) triple walked, d = 1 included.
 
     The route the closed-form d = 1 layer replaced, kept as its reference;
-    the weights do not depend on k.
+    the weights do not depend on k.  with_layer=False walks only d > 1.
     """
     weights = {}
     for d, delta, w in divisor_pairs(factorize(n)):
-        first = pow(delta, -1, d) if d > 1 else 1
-        _add_progression(weights, n // delta, first, d, n // delta, w)
+        if with_layer or d > 1:
+            first = pow(delta, -1, d) if d > 1 else 1
+            dict_progression(weights, n // delta, first, d, n // delta, w)
     return weights
+
+
+def list_weights(n, strategy):
+    """The nonzero weights {q: w} the list weight pass hands to the count core."""
+    seen = []
+
+    def record(big, small, m, k, cache):
+        seen.append({**{m // u: w for u, w in enumerate(big) if w},
+                     **{q: w for q, w in enumerate(small) if w}})
+        return 0
+
+    with mock.patch.object(menon_mod, "vector_count", record):
+        evaluate(MenonParams(n, None, strategy))
+    return seen.pop()
+
+
+def assert_list_pass_matches_dict_walk(n):
+    walked = {q: w for q, w in walked_weights(n, with_layer=False).items() if w}
+    assert list_weights(n, THEOREM) == walked, n
+    if prime_power_split(n) is not None:
+        assert list_weights(n, PRIME_POWER) == walked, n
+
+
+def test_list_weight_pass_matches_the_dict_walk():
+    for n in range(1, 3001):
+        assert_list_pass_matches_dict_walk(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.integers(1, 10**7),
+                 st.sampled_from((9699690, 7207200, 8648640, 9765625, 8388608, 9999991))))
+def test_list_weight_pass_matches_the_dict_walk_up_to_ten_million(n):
+    assert_list_pass_matches_dict_walk(n)
 
 
 def assert_layer_matches_walk(n_max, cache):

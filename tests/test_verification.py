@@ -118,6 +118,19 @@ def test_corruption_reaches_the_battery_through_the_oracle_side():
     assert failing == {"pair-count-totient-sum"}
 
 
+def test_term_count_law_reads_mu_from_the_sieve():
+    report = run_verification(n_max_enum=10, n_max_formula=30, k_set=(2,))
+    check = next(c for c in report.checks if c.name == "term-count-law")
+    assert check.status == "PASS" and check.cases == 10
+    assert "Phi_k(n)" in check.scope
+    bad = build_sieve(300)
+    bad.mu[10] = -1  # true value is +1; 10 divides only n = 10 below 11
+    report = run_verification(n_max_enum=10, n_max_formula=30, k_set=(2,), sieve=bad)
+    check = next(c for c in report.checks if c.name == "term-count-law")
+    assert check.status == "FAIL"
+    assert (check.mismatch.n, check.mismatch.k) == (10, None)
+
+
 def test_battery_walks_each_enumerated_n_and_k_once(mask_gcd_calls):
     from math import comb
 
