@@ -141,10 +141,12 @@ def _term_sum(terms: list[tuple[int, int]], k: int | None) -> int:
     return total + (terms[0][1] << terms[0][0] if terms else 0)
 
 
-def _rows(n: int, k: int | None, cache: MemoCache | None) -> dict[int, int] | None:
+def _rows(n: int, k: int | None, cache: MemoCache | None,
+          fac: Factorization | None = None) -> dict[int, int] | None:
     # The prefix rows F(lo..n) for k (lo = 1, or k if first asked at n = k), else None: if
     # they reach n - 1, F(n) = F(n-1) + sum over squarefree delta | n of mu(delta) * g'(n / delta)
-    # is appended, g'(q) = 2^(q-1) or C(q-1, k-1) the subsets of {1..q} with largest element q.
+    # is appended, g'(q) = 2^(q-1) or C(q-1, k-1) the subsets of {1..q} with largest element q;
+    # fac, when the caller holds it, is factorize(n).
     if cache is None:
         return None
     rows = cache.table(("prefix", k))
@@ -154,15 +156,17 @@ def _rows(n: int, k: int | None, cache: MemoCache | None) -> dict[int, int] | No
         cache.misses += _floor_count(n)  # the floor values the adjoint pass walks
         return None
     if top < n:
-        rows[n] = rows.get(n - 1, 0) + _finish(_mobius_sum(factorize(n), _top_term, k))
+        fac = factorize(n) if fac is None else fac
+        rows[n] = rows.get(n - 1, 0) + _finish(_mobius_sum(fac, _top_term, k))
         cache.misses += 1
     else:
         cache.hits += 1
     return rows
 
 
-def vector_count(big: list, small: list, n: int, k: int | None, cache: MemoCache | None) -> int:
-    """Sum of w * F(q) over the floor_vectors(n) entries, F = relprime_subsets(., k).
+def vector_count(big: list, small: list, fac: Factorization, k: int | None,
+                 cache: MemoCache | None) -> int:
+    """Sum of w * F(q) over the floor_vectors(n) entries, F = relprime_subsets(., k), n = fac.n.
 
     n and k are checked already; the lists are used up.  Grouping the (k-)subsets of
     {1..m} by gcd j gives sum over j of F(m // j) = g(m): L F = g, unit lower triangular
@@ -170,7 +174,8 @@ def vector_count(big: list, small: list, n: int, k: int | None, cache: MemoCache
     pass solves in O(n^(3/4)) small-integer steps of one floor division each, whatever k
     is.  In a sweep the F(q) are read off the prefix rows.
     """
-    rows = _rows(n, k, cache)
+    n = fac.n
+    rows = _rows(n, k, cache, fac)
     if rows is None:
         return _finish(_term_sum(_adjoint(big, small, n), k))
     return _finish(sum(w * rows.get(n // u, 0) for u, w in enumerate(big) if w)

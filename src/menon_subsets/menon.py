@@ -40,7 +40,6 @@ from .sieve import (
     as_int,
     check_args,
     factorize,
-    gcd,
     is_prime,
     prime_power_split,
 )
@@ -69,16 +68,9 @@ class MenonParams:
             raise ValueError(f"{self.n} is not a prime power")
 
 
-def menon_classic(n: int, direct_sum: bool = False) -> int:
-    """Classic identity value phi(n) * tau(n).
-
-    With direct_sum=True, instead accumulates gcd(a - 1, n) over the
-    reduced residues a mod n -- the definitional sum, kept around for
-    cross-checking.
-    """
+def menon_classic(n: int) -> int:
+    """Classic identity value phi(n) * tau(n); oracle.residue_menon_sum is its definition."""
     n, _ = check_args(n)
-    if direct_sum:
-        return sum(gcd(a - 1, n) for a in range(1, n + 1) if gcd(a, n) == 1)
     fac = factorize(n)
     return fac.phi * fac.tau
 
@@ -124,7 +116,7 @@ def _gcd_sum(fac: Factorization, triples, k: int | None, cache: MemoCache | None
     for d, delta, w in triples:
         if d > 1:
             _add_progression(big, small, fac.n, delta, pow(delta, -1, d), d, w)
-    return vector_count(big, small, fac.n, k, cache) + _mobius_sum(fac, _term, k)
+    return vector_count(big, small, fac, k, cache) + _mobius_sum(fac, _term, k)
 
 
 def menon_sum(n: int, k: int | None = None, cache: MemoCache | None = None) -> int:

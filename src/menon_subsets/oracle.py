@@ -2,15 +2,18 @@
 
 Three flavours, each with an optional k that restricts it to k-subsets:
 
-* brute force over the nonempty subsets of {1..n} as bitmasks (bit i-1 <->
-  element i): one naive walk per (n, k) takes every subset's gcd from
-  scratch and groups the subsets by it, and the enumerate_* counts and
-  subset_gcd_histogram read that histogram;
+* brute force over the nonempty subsets of {1..n}, each taken as the tuple
+  of its elements: one naive walk per (n, k) takes every subset's gcd from
+  scratch, one gcd call over its elements, and groups the subsets by it,
+  and the enumerate_* counts and subset_gcd_histogram read that histogram;
 * the textbook Möbius sum for the relatively prime count, sum over d in
   1..n of mu(d) * g(floor(n/d)), g(q) = 2^q - 1 or C(q, k), mu from the sieve;
 * a gcd-class route: the subsets of {1..n} with gcd exactly j biject with
   the relatively prime subsets of {1..floor(n/j)}, so the subset gcd sum is
   one sum over j of Möbius-sum counts, O(n) of them instead of 2^n subsets.
+
+residue_menon_sum is the classic Menon sum by its definition, over the
+reduced residues mod n.
 
 The gcd-class identity is validated against full enumeration in the test
 suite before anything trusts it at scales enumeration cannot reach.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, starmap
 from math import comb
 
 from .counts import MemoCache
@@ -44,37 +47,23 @@ class SubsetSum:
     total: int
 
 
-def _mask_gcd(mask: int) -> int:
-    # gcd of the elements encoded by mask; a low set bit b encodes the
-    # element b.bit_length().  Stops early once the running gcd hits 1.
-    g = 0
-    while mask:
-        low = mask & -mask
-        g = gcd(g, low.bit_length())
-        if g == 1:
-            return 1
-        mask ^= low
-    return g
-
-
-def _masks(n: int, k: int | None):
-    # Every nonempty subset of {1..n} as a bitmask, or every k-subset: the
-    # sums of k distinct bits, C(n, k) masks rather than a filter over 2^n.
-    if k is None:
-        return range(1, 1 << n)
-    return map(sum, combinations([1 << i for i in range(n)], k))
+def _subset_gcds(n: int, k: int | None):
+    # The gcd of every nonempty subset of {1..n}, or of every k-subset: one
+    # gcd call on each element tuple, straight from its elements.
+    sizes = range(1, n + 1) if k is None else (k,)
+    return chain.from_iterable(starmap(gcd, combinations(range(1, n + 1), j)) for j in sizes)
 
 
 def _walk(n, k, limit: int, cache: MemoCache | None):
     # (n, k) checked, and g -> number of nonempty (k-)subsets of {1..n} with
-    # gcd exactly g: one walk over the masks, one gcd from scratch per mask.
+    # gcd exactly g: one walk over the subsets, one gcd from scratch per subset.
     n, k = check_args(n, k)
     if n > limit:
         raise ValueError(f"enumerating 2^{n} subsets exceeds the limit {limit}; "
                          "pass a larger `limit` explicitly if you really mean it")
     table = cache.table(("enum", k)) if cache is not None else {}
     if n not in table:
-        table[n] = Counter(map(_mask_gcd, _masks(n, k)))
+        table[n] = Counter(_subset_gcds(n, k))
     return n, k, table[n]
 
 
@@ -160,11 +149,23 @@ def gcd_class_menon_sum(
             gcd(j - 1, n) * (# (k-)subsets with gcd exactly j),
     and the subset count for gcd j is the relatively prime subset count at
     floor(n/j), here the Möbius sum over the sieve.  Shares no code with
-    the divisor-sum evaluator.
+    the divisor-sum evaluator.  Each distinct floor(n/j) has its count read
+    once per call.
     """
     n, k = _check_sieve(n, k, sieve)
+    counts = {}
     total = 0
     for j in range(1, n + 1):
         if gcd(j, n) == 1:
-            total += gcd(j - 1, n) * _mobius_count(n // j, k, sieve.mu, cache)
+            q = n // j
+            count = counts.get(q)
+            if count is None:
+                count = counts[q] = _mobius_count(q, k, sieve.mu, cache)
+            total += gcd(j - 1, n) * count
     return total
+
+
+def residue_menon_sum(n: int) -> int:
+    """The classic Menon sum by its definition: gcd(a - 1, n) over the reduced residues a mod n."""
+    n, _ = check_args(n)
+    return sum(gcd(a - 1, n) for a in range(1, n + 1) if gcd(a, n) == 1)

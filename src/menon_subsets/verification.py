@@ -23,16 +23,17 @@ from .oracle import (
     enumerate_relprime_subsets,
     gcd_class_menon_sum,
     mobius_subset_count,
+    residue_menon_sum,
     subset_gcd_histogram,
 )
 from .sieve import SieveTables, build_sieve
 
 # Reference prefixes (index i holds the value at n = i + 1), frozen from the
-# bitmask enumeration oracle.  The first six entries of the first four rows
-# are the classically tabulated values; the unrestricted relprime count is
-# OEIS A085945, the 2-subset count A015614, and the coprime-subset count
-# matches A027375 from n = 2 on (the n = 1 entry differs by the empty-set
-# convention).
+# brute-force subset enumeration oracle.  The first six entries of the first
+# four rows are the classically tabulated values; the unrestricted relprime
+# count is OEIS A085945, the 2-subset count A015614, and the coprime-subset
+# count matches A027375 from n = 2 on (the n = 1 entry differs by the
+# empty-set convention).
 F_PREFIX = (1, 2, 5, 11, 26, 53, 116, 236, 488, 983, 2006, 4016)
 F2_PREFIX = (0, 1, 3, 5, 9, 11, 17, 21, 27, 31, 41, 45)
 MBAR_PREFIX = (1, 4, 16, 46, 134, 320, 822, 1898, 4414, 9844, 22106, 48208)
@@ -297,7 +298,7 @@ def run_verification(
         for n in range(1, n_max_formula + 1):
             yield
             product = menon_classic(n)
-            direct = menon_classic(n, direct_sum=True)
+            direct = residue_menon_sum(n)
             if product != direct:
                 return _mm(n, None, direct, product)
         return None

@@ -14,16 +14,17 @@ def small_sieve():
 
 
 @pytest.fixture
-def mask_gcd_calls(monkeypatch):
-    """Every mask the oracles' per-subset gcd is taken of, in call order."""
+def subset_walks(monkeypatch):
+    """(n, k, subsets walked) for every walk the oracles make, in call order."""
     import menon_subsets.oracle as oracle_mod
 
-    calls = []
-    mask_gcd = oracle_mod._mask_gcd
+    walks = []
+    subset_gcds = oracle_mod._subset_gcds
 
-    def counted(mask):
-        calls.append(mask)
-        return mask_gcd(mask)
+    def counted(n, k):
+        gcds = list(subset_gcds(n, k))
+        walks.append((n, k, len(gcds)))
+        return gcds
 
-    monkeypatch.setattr(oracle_mod, "_mask_gcd", counted)
-    return calls
+    monkeypatch.setattr(oracle_mod, "_subset_gcds", counted)
+    return walks

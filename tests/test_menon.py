@@ -29,7 +29,7 @@ from menon_subsets import (
 import menon_subsets.menon as menon_mod
 from menon_subsets.counts import weighted_count
 from menon_subsets.menon import divisor_pairs
-from menon_subsets.oracle import enumerate_menon_sum, gcd_class_menon_sum
+from menon_subsets.oracle import enumerate_menon_sum, gcd_class_menon_sum, residue_menon_sum
 
 # Frozen from the bitmask enumeration oracle; index i holds n = i + 1.
 MBAR = (1, 4, 16, 46, 134, 320, 822, 1898, 4414, 9844, 22106, 48208,
@@ -48,7 +48,7 @@ def test_classic_small_values():
 
 def test_classic_product_equals_direct_sum():
     for n in range(1, 241):
-        assert menon_classic(n) == menon_classic(n, direct_sum=True)
+        assert menon_classic(n) == residue_menon_sum(n)
 
 
 def test_known_values():
@@ -390,8 +390,8 @@ def list_weights(n, strategy):
     """The nonzero weights {q: w} the list weight pass hands to the count core."""
     seen = []
 
-    def record(big, small, m, k, cache):
-        seen.append({**{m // u: w for u, w in enumerate(big) if w},
+    def record(big, small, fac, k, cache):
+        seen.append({**{fac.n // u: w for u, w in enumerate(big) if w},
                      **{q: w for q, w in enumerate(small) if w}})
         return 0
 

@@ -1,4 +1,10 @@
+import itertools
+import math
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menon_subsets import (
     MemoCache,
@@ -8,6 +14,7 @@ from menon_subsets import (
     relprime_subsets,
 )
 from menon_subsets.oracle import (
+    _subset_gcds,
     enumerate_coprime_subsets,
     enumerate_menon_sum,
     enumerate_relprime_subsets,
@@ -142,13 +149,51 @@ def test_oracles_reject_non_integer_n_and_k(oracle, bad):
         oracle(6, bad)
 
 
-def test_k_subset_masks_partition_all_subsets():
-    from menon_subsets.oracle import _masks
+def bitmask_gcd(mask):
+    # The bitmask walk's per-subset gcd: a low set bit b encodes the element
+    # b.bit_length().  Stops early once the running gcd hits 1.
+    g = 0
+    while mask:
+        low = mask & -mask
+        g = math.gcd(g, low.bit_length())
+        if g == 1:
+            return 1
+        mask ^= low
+    return g
 
-    for n in range(1, 11):
-        by_k = [m for k in range(1, n + 2) for m in _masks(n, k)]
-        assert sorted(by_k) == list(_masks(n, None)) == list(range(1, 1 << n))
-        assert all(m.bit_count() == k for k in range(1, n + 1) for m in _masks(n, k))
+
+def bitmask_masks(n, k):
+    # Every nonempty subset of {1..n} as a bitmask, or every k-subset: the
+    # sums of k distinct bits.
+    if k is None:
+        return range(1, 1 << n)
+    return map(sum, itertools.combinations([1 << i for i in range(n)], k))
+
+
+def bitmask_histogram(n, k):
+    """g -> subsets with gcd g, by the bitmask walk the oracle once used."""
+    return Counter(map(bitmask_gcd, bitmask_masks(n, k)))
+
+
+def assert_subset_walk_matches_the_bitmask_walk(n, k):
+    hist = Counter(_subset_gcds(n, k))
+    assert hist == bitmask_histogram(n, k), (n, k)
+    assert sum(hist.values()) == ((1 << n) - 1 if k is None else math.comb(n, k)), (n, k)
+
+
+def test_subset_walk_matches_the_bitmask_walk():
+    for n in range(1, 15):
+        for k in (None, *range(1, n + 2)):
+            assert_subset_walk_matches_the_bitmask_walk(n, k)
+        by_k = sum((Counter(_subset_gcds(n, k)) for k in range(1, n + 2)), Counter())
+        assert by_k == Counter(_subset_gcds(n, None))  # the k-walks partition the walk
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 16).flatmap(
+    lambda n: st.tuples(st.just(n), st.one_of(st.none(), st.integers(1, n + 1)))))
+def test_subset_walk_matches_the_bitmask_walk_for_random_k(n_k):
+    assert_subset_walk_matches_the_bitmask_walk(*n_k)
 
 
 ENUMERATORS = (
@@ -171,17 +216,18 @@ def test_cached_walk_gives_the_uncached_values():
         assert subset_gcd_histogram(n, cache=cache) == fresh
 
 
-def test_each_cache_walks_each_n_and_k_once(mask_gcd_calls):
+def test_each_cache_walks_each_n_and_k_once(subset_walks):
     first, second = MemoCache(), MemoCache()
     for cache in (first, first, second):
         for oracle in ENUMERATORS:
             oracle(8, cache=cache)
             oracle(8, 3, cache=cache)
         subset_gcd_histogram(8, cache=cache)
-    assert len(mask_gcd_calls) == 2 * (255 + 56)  # once per cache, not once per call
-    mask_gcd_calls.clear()
+    # once per cache, not once per call: 2^8 - 1 subsets and C(8, 3) = 56 3-subsets
+    assert subset_walks == [(8, None, 255), (8, 3, 56)] * 2
+    subset_walks.clear()
     assert enumerate_relprime_subsets(8) == enumerate_relprime_subsets(8) == 236
-    assert len(mask_gcd_calls) == 2 * 255  # no cache: no memo at all
+    assert subset_walks == [(8, None, 255)] * 2  # no cache: no memo at all
 
 
 def test_cached_walk_never_bypasses_the_limit():

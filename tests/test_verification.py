@@ -131,18 +131,21 @@ def test_term_count_law_reads_mu_from_the_sieve():
     assert (check.mismatch.n, check.mismatch.k) == (10, None)
 
 
-def test_battery_walks_each_enumerated_n_and_k_once(mask_gcd_calls):
+def test_battery_walks_each_enumerated_n_and_k_once(subset_walks):
     from math import comb
 
     assert run_verification(n_max_enum=10, n_max_formula=30, k_set=(1, 2, 3)).overall
     # Every (n, k) the battery enumerates: k None and k in {1, 2, 3, n}.
-    masks = sum((1 << n) - 1 + sum(comb(n, k) for k in {1, 2, 3, n}) for n in range(1, 11))
-    assert len(mask_gcd_calls) == masks
+    walked = [(n, k) for n, k, _ in subset_walks]
+    assert sorted(walked, key=str) == sorted(
+        ((n, k) for n in range(1, 11) for k in (None, *{1, 2, 3, n})), key=str)
+    subsets = sum((1 << n) - 1 + sum(comb(n, k) for k in {1, 2, 3, n}) for n in range(1, 11))
+    assert sum(count for *_, count in subset_walks) == subsets
 
 
-def test_each_battery_run_walks_again(mask_gcd_calls):
+def test_each_battery_run_walks_again(subset_walks):
     run_verification(n_max_enum=8, n_max_formula=20, k_set=(2,))
-    once = len(mask_gcd_calls)
-    assert once > 0
+    once = list(subset_walks)
+    assert once
     run_verification(n_max_enum=8, n_max_formula=20, k_set=(2,))
-    assert len(mask_gcd_calls) == 2 * once  # no memo outlives a run
+    assert subset_walks == once * 2  # no memo outlives a run
