@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from time import perf_counter
 
-from .counts import MemoCache, coprime_subsets, relprime_subsets
+from .counts import MemoCache, coprime_column, coprime_subsets, relprime_column, relprime_subsets
 from .menon import (AUTO, MENON_STRATEGIES, MenonParams, divisor_pairs, evaluate,
                     menon_classic)
 from .sieve import factorize
@@ -88,15 +88,20 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if not 1 <= args.n_max <= MAX_TABLE_ROWS:
         parser.error(f"--n-max must be in 1..{MAX_TABLE_ROWS} (output-size bound)")
     try:
-        cache = MemoCache()  # shared: each new n appends one prefix row
-        rows = [
-            (n, _compute_one(args.function, n, args.k, AUTO, cache))
-            for n in range(1, args.n_max + 1)
-        ]
+        if args.function in ("f", "fk"):
+            values = relprime_column(args.n_max, args.k)
+        elif args.function in ("phi", "phik"):
+            values = coprime_column(args.n_max, args.k)
+        else:
+            cache = MemoCache()
+            if args.function in STRATEGY_TAGS:  # every F a gcd sum reads is a row already
+                relprime_column(args.n_max, args.k, cache)
+            values = [_compute_one(args.function, n, args.k, AUTO, cache)
+                      for n in range(1, args.n_max + 1)]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    table = SequenceTable(function=args.function, k=args.k, rows=rows)
+    table = SequenceTable(function=args.function, k=args.k, rows=list(enumerate(values, 1)))
     text = table.to_csv() if args.format == "csv" else table.to_json()
     if args.out is None:
         sys.stdout.write(text)
@@ -111,6 +116,8 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if min(args.n_max_enum, args.n_max_formula) < 0:
+        parser.error("--n-max-enum and --n-max-formula must be >= 0")
     if args.n_max_formula > MAX_FORMULA_N:
         parser.error(f"--n-max-formula {args.n_max_formula} is past the bound {MAX_FORMULA_N}")
     try:

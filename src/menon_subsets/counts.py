@@ -2,6 +2,7 @@
 
 relprime_subsets(n, k=None) -- nonempty subsets whose elements have gcd 1
 coprime_subsets(n, k=None)  -- nonempty subsets whose gcd is coprime to n
+relprime_column(n_max, k=None), coprime_column(n_max, k=None) -- n in 1..n_max
 
 With k given, only the k-element subsets are counted.  Both functions are
 one formula over the term g(q) = 2^q - 1 (all nonempty subsets of {1..q})
@@ -13,13 +14,15 @@ would mean a defect, never a valid answer.
 The count core, vector_count, returns the sum of w_q * F(q), F =
 relprime_subsets(., k), over small-integer weights w_q on the floor values q
 of n, held in t-indexed lists (floor_vectors): by an adjoint pass and one
-big-integer sum, or by reading the prefix rows of a shared cache.
-weighted_count takes the weights as a dict; relprime_subsets is {n: 1}.  mu
-comes from one factorisation of n; nothing here reads a sieve.
+big-integer sum, or by reading the prefix rows of a shared cache, which a
+column may install whole.  weighted_count takes the weights as a dict;
+relprime_subsets is {n: 1}.  mu comes from one factorisation of n; nothing
+here reads a sieve, and a column, one in-place divisor-sum inversion, factors nothing.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb, isqrt
 
 from .sieve import Factorization, check_args, factorize
@@ -31,13 +34,14 @@ class MemoCache:
     """Memo of subset counts shared across calls: one dict m -> value per family.
 
     The core keeps the prefix rows F(lo..N) for each k under the family
-    ("prefix", k); the oracles keep their own values, per-n gcd histograms
-    among them, under families the core never reads.  A cached value always
-    equals a fresh recomputation.  `misses` counts the counts computed: prefix
-    rows appended, or the _floor_count(n) floor_vectors entries an adjoint pass
-    walks.  `hits` counts the calls answered without computing any; histograms
-    move neither.  Lookups and inserts are plain dict operations, so sharing one
-    instance across threads behaves as if serialized.
+    ("prefix", k), appended per n or installed whole by relprime_column; the
+    oracles keep their own values, per-n gcd histograms among them, under
+    families the core never reads.  A cached value always equals a fresh
+    recomputation.  `misses` counts the counts computed: prefix rows appended,
+    or the _floor_count(n) floor_vectors entries an adjoint pass walks, not the
+    rows a column installs.  `hits` counts the calls answered without computing
+    any; histograms move neither.  Lookups and inserts are plain dict
+    operations, so sharing one instance across threads behaves as if serialized.
     """
 
     __slots__ = ("_tables", "hits", "misses")
@@ -215,3 +219,39 @@ def coprime_subsets(n: int, k: int | None = None) -> int:
     """
     n, k = check_args(n, k)
     return _finish(_mobius_sum(factorize(n), _term, k))
+
+
+def _inverted(h: list[int]) -> list[int]:
+    # u[1..N], each a count, with h[m] = sum over d | m of u[d], found in place on h (h[0]
+    # unused): ascending, u[d] is final when reached and leaves -u[d] at each multiple.
+    N = len(h) - 1
+    for d in range(1, N // 2 + 1):
+        u = h[d]
+        for m in range(2 * d, N + 1, d):
+            h[m] -= u
+    _finish(min(h[1:], default=0))
+    return h[1:]
+
+
+def coprime_column(n_max: int, k: int | None = None) -> list[int]:
+    """[coprime_subsets(n, k) for n in 1..n_max], with no factorisation.
+
+    Grouping the (k-)subsets of {1..m} by e = gcd(gcd A, m) gives Phi_k(m / e)
+    subsets e * B each: sum over d | m of Phi_k(d) = g(m), inverted over 1..n_max.
+    """
+    n_max, k = check_args(n_max, k)
+    return _inverted([0] + [_term(m, k) for m in range(1, n_max + 1)])
+
+
+def relprime_column(n_max: int, k: int | None = None, cache: MemoCache | None = None) -> list[int]:
+    """[relprime_subsets(n, k) for n in 1..n_max], with no factorisation.
+
+    Grouping the (k-)subsets of {1..m} with largest element m by their gcd gives
+    sum over d | m of F(d) - F(d - 1) = g'(m): the column is the prefix sums of its
+    inversion.  With a cache, its ("prefix", k) rows become exactly F(1..n_max).
+    """
+    n_max, k = check_args(n_max, k)
+    column = list(accumulate(_inverted([0] + [_top_term(m, k) for m in range(1, n_max + 1)])))
+    if cache is not None:
+        cache._tables[("prefix", k)] = dict(enumerate(column, 1))
+    return column

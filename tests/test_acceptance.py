@@ -22,6 +22,7 @@ from menon_subsets import (
     menon_sum_prime_power,
     relprime_subsets,
 )
+from menon_subsets.counts import coprime_column, relprime_column
 from menon_subsets.oracle import (
     enumerate_coprime_subsets,
     enumerate_menon_sum,
@@ -182,3 +183,21 @@ def test_criterion_9_blocked_sums_at_scale(sieve):
             gcd_class_menon_sum(n, sieve, 2, cache)
     _report(9, "blocked gcd sums match the gcd-class oracle at n = 55440 and "
             "n = 65536, k in {none, 2}", ok, time.perf_counter() - start, budget=60.0)
+
+
+def test_criterion_10_table_columns(sieve):
+    start = time.perf_counter()
+    ok = True
+    n_max = 4096
+    for column, count, k in ((relprime_column, relprime_subsets, None),
+                             (relprime_column, relprime_subsets, 3),
+                             (coprime_column, coprime_subsets, None),
+                             (coprime_column, coprime_subsets, 2)):
+        values = column(n_max, k)
+        ok &= len(values) == n_max
+        ok &= all(values[n - 1] == count(n, k) for n in (1, 2, 3, 2520, 3600, 4093, 4095, 4096))
+        if column is relprime_column:
+            ok &= all(values[n - 1] == mobius_subset_count(n, sieve, k) for n in range(1, 1201))
+    _report(10, "f, fk(3), phi and phik(2) columns to 4096 match the per-n route at "
+            "sampled n; f and fk match the sieve Mobius sum for n <= 1200",
+            ok, time.perf_counter() - start, budget=30.0)

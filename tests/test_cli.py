@@ -2,14 +2,16 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from menon_subsets import MemoCache, relprime_subsets
+from menon_subsets import MemoCache, coprime_subsets, relprime_subsets
 from menon_subsets.cli import K_TAGS, TAGS, SequenceTable, _bench_runs, _decimal_digits, main
 from menon_subsets.oracle import gcd_class_menon_sum
+from menon_subsets.verification import F2_PREFIX, F_PREFIX, MBAR2_PREFIX, MBAR_PREFIX, PHI_PREFIX
 
 EXPECTED_F_CSV = "n,value\n1,1\n2,2\n3,5\n4,11\n5,26\n6,53\n"
 
@@ -283,6 +285,22 @@ def test_module_invocation_round_trip():
     assert proc.stdout.strip() == "53"
 
 
+def test_value_tables_script_reproduces_the_tabulated_prefixes(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "value_tables.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--n-max", "12", "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name, prefix in (("f", F_PREFIX), ("fk2", F2_PREFIX), ("phi", PHI_PREFIX),
+                         ("mbar", MBAR_PREFIX), ("mbark2", MBAR2_PREFIX)):
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == "n,value" and len(lines) == 13
+        values = tuple(int(line.split(",")[1]) for line in lines[1:])
+        assert values[:len(prefix)] == prefix, name
+
+
 def test_compute_prints_values_past_the_str_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
     code, out, _ = run_cli(capsys, "compute", "f", "--n", "15000")
@@ -309,6 +327,20 @@ def test_verify_refuses_vacuous_pass(capsys):
     assert "overall: FAIL" in out
 
 
+@pytest.mark.parametrize("argv", [["--n-max-enum", "-3"], ["--n-max-formula", "-5"]])
+def test_verify_rejects_negative_bounds(capsys, monkeypatch, argv):
+    import menon_subsets.cli as cli_mod
+
+    def fail(**kwargs):
+        raise AssertionError("verified with a negative bound")
+
+    monkeypatch.setattr(cli_mod, "run_verification", fail)
+    with pytest.raises(SystemExit) as err:
+        main(["verify"] + argv)
+    assert err.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 def test_verify_scopes_report_the_ranges_run(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n-max-enum", "4", "--n-max-formula", "1")
     lines = {line.split()[1]: line for line in out.splitlines() if "  " in line}
@@ -318,25 +350,34 @@ def test_verify_scopes_report_the_ranges_run(capsys):
     assert len(lines) == 17
 
 
-def test_table_rows_share_one_cache(capsys, monkeypatch):
+def test_count_tables_take_one_column(capsys, monkeypatch):
+    # An f, fk, phi or phik table is one column: no row is evaluated on its
+    # own and no n is factored.
     import menon_subsets.cli as cli_mod
+    import menon_subsets.counts as counts_mod
+    import menon_subsets.menon as menon_mod
 
-    caches = []
-    original = cli_mod._compute_one
+    jobs = [("f", None, relprime_subsets), ("fk", 3, relprime_subsets),
+            ("phi", None, coprime_subsets), ("phik", 2, coprime_subsets)]
+    expected = {tag: [f"{n},{count(n, k)}" for n in range(1, 41)] for tag, k, count in jobs}
 
-    def spy(tag, n, k, strategy, cache):
-        caches.append(cache)
-        return original(tag, n, k, strategy, cache)
+    def fail(*args):
+        raise AssertionError("a count table evaluated a row on its own")
 
-    monkeypatch.setattr(cli_mod, "_compute_one", spy)
-    code, out, _ = run_cli(capsys, "table", "fk", "--k", "3", "--n-max", "40")
-    assert code == 0
-    assert len(caches) == 40 and len({id(c) for c in caches}) == 1
-    assert caches[0].misses == 40  # one new floor value per row
+    for module in (cli_mod, counts_mod, menon_mod):
+        monkeypatch.setattr(module, "factorize", fail)
+    monkeypatch.setattr(cli_mod, "_compute_one", fail)
+    for tag, k, _ in jobs:
+        argv = ["table", tag] + (["--k", str(k)] if k else []) + ["--n-max", "40"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == ["n,value"] + expected[tag]
 
 
 @pytest.mark.parametrize("tag, k", [("mbar", None), ("mbark", "2")])
-def test_sum_tables_compute_one_floor_value_per_row(capsys, monkeypatch, tag, k):
+def test_sum_tables_read_every_count_off_the_rows(capsys, monkeypatch, tag, k):
+    # The one cache holds the rows F(1..60) before the first gcd sum, so each
+    # sum is a hit that appends no row and takes no adjoint pass.
     import menon_subsets.cli as cli_mod
 
     caches = []
@@ -351,7 +392,7 @@ def test_sum_tables_compute_one_floor_value_per_row(capsys, monkeypatch, tag, k)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(caches) == 60 and len({id(c) for c in caches}) == 1
-    assert caches[0].misses == 60
+    assert (caches[0].hits, caches[0].misses, len(caches[0])) == (60, 0, 60)
 
 
 def test_bench_reports_divisor_pairs_for_gcd_sums_only(capsys):
@@ -379,6 +420,8 @@ def _refuse_evaluation(monkeypatch):
         raise AssertionError("evaluated past the size bound")
 
     monkeypatch.setattr(cli_mod, "_compute_one", fail)
+    monkeypatch.setattr(cli_mod, "relprime_column", fail)
+    monkeypatch.setattr(cli_mod, "coprime_column", fail)
     monkeypatch.setattr(cli_mod, "_bench_runs", fail)
 
 

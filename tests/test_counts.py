@@ -1,3 +1,4 @@
+import re
 from math import isqrt
 
 import pytest
@@ -13,7 +14,14 @@ from menon_subsets import (
     evaluate,
     relprime_subsets,
 )
-from menon_subsets.counts import _floor_count, _term_sum, floor_vectors, weighted_count
+from menon_subsets.counts import (
+    _floor_count,
+    _term_sum,
+    coprime_column,
+    floor_vectors,
+    relprime_column,
+    weighted_count,
+)
 from menon_subsets.oracle import (
     enumerate_coprime_subsets,
     enumerate_relprime_subsets,
@@ -406,3 +414,60 @@ def test_gcd_classes_of_the_subsets_sum_to_g(N, k):
         relprime_subsets(m, k, cache)
     g = (1 << N) - 1 if k is None else binomial(N, k)
     assert sum(relprime_subsets(N // j, k, cache) for j in range(1, N + 1)) == g
+
+
+def _column_ks(n_max: int):
+    return (None, 1, 2, 3, n_max, n_max + 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 400).flatmap(
+    lambda n_max: st.tuples(st.just(n_max), st.sampled_from(_column_ks(n_max)))))
+def test_columns_match_the_per_n_route(sieve, case):
+    # A column inverts a divisor-sum identity over 1..n_max; every value
+    # equals the cold per-n value and, for F, the sieve Möbius sum.
+    n_max, k = case
+    f, phi = relprime_column(n_max, k), coprime_column(n_max, k)
+    assert f == [relprime_subsets(n, k) for n in range(1, n_max + 1)]
+    assert phi == [coprime_subsets(n, k) for n in range(1, n_max + 1)]
+    assert f == [mobius_subset_count(n, sieve, k) for n in range(1, n_max + 1)]
+    if k is not None and k > n_max:
+        assert f == phi == [0] * n_max
+
+
+def test_columns_match_enumeration():
+    oracle_cache = MemoCache()
+    for n_max in range(1, 15):
+        for k in _column_ks(n_max):
+            assert coprime_column(n_max, k) == [
+                enumerate_coprime_subsets(n, k, cache=oracle_cache) for n in range(1, n_max + 1)]
+            assert relprime_column(n_max, k) == [
+                enumerate_relprime_subsets(n, k, cache=oracle_cache) for n in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("column, count", [(relprime_column, relprime_subsets),
+                                           (coprime_column, coprime_subsets)])
+@pytest.mark.parametrize("args", [(True,), (2.0,), (0,), (-3,), (10, True), (10, 2.0),
+                                  (10, 0), (10, -1)])
+def test_columns_reject_bad_arguments_as_the_counts_do(column, count, args):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        count(*args)
+    with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+        column(*args)
+
+
+def test_relprime_column_installs_exactly_its_rows():
+    # Whatever rows the cache held for k, they become F(1..n_max), from 1,
+    # without moving hits or misses; a sweep then resumes from them.
+    cache = MemoCache()
+    for n in range(1, 30):
+        relprime_subsets(n, 2, cache)
+    relprime_subsets(5, 5, cache)  # rows for k = 5 start at 5
+    assert (cache.hits, cache.misses, len(cache)) == (0, 30, 30)
+    for k, n_max in ((2, 12), (5, 8)):
+        column = relprime_column(n_max, k, cache)
+        assert list(cache.table(("prefix", k)).items()) == list(enumerate(column, 1))
+    assert (cache.hits, cache.misses, len(cache)) == (0, 30, 20)
+    assert [relprime_subsets(n, 2, cache) for n in range(1, 20)] == \
+        [relprime_subsets(n, 2) for n in range(1, 20)]
+    assert (cache.hits, cache.misses, len(cache)) == (12, 37, 27)
