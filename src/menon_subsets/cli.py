@@ -1,9 +1,9 @@
 """Command-line surface: compute single values, emit tables, verify, bench.
 
-Exit codes: 0 success, 1 verification or cross-strategy mismatch, 2 usage
-error.  Values are printed in full decimal, however many digits they have;
-JSON tables carry them as strings because they outgrow every fixed-width
-numeric type.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  Values are
+printed in full decimal, however many digits they have; JSON tables carry
+them as strings because they outgrow every fixed-width numeric type.
+`bench` prints a value and its best time over --reps evaluations.
 """
 
 from __future__ import annotations
@@ -15,17 +15,16 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .counts import MemoCache, coprime_column, coprime_subsets, relprime_column, relprime_subsets
-from .menon import (AUTO, MENON_STRATEGIES, MenonParams, divisor_pairs, evaluate,
-                    menon_classic)
+from .menon import MenonParams, divisor_pairs, evaluate, menon_classic
 from .sieve import factorize
 from .verification import run_verification
 
 TAGS = ("f", "fk", "phi", "phik", "menon", "mbar", "mbark")
 K_TAGS = frozenset({"fk", "phik", "mbark"})
-STRATEGY_TAGS = frozenset({"mbar", "mbark"})
+SUM_TAGS = frozenset({"mbar", "mbark"})
 MAX_N = 1 << 20  # compute, bench: a value at n has about n bits, here 1 Mbit
 MAX_TABLE_ROWS = 1 << 12  # table: about n_max^2 / 2 = 8 Mbit of values
-MAX_FORMULA_N = 4000  # verify: ~18 s on a 2-vCPU Xeon, growing about as n^2
+MAX_FORMULA_N = 4000  # verify: ~11 s on a 2-vCPU Xeon, growing about as n^2
 MAX_K_VALUES = 10  # verify: each k adds 1-3.5 s at MAX_FORMULA_N, most near k = 1300
 
 
@@ -52,7 +51,7 @@ class SequenceTable:
                 f'  "k": {json.dumps(self.k)},\n  "rows": [{rows}]\n}}\n')
 
 
-def _compute_one(tag, n, k, strategy, cache):
+def _compute_one(tag, n, k, cache):
     # k is None unless tag is in K_TAGS (see _validate_k).
     if tag in ("f", "fk"):
         return relprime_subsets(n, k, cache)
@@ -60,7 +59,7 @@ def _compute_one(tag, n, k, strategy, cache):
         return coprime_subsets(n, k)
     if tag == "menon":
         return menon_classic(n)
-    return evaluate(MenonParams(n, k, strategy), cache)
+    return evaluate(MenonParams(n, k), cache)
 
 
 def _validate_k(parser: argparse.ArgumentParser, tag: str, k: int | None) -> None:
@@ -72,10 +71,8 @@ def _validate_k(parser: argparse.ArgumentParser, tag: str, k: int | None) -> Non
 
 def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _validate_k(parser, args.function, args.k)
-    if args.strategy != AUTO and args.function not in STRATEGY_TAGS:
-        parser.error(f"--strategy does not apply to {args.function}")
     try:
-        value = _compute_one(args.function, args.n, args.k, args.strategy, MemoCache())
+        value = _compute_one(args.function, args.n, args.k, MemoCache())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -94,9 +91,9 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             values = coprime_column(args.n_max, args.k)
         else:
             cache = MemoCache()
-            if args.function in STRATEGY_TAGS:  # every F a gcd sum reads is a row already
+            if args.function in SUM_TAGS:  # every F a gcd sum reads is a row already
                 relprime_column(args.n_max, args.k, cache)
-            values = [_compute_one(args.function, n, args.k, AUTO, cache)
+            values = [_compute_one(args.function, n, args.k, cache)
                       for n in range(1, args.n_max + 1)]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -144,10 +141,10 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0 if report.overall else 1
 
 
-def _bench_runs(tag, n, k, strategy):
+def _bench_runs(tag, n, k):
     # One benchmark evaluation; returns (value, subset-count evaluations).
     cache = MemoCache()
-    value = _compute_one(tag, n, k, strategy, cache)
+    value = _compute_one(tag, n, k, cache)
     return value, cache.misses
 
 
@@ -162,55 +159,25 @@ def _decimal_digits(value: int) -> int:
 def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     tag = args.function
     _validate_k(parser, tag, args.k)
-    if tag not in STRATEGY_TAGS:
-        if args.strategies is not None:
-            parser.error(f"--strategies does not apply to {tag}: it has one count route")
-        strategies = ("floor-counts",)
-    else:
-        strategies = tuple(s.strip() for s in (args.strategies or AUTO).split(","))
-        for s in strategies:
-            if s not in MENON_STRATEGIES:
-                parser.error(f"strategy {s!r} is not valid for {tag} "
-                             f"(choose from {MENON_STRATEGIES})")
     if args.reps < 1:
         parser.error("--reps must be >= 1")
-
     try:
-        results = []
-        for strategy in strategies:
-            best = None
-            value = evals = None
-            for _ in range(args.reps):
-                t0 = perf_counter()
-                value, evals = _bench_runs(tag, args.n, args.k, strategy)
-                dt = perf_counter() - t0
-                best = dt if best is None else min(best, dt)
-            results.append((strategy, best, value, evals))
+        best = float("inf")
+        for _ in range(args.reps):
+            t0 = perf_counter()
+            value, evals = _bench_runs(tag, args.n, args.k)
+            best = min(best, perf_counter() - t0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    values = {value for _, _, value, _ in results}
-    if len(values) > 1:
-        print("error: strategies disagree, refusing to report timings", file=sys.stderr)
-        for strategy, _, value, _ in results:
-            digest = str(value)
-            if len(digest) > 40:
-                digest = f"{digest[:20]}...{digest[-20:]} ({len(digest)} digits)"
-            print(f"  {strategy}: {digest}", file=sys.stderr)
-        return 1
-
-    value = values.pop()
     pairs = (f"   divisor-pairs={len(divisor_pairs(factorize(args.n)))}"
-             if tag in STRATEGY_TAGS else "")
+             if tag in SUM_TAGS else "")
     digits = _decimal_digits(value)
     shown = str(value) if digits <= 40 else f"<{digits} decimal digits>"
     print(f"{tag} n={args.n}" + (f" k={args.k}" if args.k is not None else "")
           + f"  reps={args.reps}  value={shown}")
-    if len(results) > 1:
-        print("all strategies produced identical values")
-    for strategy, seconds, _, evals in results:
-        print(f"  {strategy:12s} {seconds * 1000:10.2f} ms   count-evaluations={evals}{pairs}")
+    print(f"  best {best * 1000:.2f} ms   count-evaluations={evals}{pairs}")
     return 0
 
 
@@ -225,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("function", choices=TAGS)
     compute.add_argument("--n", type=int, required=True)
     compute.add_argument("--k", type=int)
-    compute.add_argument("--strategy", choices=MENON_STRATEGIES, default=AUTO)
 
     table = sub.add_parser("table", help="emit a value table as CSV or JSON")
     table.add_argument("function", choices=TAGS)
@@ -242,12 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"comma-separated k >= 1, at most {MAX_K_VALUES} distinct values")
     verify.add_argument("--json", action="store_true")
 
-    bench = sub.add_parser("bench", help="time evaluation strategies")
+    bench = sub.add_parser("bench", help="time one evaluation, best of --reps")
     bench.add_argument("function", choices=("f", "fk", "mbar", "mbark"))
     bench.add_argument("--n", type=int, required=True)
-    bench.add_argument("--strategies",
-                       help="mbar and mbark only: comma-separated from "
-                            "theorem,prime-power,auto (default auto)")
     bench.add_argument("--k", type=int)
     bench.add_argument("--reps", type=int, default=3)
 

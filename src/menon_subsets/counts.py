@@ -15,9 +15,9 @@ The count core, vector_count, returns the sum of w_q * F(q), F =
 relprime_subsets(., k), over small-integer weights w_q on the floor values q
 of n, held in t-indexed lists (floor_vectors): by an adjoint pass and one
 big-integer sum, or by reading the prefix rows of a shared cache, which a
-column may install whole.  weighted_count takes the weights as a dict;
-relprime_subsets is {n: 1}.  mu comes from one factorisation of n; nothing
-here reads a sieve, and a column, one in-place divisor-sum inversion, factors nothing.
+column may install whole.  relprime_subsets is the single weight 1 at q = n.
+mu comes from one factorisation of n; nothing here reads a sieve, and a
+column, one in-place divisor-sum inversion, factors nothing.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from itertools import accumulate
 from math import comb, isqrt
 
 from .sieve import Factorization, check_args, factorize
-
-binomial = comb  # exact; comb(a, k) = 0 for k > a and comb(a, 0) = 1
 
 
 class MemoCache:
@@ -186,28 +184,20 @@ def vector_count(big: list, small: list, fac: Factorization, k: int | None,
                    + sum(w * rows.get(q, 0) for q, w in enumerate(small) if w))
 
 
-def weighted_count(weights: dict, n: int, k: int | None, cache: MemoCache | None) -> int:
-    """vector_count of the weights {q: w_q} on the floor values q of n."""
-    rows = _rows(n, k, cache)
-    if rows is not None:
-        if weights == {n: 1}:  # relprime_subsets: the row itself, so no copy is kept
-            return rows.get(n, 0)
-        return _finish(sum(w * rows.get(q, 0) for q, w in weights.items()))
-    big, small = floor_vectors(n)
-    for q, w in weights.items():
-        vector, i = (small, q) if q < len(small) else (big, n // q)
-        vector[i] += w
-    return _finish(_term_sum(_adjoint(big, small, n), k))
-
-
 def relprime_subsets(n: int, k: int | None = None, cache: MemoCache | None = None) -> int:
     """Number of nonempty (k-element) subsets of {1..n} with gcd 1.
 
-    Equals the Möbius sum over d in 1..n of mu(d) * g(floor(n/d)); computed
-    by weighted_count with the weight vector {n: 1}.  0 whenever k > n.
+    Equals the Möbius sum over d in 1..n of mu(d) * g(floor(n/d)); read off
+    the prefix rows when a cache holds them, else the adjoint pass of the
+    single weight 1 at q = n (big[1], or small[1] at n = 1).  0 whenever k > n.
     """
     n, k = check_args(n, k)
-    return weighted_count({n: 1}, n, k, cache)
+    rows = _rows(n, k, cache)
+    if rows is not None:
+        return rows.get(n, 0)
+    big, small = floor_vectors(n)
+    (small if n == 1 else big)[1] = 1
+    return _finish(_term_sum(_adjoint(big, small, n), k))
 
 
 def coprime_subsets(n: int, k: int | None = None) -> int:

@@ -24,10 +24,9 @@ pass walks only the d > 1 progressions j = delta^-1 (mod d), adding
 phi(d) * mu(delta) per member to the weight w_q of q = n // (j * delta) in
 the t-indexed lists of counts.floor_vectors.  The count core,
 counts.vector_count, returns the sum of w_q * F(q): the sum over the subsets
-of gcd(gcd(A) - 1, n) - 1, >= 0 and guarded as such.
-Prime powers admit a collapsed form (their only d > 1 pairs are (p^s, 1)),
-menon_sum_prime_power, with menon_sum_prime its t = 1 case; `evaluate`
-factors n once and picks the route.
+of gcd(gcd(A) - 1, n) - 1, >= 0 and guarded as such.  Every n, prime powers
+included, takes this one route; the paper's prime-power identity is the
+independent oracle.prime_power_menon_sum.
 """
 
 from __future__ import annotations
@@ -35,37 +34,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counts import MemoCache, _mobius_sum, _term, floor_vectors, vector_count
-from .sieve import (
-    Factorization,
-    as_int,
-    check_args,
-    factorize,
-    is_prime,
-    prime_power_split,
-)
-
-THEOREM = "theorem"
-PRIME_POWER = "prime-power"
-AUTO = "auto"
-MENON_STRATEGIES = (THEOREM, PRIME_POWER, AUTO)
+from .sieve import Factorization, check_args, factorize
 
 
 @dataclass(frozen=True)
 class MenonParams:
-    """Arguments for one gcd-sum evaluation: n, optional k, strategy."""
+    """Arguments for one gcd-sum evaluation: n and optional k."""
 
     n: int
     k: int | None = None
-    strategy: str = AUTO
 
     def __post_init__(self) -> None:
         n, k = check_args(self.n, self.k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        if self.strategy not in MENON_STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == PRIME_POWER and prime_power_split(self.n) is None:
-            raise ValueError(f"{self.n} is not a prime power")
 
 
 def menon_classic(n: int) -> int:
@@ -110,15 +92,6 @@ def divisor_pairs(fac: Factorization) -> list[tuple[int, int, int]]:
     return out
 
 
-def _gcd_sum(fac: Factorization, triples, k: int | None, cache: MemoCache | None) -> int:
-    # Phi_k(n), the d = 1 layer, plus the core's sum over the weights of the d > 1 triples.
-    big, small = floor_vectors(fac.n)
-    for d, delta, w in triples:
-        if d > 1:
-            _add_progression(big, small, fac.n, delta, pow(delta, -1, d), d, w)
-    return vector_count(big, small, fac, k, cache) + _mobius_sum(fac, _term, k)
-
-
 def menon_sum(n: int, k: int | None = None, cache: MemoCache | None = None) -> int:
     """Subset gcd sum via the triple divisor sum (see module docstring).
 
@@ -126,51 +99,14 @@ def menon_sum(n: int, k: int | None = None, cache: MemoCache | None = None) -> i
     """
     n, k = check_args(n, k)
     fac = factorize(n)
-    return _gcd_sum(fac, divisor_pairs(fac), k, cache)
-
-
-def _check_prime_power(p, t, k) -> tuple[int, int, int | None]:
-    p, k = check_args(p, k)
-    t = as_int(t, "t")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if t < 1:
-        raise ValueError("exponent t must be >= 1")
-    return p, t, k
-
-
-def menon_sum_prime_power(
-    p: int, t: int, k: int | None = None, cache: MemoCache | None = None
-) -> int:
-    """Collapsed form of menon_sum at n = p**t."""
-    p, t, k = _check_prime_power(p, t, k)
-    return _prime_power_sum(Factorization(p**t, ((p, t),)), k, cache)
-
-
-def _prime_power_sum(fac: Factorization, k: int | None, cache: MemoCache | None) -> int:
-    # At n = p^t the only d > 1 pairs are (p^s, 1), phi(p^s) = (p - 1) * p^(s-1).
-    (p, t), = fac.factors
-    return _gcd_sum(fac, [(p**s, 1, (p - 1) * p ** (s - 1)) for s in range(1, t + 1)], k, cache)
-
-
-def menon_sum_prime(p: int, k: int | None = None, cache: MemoCache | None = None) -> int:
-    """Prime specialization: (p - 1) * F(p) + Phi_k(p), Phi_k(p) = g(p) - g(1)."""
-    return menon_sum_prime_power(p, 1, k, cache)
+    # Phi_k(n), the d = 1 layer, plus the core's sum over the weights of the d > 1 triples.
+    big, small = floor_vectors(n)
+    for d, delta, w in divisor_pairs(fac):
+        if d > 1:
+            _add_progression(big, small, n, delta, pow(delta, -1, d), d, w)
+    return vector_count(big, small, fac, k, cache) + _mobius_sum(fac, _term, k)
 
 
 def evaluate(params: MenonParams, cache: MemoCache | None = None) -> int:
-    """Evaluate the subset gcd sum for `params`, dispatching on strategy.
-
-    AUTO picks the collapsed prime-power route when n is a prime power and
-    the general triple sum otherwise; both routes return identical values
-    wherever both apply.
-    """
-    strategy = params.strategy
-    fac = factorize(params.n)
-    if strategy == AUTO:
-        strategy = PRIME_POWER if len(fac.factors) == 1 else THEOREM
-    if strategy == THEOREM:
-        return _gcd_sum(fac, divisor_pairs(fac), params.k, cache)
-    if len(fac.factors) != 1:
-        raise ValueError(f"{params.n} is not a prime power")
-    return _prime_power_sum(fac, params.k, cache)
+    """Evaluate the subset gcd sum for `params`: menon_sum(params.n, params.k, cache)."""
+    return menon_sum(params.n, params.k, cache)

@@ -13,7 +13,9 @@ Three flavours, each with an optional k that restricts it to k-subsets:
   one sum over j of Möbius-sum counts, O(n) of them instead of 2^n subsets.
 
 residue_menon_sum is the classic Menon sum by its definition, over the
-reduced residues mod n.
+reduced residues mod n, and prime_power_menon_sum the subset gcd sum at a
+prime power by the paper's prime-power identity, each term read naively
+off the sieve and the Möbius-sum counts.
 
 The gcd-class identity is validated against full enumeration in the test
 suite before anything trusts it at scales enumeration cannot reach.
@@ -29,10 +31,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, starmap
-from math import comb
+from math import comb, gcd
 
 from .counts import MemoCache
-from .sieve import SieveTables, check_args, gcd
+from .sieve import SieveTables, as_int, check_args
 
 DEFAULT_ENUMERATION_LIMIT = 24
 
@@ -162,6 +164,32 @@ def gcd_class_menon_sum(
             if count is None:
                 count = counts[q] = _mobius_count(q, k, sieve.mu, cache)
             total += gcd(j - 1, n) * count
+    return total
+
+
+def prime_power_menon_sum(p: int, t: int, sieve: SieveTables, k: int | None = None,
+                          cache: MemoCache | None = None) -> int:
+    """Subset gcd sum at n = p^t by the paper's prime-power identity.
+
+    Phi_k(p^t) + sum over s in 1..t of phi(p^s) * sum over j <= p^t with
+    j = 1 (mod p^s) of F(p^t // j), F the Möbius-sum count: a prime power's
+    only coprime divisor pairs are (1, 1), (1, p) and the (p^s, 1).  phi, mu
+    and the primality of p are read from `sieve`, which must reach p^t.
+    """
+    p, k = check_args(p, k)
+    t = as_int(t, "t")
+    if t < 1:
+        raise ValueError("exponent t must be >= 1")
+    if p <= sieve.limit and sieve.phi[p] != p - 1:
+        raise ValueError(f"{p} is not prime")
+    if t > sieve.limit.bit_length() or p**t > sieve.limit:  # p^t >= 2^t: no huge power built
+        raise ValueError(f"sieve limit {sieve.limit} is too small for n = {p}^{t}")
+    n, mu = p**t, sieve.mu
+    total = sum(mu[d] * ((1 << n // d) - 1 if k is None else comb(n // d, k))
+                for d in range(1, n + 1) if n % d == 0)
+    for s in range(1, t + 1):
+        total += sieve.phi[p**s] * sum(_mobius_count(n // j, k, mu, cache)
+                                       for j in range(1, n + 1, p**s))
     return total
 
 

@@ -1,12 +1,12 @@
 """Elementary number theory: one factorisation of n, and a linear sieve.
 
-The counting and gcd-sum modules read mu, phi and the divisors only at
-divisors of n, so they take them from factorize(n), a single trial-division
-pass.  The sieve tables over 1..limit remain as the oracles' independent
-source of mu and phi; no production count reads them.  The strict integer
-checks on n and k that every public function applies live here too, at the
-bottom of the import graph, so the oracles share them without importing
-the code they check.
+The counting and gcd-sum modules read mu and phi only at divisors of n, so
+they take them from factorize(n), a single trial-division pass.  The sieve
+tables over 1..limit remain as the oracles' independent source of mu and
+phi; no production count reads them.  The strict integer checks on n and k
+that every public function applies live here too, at the bottom of the
+import graph, so the oracles share them without importing the code they
+check.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
-
-# Python's gcd already follows the conventions we need:
-# gcd(0, n) = n and gcd(0, 0) = 0.
-gcd = math.gcd
 
 
 def as_int(value, name: str) -> int:
@@ -53,12 +49,6 @@ class Factorization(NamedTuple):
     factors: tuple[tuple[int, int], ...]
 
     @property
-    def mu(self) -> int:
-        if any(e > 1 for _, e in self.factors):
-            return 0
-        return -1 if len(self.factors) % 2 else 1
-
-    @property
     def phi(self) -> int:
         return math.prod(p ** (e - 1) * (p - 1) for p, e in self.factors)
 
@@ -81,9 +71,6 @@ class Factorization(NamedTuple):
             out += [(d * p, -m) for d, m in out]
         return dict(out)
 
-    def divisors(self) -> list[int]:
-        return list(self.totients())
-
 
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by trial division up to sqrt(n)."""
@@ -103,24 +90,6 @@ def factorize(n: int) -> Factorization:
     if m > 1:
         factors.append((m, 1))
     return Factorization(n, tuple(factors))
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n in ascending order."""
-    return factorize(n).divisors()
-
-
-def is_prime(n: int) -> bool:
-    """True when n is prime; a view of factorize."""
-    return as_int(n, "n") >= 2 and factorize(n).factors == ((n, 1),)
-
-
-def prime_power_split(n: int) -> tuple[int, int] | None:
-    """Return (p, t) with n = p**t and p prime, or None if n is not one."""
-    if as_int(n, "n") < 2:
-        return None
-    factors = factorize(n).factors
-    return factors[0] if len(factors) == 1 else None
 
 
 @dataclass(eq=False)
@@ -178,17 +147,3 @@ def build_sieve(limit: int) -> SieveTables:
             phi[ip] = phi[i] * (p - 1)
     return SieveTables(limit, mu, phi)
 
-
-def mod_inverse(a: int, m: int) -> int:
-    """Least positive x with a*x = 1 (mod m).
-
-    For m = 1 every residue qualifies and 1 is returned.  Raises ValueError
-    when gcd(a, m) != 1, since no inverse exists.
-    """
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    if m == 1:
-        return 1
-    if math.gcd(a, m) != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    return pow(a, -1, m)

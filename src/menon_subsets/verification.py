@@ -15,7 +15,7 @@ from math import comb
 from time import perf_counter
 
 from .counts import MemoCache, coprime_subsets, relprime_subsets
-from .menon import menon_classic, menon_sum, menon_sum_prime, menon_sum_prime_power
+from .menon import MenonParams, evaluate, menon_classic, menon_sum
 from .oracle import (
     DEFAULT_ENUMERATION_LIMIT,
     enumerate_coprime_subsets,
@@ -23,6 +23,7 @@ from .oracle import (
     enumerate_relprime_subsets,
     gcd_class_menon_sum,
     mobius_subset_count,
+    prime_power_menon_sum,
     residue_menon_sum,
     subset_gcd_histogram,
 )
@@ -40,9 +41,9 @@ MBAR_PREFIX = (1, 4, 16, 46, 134, 320, 822, 1898, 4414, 9844, 22106, 48208)
 MBAR2_PREFIX = (0, 2, 9, 20, 46, 66, 123, 170, 251, 316, 465, 544)
 PHI_PREFIX = (1, 2, 6, 12, 30, 54, 126, 240, 504, 990, 2046, 4020)
 
-# Primes whose powers drive the specialization consistency checks.
-SPECIALIZATION_PRIMES = (2, 3, 5, 7, 11, 13)
-PRIME_POWER_CAP = 256
+# Primes whose powers drive the prime-power consistency check.
+POWER_PRIMES = (2, 3, 5, 7, 11, 13)
+POWER_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -118,16 +119,17 @@ def run_verification(
 
     n_max_enum bounds the 2^n brute-force enumerations, n_max_formula the
     polynomial-cost sweeps.  The sieve feeds the oracle side only (the
-    Möbius-sum counts, the gcd-class sums and the totient partial sums); the
-    evaluators under test factor n themselves.  A prebuilt sieve may be
-    injected (the test harness uses this to prove that corruption is
-    detected); it must cover max(n_max_formula, n_max_enum, 256).
+    Möbius-sum counts, the gcd-class sums, the prime-power identity and the
+    totient partial sums); the evaluators under test factor n themselves.
+    A prebuilt sieve may be injected (the test harness uses this to prove
+    that corruption is detected); it must cover max(n_max_formula,
+    n_max_enum, 256).
     """
     if n_max_enum > enumeration_limit:
         raise ValueError(
             f"n_max_enum {n_max_enum} exceeds the enumeration limit {enumeration_limit}"
         )
-    needed = max(n_max_formula, PRIME_POWER_CAP, n_max_enum)
+    needed = max(n_max_formula, POWER_CAP, n_max_enum)
     if sieve is None:
         sieve = build_sieve(needed)
     elif sieve.limit < needed:
@@ -250,37 +252,23 @@ def run_verification(
         f"k in {{None, {', '.join(map(str, k_set))}}}", core_vs_mobius)
 
     def prime_power_consistency():
-        for p in SPECIALIZATION_PRIMES:
+        for p in POWER_PRIMES:
             t = 1
-            while p**t <= PRIME_POWER_CAP:
+            while p**t <= POWER_CAP:
                 yield
                 n = p**t
                 for k in (None, *k_set):
-                    general = menon_sum(n, k, cache)
-                    collapsed = menon_sum_prime_power(p, t, k, cache)
+                    got = evaluate(MenonParams(n, k), cache)
                     gcls = gcd_class_menon_sum(n, sieve, k, cache)
-                    if not (gcls == general == collapsed):
-                        return _mm(n, k, f"gcd-class:{gcls}",
-                                   f"general:{general}, collapsed:{collapsed}")
+                    identity = prime_power_menon_sum(p, t, sieve, k, cache)
+                    if not (gcls == identity == got):
+                        return _mm(n, k, f"gcd-class:{gcls}, prime-power identity:{identity}",
+                                   f"evaluate:{got}")
                 t += 1
         return None
 
-    run("prime-power-consistency",
-        f"collapsed = general = gcd-class at prime powers <= {PRIME_POWER_CAP}",
-        prime_power_consistency)
-
-    def prime_consistency():
-        for p in SPECIALIZATION_PRIMES:
-            yield
-            for k in (None, *k_set):
-                a = menon_sum_prime(p, k, cache)
-                b = menon_sum_prime_power(p, 1, k, cache)
-                if a != b:
-                    return _mm(p, k, b, a)
-        return None
-
-    run("prime-consistency", "prime form = prime-power form at t = 1",
-        prime_consistency)
+    run("prime-power-consistency", "evaluate = gcd-class = prime-power identity at prime "
+        f"powers <= {POWER_CAP}", prime_power_consistency)
 
     def menon_reduction():
         for n in range(1, n_max_formula + 1):

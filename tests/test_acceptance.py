@@ -18,8 +18,6 @@ from menon_subsets import (
     evaluate,
     menon_classic,
     menon_sum,
-    menon_sum_prime,
-    menon_sum_prime_power,
     relprime_subsets,
 )
 from menon_subsets.counts import coprime_column, relprime_column
@@ -29,6 +27,7 @@ from menon_subsets.oracle import (
     enumerate_relprime_subsets,
     gcd_class_menon_sum,
     mobius_subset_count,
+    prime_power_menon_sum,
     subset_gcd_histogram,
 )
 
@@ -108,7 +107,7 @@ def test_criterion_3_singleton_sweep():
             ok, time.perf_counter() - start, budget=60.0)
 
 
-def test_criterion_4_specialization_consistency(cache):
+def test_criterion_4_specialization_consistency(sieve, cache):
     start = time.perf_counter()
     ok = True
     for p in (2, 3, 5, 7, 11, 13):
@@ -116,11 +115,9 @@ def test_criterion_4_specialization_consistency(cache):
         while p**t <= 256:
             n = p**t
             for k in (None, 1, 2, 3):
-                ok &= menon_sum_prime_power(p, t, k, cache) == menon_sum(n, k, cache)
+                ok &= prime_power_menon_sum(p, t, sieve, k, cache) == menon_sum(n, k, cache)
             t += 1
-        for k in (None, 1, 2, 3):
-            ok &= menon_sum_prime(p, k, cache) == menon_sum_prime_power(p, 1, k, cache)
-    _report(4, "collapsed forms match the general sum at prime powers <= 256",
+    _report(4, "the prime-power identity matches the general sum at prime powers <= 256",
             ok, time.perf_counter() - start, budget=30.0)
 
 
@@ -175,7 +172,7 @@ def test_criterion_8_performance(sieve):
 def test_criterion_9_blocked_sums_at_scale(sieve):
     start = time.perf_counter()
     ok = True
-    for n in (55440, 65536):  # theorem route, collapsed prime-power route
+    for n in (55440, 65536):  # highly composite, prime power
         cache = MemoCache()
         ok &= evaluate(MenonParams(n), MemoCache()) == \
             gcd_class_menon_sum(n, sieve, None, cache)

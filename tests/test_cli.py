@@ -32,8 +32,7 @@ def run_cli(capsys, *args):
         (("compute", "phi", "--n", "1"), "1"),
         (("compute", "phik", "--n", "4", "--k", "2"), "5"),
         (("compute", "menon", "--n", "12"), "24"),
-        (("compute", "mbar", "--n", "4", "--strategy", "prime-power"), "46"),
-        (("compute", "mbar", "--n", "6", "--strategy", "theorem"), "320"),
+        (("compute", "mbar", "--n", "4"), "46"),  # a prime power takes the same route
     ],
 )
 def test_compute_values(capsys, args, expected):
@@ -53,20 +52,22 @@ def test_compute_usage_errors(capsys):
     assert err.value.code == 2
     capsys.readouterr()
 
-    with pytest.raises(SystemExit) as err:
-        main(["compute", "f", "--n", "5", "--strategy", "theorem"])
-    assert err.value.code == 2
-    capsys.readouterr()
-
     code, _, err_text = run_cli(capsys, "compute", "f", "--n", "0")
     assert code == 2
     assert "error" in err_text
 
-    code, _, err_text = run_cli(
-        capsys, "compute", "mbar", "--n", "6", "--strategy", "prime-power"
-    )
-    assert code == 2
-    assert "prime power" in err_text
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "mbar", "--n", "6", "--strategy", "theorem"],
+    ["bench", "mbar", "--n", "64", "--strategies", "auto"],
+])
+def test_route_options_are_gone(capsys, argv):
+    # Every gcd sum takes the one triple divisor sum: nothing to choose.
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("usage: ") and f"unrecognized arguments: {argv[-2]}" in err_text
 
 
 def test_table_csv_stdout(capsys):
@@ -189,66 +190,19 @@ def test_verify_bad_k_set(capsys):
     capsys.readouterr()
 
 
-def test_bench_menon_strategies(capsys):
-    code, out, _ = run_cli(
-        capsys, "bench", "mbar", "--n", "64",
-        "--strategies", "theorem,prime-power,auto", "--reps", "1",
-    )
-    assert code == 0
-    assert "identical values" in out
-    assert "theorem" in out and "prime-power" in out
-    timings = out.splitlines()[2:]
-    assert len(timings) == 3
-    # 64 = 2^6: (1, 1), (1, 2) and (2^s, 1) for s = 1..6
-    assert all("count-evaluations=" in line and line.endswith("divisor-pairs=8")
-               for line in timings)
-
-
-def test_bench_count_strategies(capsys):
-    code, out, _ = run_cli(capsys, "bench", "f", "--n", "500", "--reps", "1")
-    assert code == 0
-    first, timing = out.splitlines()
-    assert first.endswith(f"value=<{len(str(relprime_subsets(500)))} decimal digits>")
-    assert "floor-counts" in timing and "count-evaluations=" in timing
-
-    with pytest.raises(SystemExit) as err:
-        main(["bench", "fk", "--n", "500", "--k", "2", "--strategies", "direct"])
-    assert err.value.code == 2
-    capsys.readouterr()
-
-
-def test_bench_menon_defaults_to_auto(capsys):
-    code, out, _ = run_cli(capsys, "bench", "mbark", "--n", "64", "--k", "2", "--reps", "1")
-    assert code == 0
-    assert out.splitlines()[1].split()[0] == "auto"
-
-
 def test_bench_value_matches_gcd_class_oracle(capsys, sieve):
-    code, out, _ = run_cli(
-        capsys, "bench", "mbar", "--n", "64", "--strategies", "theorem", "--reps", "1"
-    )
+    code, out, _ = run_cli(capsys, "bench", "mbar", "--n", "64", "--reps", "1")
     assert code == 0
-    reported = int(out.splitlines()[0].split("value=")[1])
+    header, timing = out.splitlines()
+    reported = int(header.split("value=")[1])
     assert reported == gcd_class_menon_sum(64, sieve, cache=MemoCache())
+    # 64 = 2^6: (1, 1), (1, 2) and (2^s, 1) for s = 1..6
+    assert "count-evaluations=" in timing and timing.endswith("divisor-pairs=8")
 
 
 def test_bench_runs_match_oracle_at_210(sieve):
-    value, _ = _bench_runs("mbar", 210, None, "theorem")
+    value, _ = _bench_runs("mbar", 210, None)
     assert value == gcd_class_menon_sum(210, sieve, cache=MemoCache())
-
-
-def test_bench_refuses_mismatched_values(capsys, monkeypatch):
-    import menon_subsets.cli as cli_mod
-
-    fake_values = iter([(1, 1), (2, 1)])
-    monkeypatch.setattr(cli_mod, "_bench_runs", lambda *args: next(fake_values))
-    code = cli_mod.main(
-        ["bench", "mbar", "--n", "16", "--strategies", "theorem,prime-power", "--reps", "1"]
-    )
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "disagree" in captured.err
-    assert "ms" not in captured.out  # no timing table on mismatch
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
@@ -261,18 +215,6 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1
     assert "overall: FAIL" in captured.out
-
-
-def test_bench_rejects_wrong_strategy_for_tag(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["bench", "f", "--n", "100", "--strategies", "theorem"])
-    assert err.value.code == 2
-    capsys.readouterr()
-
-    with pytest.raises(SystemExit) as err:
-        main(["bench", "mbar", "--n", "100", "--strategies", "blocked"])
-    assert err.value.code == 2
-    capsys.readouterr()
 
 
 def test_module_invocation_round_trip():
@@ -347,7 +289,7 @@ def test_verify_scopes_report_the_ranges_run(capsys):
     assert "exactly n, n <= 1  (1 cases" in lines["full-set-diagonal"]
     assert "f and phi n <= 1, mbar n <= 1" in lines["cardinality-partitions"]
     assert "n <= 24" not in out
-    assert len(lines) == 17
+    assert len(lines) == 16
 
 
 def test_count_tables_take_one_column(capsys, monkeypatch):
@@ -402,7 +344,8 @@ def test_bench_reports_divisor_pairs_for_gcd_sums_only(capsys):
     assert out.splitlines()[1].endswith("divisor-pairs=648")
     code, out, _ = run_cli(capsys, "bench", "f", "--n", "500", "--reps", "1")
     assert code == 0
-    assert "divisor-pairs" not in out
+    _, timing = out.splitlines()
+    assert "count-evaluations=" in timing and "divisor-pairs" not in timing
 
 
 @pytest.mark.parametrize("n_max", ["0", "-1", "-100"])

@@ -1,4 +1,5 @@
 import re
+from math import comb as binomial
 from math import isqrt
 
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 from menon_subsets import (
     MemoCache,
     MenonParams,
-    binomial,
     build_sieve,
     coprime_subsets,
     evaluate,
+    factorize,
     relprime_subsets,
 )
 from menon_subsets.counts import (
@@ -20,13 +21,22 @@ from menon_subsets.counts import (
     coprime_column,
     floor_vectors,
     relprime_column,
-    weighted_count,
+    vector_count,
 )
 from menon_subsets.oracle import (
     enumerate_coprime_subsets,
     enumerate_relprime_subsets,
     mobius_subset_count,
 )
+
+
+def weighted_count(weights, n, k, cache):
+    """The count core's sum of w * F(q) over the weights {q: w} on floor values q of n."""
+    big, small = floor_vectors(n)
+    for q, w in weights.items():
+        vector, i = (small, q) if q < len(small) else (big, n // q)
+        vector[i] += w
+    return vector_count(big, small, factorize(n), k, cache)
 
 
 def _floor_values(n: int) -> list[int]:

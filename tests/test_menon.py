@@ -1,5 +1,6 @@
 import gc
 import math
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -7,29 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from menon_subsets import (
-    AUTO,
-    PRIME_POWER,
-    THEOREM,
     MemoCache,
     build_sieve,
     coprime_subsets,
-    divisors,
     factorize,
-    gcd,
     MenonParams,
     evaluate,
-    is_prime,
     menon_classic,
     menon_sum,
-    menon_sum_prime,
-    menon_sum_prime_power,
-    prime_power_split,
     relprime_subsets,
 )
 import menon_subsets.menon as menon_mod
-from menon_subsets.counts import weighted_count
+from menon_subsets.counts import floor_vectors, vector_count
 from menon_subsets.menon import divisor_pairs
-from menon_subsets.oracle import enumerate_menon_sum, gcd_class_menon_sum, residue_menon_sum
+from menon_subsets.oracle import (enumerate_menon_sum, gcd_class_menon_sum,
+                                  prime_power_menon_sum, residue_menon_sum)
 
 # Frozen from the bitmask enumeration oracle; index i holds n = i + 1.
 MBAR = (1, 4, 16, 46, 134, 320, 822, 1898, 4414, 9844, 22106, 48208,
@@ -38,6 +31,16 @@ MBAR_2 = (0, 2, 9, 20, 46, 66, 123, 170, 251, 316, 465, 544, 762, 894)
 MBAR_3 = (0, 0, 3, 16, 50, 114, 239, 416, 715, 1092, 1705, 2352, 3430, 4558)
 
 PRIMES_TO_13 = (2, 3, 5, 7, 11, 13)
+POWER_SIEVE = build_sieve(256)  # the prime-power identity reads phi, mu and primality here
+
+
+def weighted_count(weights, n, k, cache):
+    """The count core's sum of w * F(q) over the weights {q: w} on floor values q of n."""
+    big, small = floor_vectors(n)
+    for q, w in weights.items():
+        vector, i = (small, q) if q < len(small) else (big, n // q)
+        vector[i] += w
+    return vector_count(big, small, factorize(n), k, cache)
 
 
 def test_classic_small_values():
@@ -81,11 +84,12 @@ def test_cardinality_partition():
         assert total == menon_sum(n, cache=cache)
 
 
+# The paper's prime-power identity, oracle.prime_power_menon_sum, at n = p^t.
 def test_prime_power_examples():
     cache = MemoCache()
-    assert menon_sum_prime_power(2, 1, cache=cache) == 4
-    assert menon_sum_prime_power(2, 2, cache=cache) == 46
-    assert menon_sum_prime_power(3, 2, cache=cache) == menon_sum(9, cache=cache)
+    assert prime_power_menon_sum(2, 1, POWER_SIEVE, cache=cache) == 4
+    assert prime_power_menon_sum(2, 2, POWER_SIEVE, cache=cache) == 46
+    assert prime_power_menon_sum(3, 2, POWER_SIEVE, cache=cache) == menon_sum(9)
 
 
 def test_prime_power_matches_general():
@@ -94,49 +98,42 @@ def test_prime_power_matches_general():
         t = 1
         while p**t <= 256:
             n = p**t
-            assert menon_sum_prime_power(p, t, cache=cache) == \
-                menon_sum(n, cache=cache)
+            assert prime_power_menon_sum(p, t, POWER_SIEVE, cache=cache) == menon_sum(n)
             for k in (1, 2, 3):
-                assert menon_sum_prime_power(p, t, k, cache) == \
-                    menon_sum(n, k, cache)
+                assert prime_power_menon_sum(p, t, POWER_SIEVE, k, cache) == menon_sum(n, k)
             t += 1
 
 
 def test_prime_form_examples():
     cache = MemoCache()
-    assert menon_sum_prime(3, cache=cache) == 16   # 3*5 - 1 + 1 + 1
-    assert menon_sum_prime(5, cache=cache) == 134
-    assert menon_sum_prime(3, 2, cache) == 9  # 3*3 - 0 + 0 + 0
+    assert prime_power_menon_sum(3, 1, POWER_SIEVE, cache=cache) == 16   # 3*5 - 1 + 1 + 1
+    assert prime_power_menon_sum(5, 1, POWER_SIEVE, cache=cache) == 134
+    assert prime_power_menon_sum(3, 1, POWER_SIEVE, 2, cache) == 9  # 3*3 - 0 + 0 + 0
 
 
 def test_prime_form_matches_prime_power_form():
+    # At t = 1 the identity is (p - 1) * F(p) + Phi_k(p).
     cache = MemoCache()
     for p in PRIMES_TO_13:
-        assert menon_sum_prime(p, cache=cache) == \
-            menon_sum_prime_power(p, 1, cache=cache)
-        for k in (1, 2, 3):
-            assert menon_sum_prime(p, k, cache) == \
-                menon_sum_prime_power(p, 1, k, cache)
+        for k in (None, 1, 2, 3):
+            assert prime_power_menon_sum(p, 1, POWER_SIEVE, k, cache) == \
+                (p - 1) * relprime_subsets(p, k) + coprime_subsets(p, k)
 
 
 def test_k1_prime_power_is_classic():
-    assert menon_sum_prime_power(3, 2, 1) == 18  # phi(9) * tau(9)
+    assert prime_power_menon_sum(3, 2, POWER_SIEVE, 1) == 18  # phi(9) * tau(9)
     for p, t in ((2, 3), (5, 2), (7, 1)):
-        assert menon_sum_prime_power(p, t, 1) == \
-            menon_classic(p**t)
+        assert prime_power_menon_sum(p, t, POWER_SIEVE, 1) == menon_classic(p**t)
 
 
 def test_specializations_reject_nonprime():
+    # A non-prime p, t < 1, or p^t past the sieve.
+    for p, t in ((4, 1), (6, 2), (9, 1), (1, 1), (1, 9), (2, 0), (2, -1), (2, 9), (3, 6),
+                 (257, 1), (2, 10**9)):
+        with pytest.raises(ValueError):
+            prime_power_menon_sum(p, t, POWER_SIEVE)
     with pytest.raises(ValueError):
-        menon_sum_prime(4)
-    with pytest.raises(ValueError):
-        menon_sum_prime_power(6, 2)
-    with pytest.raises(ValueError):
-        menon_sum_prime(9, 2)
-    with pytest.raises(ValueError):
-        menon_sum_prime_power(1, 1, 2)
-    with pytest.raises(ValueError):
-        menon_sum_prime_power(2, 0)
+        prime_power_menon_sum(2, 1, POWER_SIEVE, 0)
 
 
 def test_rejects_bad_arguments():
@@ -154,45 +151,13 @@ def test_matches_gcd_class_oracle(sieve):
         assert menon_sum(n, cache=cache) == gcd_class_menon_sum(n, sieve, cache=cache)
 
 
-def test_is_prime_small():
-    assert [n for n in range(60) if is_prime(n)] == \
-        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-
-
-def test_prime_power_split():
-    assert prime_power_split(2) == (2, 1)
-    assert prime_power_split(8) == (2, 3)
-    assert prime_power_split(9) == (3, 2)
-    assert prime_power_split(97) == (97, 1)
-    assert prime_power_split(1) is None
-    assert prime_power_split(12) is None
-    assert prime_power_split(36) is None
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         MenonParams(n=0)
     with pytest.raises(ValueError):
         MenonParams(n=5, k=0)
-    with pytest.raises(ValueError):
-        MenonParams(n=5, strategy="fastest")
-    with pytest.raises(ValueError):
-        MenonParams(n=6, strategy=PRIME_POWER)
-    MenonParams(n=8, strategy=PRIME_POWER)  # fine: 8 = 2^3
-
-
-def test_evaluate_dispatch():
-    cache = MemoCache()
-    for n in range(1, 65):
-        via_auto = evaluate(MenonParams(n=n, strategy=AUTO), cache)
-        via_theorem = evaluate(MenonParams(n=n, strategy=THEOREM), cache)
-        assert via_auto == via_theorem == menon_sum(n, cache=cache)
-    for n in (8, 27, 64, 121):
-        assert evaluate(MenonParams(n=n, strategy=PRIME_POWER), cache) == \
-            menon_sum(n, cache=cache)
-    for n, k in ((16, 2), (25, 3)):
-        assert evaluate(MenonParams(n=n, k=k, strategy=PRIME_POWER), cache) == \
-            menon_sum(n, k, cache)
+    with pytest.raises(TypeError):
+        MenonParams(n=8, strategy="prime-power")  # no route to choose: one field less
 
 
 def test_shared_cache_is_reused():
@@ -213,8 +178,7 @@ def test_shared_cache_is_reused():
 
 @pytest.mark.parametrize("gcd_sum", [
     menon_sum,
-    menon_sum_prime,
-    lambda n, k=None: menon_sum_prime_power(n, 1, k),
+    lambda n, k=None: prime_power_menon_sum(n, 1, POWER_SIEVE, k),
 ])
 @pytest.mark.parametrize("bad", [True, 2.0, "3"])
 def test_gcd_sums_reject_non_integer_n_and_k(gcd_sum, bad):
@@ -227,7 +191,7 @@ def test_gcd_sums_reject_non_integer_n_and_k(gcd_sum, bad):
 @pytest.mark.parametrize("bad", [True, 2.0, "3"])
 def test_prime_power_rejects_non_integer_exponent(bad):
     with pytest.raises(TypeError):
-        menon_sum_prime_power(2, bad)
+        prime_power_menon_sum(2, bad, POWER_SIEVE)
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, "3"])
@@ -248,12 +212,12 @@ def test_params_keep_plain_ints():
     assert type(params.n) is int and type(params.k) is int
 
 
-# Property inputs up to 3000, biased toward the shapes that stress the two
-# routes differently: prime powers (collapsed route), squarefree n (every
-# delta survives) and highly composite n (the most divisor pairs).
+# Property inputs up to 3000, biased toward the shapes that stress the
+# triple sum differently: prime powers (only the (p^s, 1) pairs), squarefree
+# n (every delta survives) and highly composite n (the most divisor pairs).
 N_MAX = 3000
 BIG_SIEVE = build_sieve(N_MAX)
-PRIME_POWERS = [n for n in range(2, N_MAX + 1) if prime_power_split(n) is not None]
+PRIME_POWERS = [n for n in range(2, N_MAX + 1) if len(factorize(n).factors) == 1]
 SQUAREFREE = [n for n in range(2, N_MAX + 1) if BIG_SIEVE.mu[n] != 0]
 HIGHLY_COMPOSITE = (12, 24, 36, 48, 60, 120, 180, 240, 360, 720, 840, 1260, 1680, 2520)
 SHAPED_N = st.one_of(
@@ -279,7 +243,7 @@ def test_evaluate_matches_gcd_class_oracle(oracle_cache, n, k):
 @settings(deadline=None)
 @given(SHAPED_N)
 def test_singleton_sum_is_phi_times_tau(n):
-    expected = BIG_SIEVE.phi[n] * len(divisors(n))
+    expected = BIG_SIEVE.phi[n] * sum(1 for d in range(1, n + 1) if n % d == 0)
     assert evaluate(MenonParams(n, 1)) == expected
 
 
@@ -386,7 +350,7 @@ def walked_weights(n, with_layer=True):
     return weights
 
 
-def list_weights(n, strategy):
+def list_weights(n):
     """The nonzero weights {q: w} the list weight pass hands to the count core."""
     seen = []
 
@@ -396,15 +360,13 @@ def list_weights(n, strategy):
         return 0
 
     with mock.patch.object(menon_mod, "vector_count", record):
-        evaluate(MenonParams(n, None, strategy))
+        evaluate(MenonParams(n))
     return seen.pop()
 
 
 def assert_list_pass_matches_dict_walk(n):
     walked = {q: w for q, w in walked_weights(n, with_layer=False).items() if w}
-    assert list_weights(n, THEOREM) == walked, n
-    if prime_power_split(n) is not None:
-        assert list_weights(n, PRIME_POWER) == walked, n
+    assert list_weights(n) == walked, n
 
 
 def test_list_weight_pass_matches_the_dict_walk():
@@ -420,19 +382,13 @@ def test_list_weight_pass_matches_the_dict_walk_up_to_ten_million(n):
 
 
 def assert_layer_matches_walk(n_max, cache):
-    # menon_sum, and the collapsed forms at prime powers, against the walked
-    # triple sum, for k in {None, 1, 2, 3}; one shared cache, or None.
+    # menon_sum against the walked triple sum, for k in {None, 1, 2, 3};
+    # one shared cache, or None.
     for n in range(1, n_max + 1):
         weights = walked_weights(n)
-        split = prime_power_split(n)
         for k in (None, 1, 2, 3):
             got = menon_sum(n, k, cache)  # first, so a sweep appends its rows
             assert got == weighted_count(weights, n, k, cache), (n, k)
-            if split is not None:
-                p, t = split
-                assert menon_sum_prime_power(p, t, k, cache) == got, (n, k)
-                if t == 1:
-                    assert menon_sum_prime(p, k, cache) == got, (n, k)
 
 
 def test_closed_form_layer_matches_the_walked_layer_cold():

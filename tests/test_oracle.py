@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from menon_subsets import (
     MemoCache,
+    MenonParams,
     build_sieve,
     coprime_subsets,
+    evaluate,
+    factorize,
     menon_sum,
     relprime_subsets,
 )
@@ -20,6 +23,7 @@ from menon_subsets.oracle import (
     enumerate_relprime_subsets,
     gcd_class_menon_sum,
     mobius_subset_count,
+    prime_power_menon_sum,
     subset_gcd_histogram,
 )
 
@@ -90,6 +94,35 @@ def test_gcd_class_matches_divisor_sum(sieve):
         for n in range(1, 101):
             assert gcd_class_menon_sum(n, sieve, k, cache) == \
                 menon_sum(n, k, cache)
+
+
+def test_prime_power_identity_matches_enumeration(sieve):
+    cache = MemoCache()
+    powers = [(p, t) for p in (2, 3, 5, 7, 11, 13) for t in range(1, 5) if p**t <= 16]
+    assert sorted(p**t for p, t in powers) == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+    for p, t in powers:
+        n = p**t
+        for k in (None, *range(1, n + 1)):
+            assert prime_power_menon_sum(p, t, sieve, k, cache) == \
+                enumerate_menon_sum(n, k, cache=cache).total, (n, k)
+
+
+POWER_SIEVE = build_sieve(3000)
+PRIME_POWERS = [factorize(n).factors[0] for n in range(2, 3001) if len(factorize(n).factors) == 1]
+
+
+@pytest.fixture(scope="module")
+def power_cache():
+    return MemoCache()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRIME_POWERS), st.sampled_from((None, 1, 2, 3)))
+def test_prime_power_identity_matches_gcd_class_and_evaluate(power_cache, power, k):
+    p, t = power
+    identity = prime_power_menon_sum(p, t, POWER_SIEVE, k, power_cache)
+    assert identity == gcd_class_menon_sum(p**t, POWER_SIEVE, k, power_cache)
+    assert identity == evaluate(MenonParams(p**t, k))
 
 
 def test_enumeration_limit_guard():

@@ -1,19 +1,21 @@
 import math
-import random
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from menon_subsets import (
-    build_sieve,
-    divisors,
-    factorize,
-    gcd,
-    is_prime,
-    mod_inverse,
-    prime_power_split,
-)
+from menon_subsets import build_sieve, factorize
+
+
+def divisors(n):
+    """The divisors of n as Factorization.totients enumerates them, ascending."""
+    return list(factorize(n).totients())
+
+
+def is_prime(n):
+    """Trial division, independent of factorize."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def test_smallest_table():
@@ -59,9 +61,9 @@ def test_factorize_matches_sieve_tables_and_naive_scan(sieve):
         naive = [d for d in range(1, n + 1) if n % d == 0]
         assert math.prod(p**e for p, e in fac.factors) == n
         assert all(is_prime(p) and e >= 1 for p, e in fac.factors)
-        assert (fac.mu, fac.phi) == (sieve.mu[n], sieve.phi[n])
+        assert fac.phi == sieve.phi[n]
         assert fac.tau == len(naive)
-        assert fac.divisors() == divisors(n) == naive
+        assert divisors(n) == naive
         assert fac.totients() == {d: sieve.phi[d] for d in naive}
         assert fac.mobius() == {d: sieve.mu[d] for d in naive if sieve.mu[d]}
 
@@ -74,17 +76,18 @@ def test_factorize_examples():
     with pytest.raises(ValueError):
         factorize(0)
     for bad in (True, 2.0, "3"):
-        for view in (factorize, is_prime, prime_power_split):
-            with pytest.raises(TypeError):
-                view(bad)
+        with pytest.raises(TypeError):
+            factorize(bad)
 
 
-@given(st.integers(0, 10**6))
+@given(st.integers(1, 10**6))
 def test_prime_views_agree_with_factorize(n):
-    factors = factorize(n).factors if n >= 1 else ()
-    assert is_prime(n) == (factors == ((n, 1),))
-    assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)))
-    assert prime_power_split(n) == (factors[0] if len(factors) == 1 else None)
+    # factorize's view of n (prime, prime power) against trial division.
+    factors = factorize(n).factors
+    assert (factors == ((n, 1),)) == is_prime(n)
+    if len(factors) == 1:
+        (p, e), = factors
+        assert is_prime(p) and p**e == n
 
 
 def test_mertens_prefix(sieve):
@@ -142,39 +145,3 @@ def test_divisors_sorted_unique_and_divide(n):
     assert ds == sorted(set(ds))
     assert all(n % d == 0 for d in ds)
     assert ds[0] == 1 and ds[-1] == n
-
-
-def test_mod_inverse_known_values():
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(5, 1) == 1
-
-
-@pytest.mark.parametrize("m", [2, 3, 10, 97, 1000])
-def test_mod_inverse_of_one(m):
-    assert mod_inverse(1, m) == 1
-
-
-def test_mod_inverse_rejects_noncoprime():
-    with pytest.raises(ValueError):
-        mod_inverse(2, 4)
-    with pytest.raises(ValueError):
-        mod_inverse(0, 2)
-
-
-def test_mod_inverse_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        mod_inverse(3, 0)
-
-
-def test_mod_inverse_random_coprime_pairs():
-    rng = random.Random(0x5EED)
-    checked = 0
-    while checked < 1000:
-        a = rng.randrange(1, 10**6)
-        m = rng.randrange(1, 10**6)
-        if math.gcd(a, m) != 1:
-            continue
-        x = mod_inverse(a, m)
-        assert 1 <= x <= m
-        assert (a * x) % m == 1 % m
-        checked += 1

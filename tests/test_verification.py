@@ -99,9 +99,9 @@ def test_skipped_check_is_not_a_pass():
     assert VerificationReport([CheckResult("probe", "scope", True, cases=3)]).overall
 
 
-def test_battery_has_seventeen_checks_and_checks_the_core_against_the_oracle():
+def test_battery_has_sixteen_checks_and_checks_the_core_against_the_oracle():
     report = run_verification(n_max_enum=4, n_max_formula=30, k_set=(2,))
-    assert len(report.checks) == 17
+    assert len(report.checks) == 16
     check = next(c for c in report.checks if c.name == "core-vs-mobius-sum")
     assert check.status == "PASS" and check.cases == 30
     assert "k in {None, 2}" in check.scope
@@ -113,9 +113,9 @@ def test_corruption_reaches_the_battery_through_the_oracle_side():
     failing = {c.name for c in run_verification(4, 60, sieve=bad).checks if not c.passed}
     assert "core-vs-mobius-sum" in failing
     bad = build_sieve(300)
-    bad.phi[7] = 5
+    bad.phi[7] = 5  # the prime-power identity reads phi, and 7's primality, here too
     failing = {c.name for c in run_verification(4, 60, sieve=bad).checks if not c.passed}
-    assert failing == {"pair-count-totient-sum"}
+    assert failing == {"pair-count-totient-sum", "prime-power-consistency"}
 
 
 def test_term_count_law_reads_mu_from_the_sieve():
