@@ -26,6 +26,7 @@ MAX_N = 1 << 20  # compute, bench: a value at n has about n bits, here 1 Mbit
 MAX_TABLE_ROWS = 1 << 12  # table: about n_max^2 / 2 = 8 Mbit of values
 MAX_FORMULA_N = 4000  # verify: ~11 s on a 2-vCPU Xeon, growing about as n^2
 MAX_K_VALUES = 10  # verify: each k adds 1-3.5 s at MAX_FORMULA_N, most near k = 1300
+MAX_REPS = 100  # bench: a fresh mbar evaluation at MAX_N takes up to ~0.04 s, here ~4 s
 
 
 @dataclass
@@ -126,11 +127,8 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if len(k_set) > MAX_K_VALUES:
         parser.error(f"--k-set has {len(k_set)} distinct values, past the bound {MAX_K_VALUES}")
     try:
-        report = run_verification(
-            n_max_enum=args.n_max_enum,
-            n_max_formula=args.n_max_formula,
-            k_set=k_set,
-        )
+        report = run_verification(n_max_enum=args.n_max_enum,
+                                  n_max_formula=args.n_max_formula, k_set=k_set)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -159,8 +157,8 @@ def _decimal_digits(value: int) -> int:
 def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     tag = args.function
     _validate_k(parser, tag, args.k)
-    if args.reps < 1:
-        parser.error("--reps must be >= 1")
+    if not 1 <= args.reps <= MAX_REPS:
+        parser.error(f"--reps must be in 1..{MAX_REPS} (run-time bound)")
     try:
         best = float("inf")
         for _ in range(args.reps):
@@ -212,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("function", choices=("f", "fk", "mbar", "mbark"))
     bench.add_argument("--n", type=int, required=True)
     bench.add_argument("--k", type=int)
-    bench.add_argument("--reps", type=int, default=3)
+    bench.add_argument("--reps", type=int, default=3, help=f"at most {MAX_REPS}")
 
     return parser
 

@@ -36,7 +36,7 @@ class MemoCache:
     oracles keep their own values, per-n gcd histograms among them, under
     families the core never reads.  A cached value always equals a fresh
     recomputation.  `misses` counts the counts computed: prefix rows appended,
-    or the _floor_count(n) floor_vectors entries an adjoint pass walks, not the
+    or the _floor_count(n) floor_vectors entries an adjoint pass solves, not the
     rows a column installs.  `hits` counts the calls answered without computing
     any; histograms move neither.  Lookups and inserts are plain dict
     operations, so sharing one instance across threads behaves as if serialized.
@@ -96,8 +96,8 @@ def _floor_count(n: int) -> int:
 
 
 def _push(small: list[int], m: int, j: int, w: int) -> None:
-    # -w into small[m // i] for i = j..m, all m // j <= isqrt(n): one division per
-    # m // i > r = isqrt(m), then each q <= r takes its block length, the ends carried.
+    # -w into small[m // i] for i = j..m, all m // j < len(small) and every m // i <= r =
+    # isqrt(m) at i >= j: one division per m // i > r, then each q <= r takes its block length.
     r = isqrt(m)
     for i in range(j, m // (r + 1) + 1):
         small[m // i] -= w
@@ -108,21 +108,31 @@ def _push(small: list[int], m: int, j: int, w: int) -> None:
         hi = lo
 
 
+def _dense_solve(x: list[int]) -> list[tuple[int, int]]:
+    # The nonzero (q, W_q) with L^T W = x on all of 1..D, x[0] unused: L = P Z P^-1 there (the
+    # F(m // j) take F(q) - F(q-1) once per q * j <= m), P the prefix and Z the divisor sums.
+    x = list(accumulate(reversed(x), initial=0))[::-1]  # P^T: suffix sums, then x[D + 1] = 0
+    for i in range(len(x) // 2, 0, -1):  # Z^-T: less the sum over the proper multiples
+        x[i] -= sum(x[2 * i::i])
+    return [(q, x[q] - x[q + 1]) for q in range(1, len(x) - 1) if x[q] != x[q + 1]]  # P^-T
+
+
 def _adjoint(big: list[int], small: list[int], n: int) -> list[tuple[int, int]]:
     # The nonzero (r, W_r), r ascending, of the W with L^T W = w (see vector_count), in place.
-    # At m, descending, W_m is final; it leaves -(block length) * W_m at each m // j, j >= 2.
-    T = len(big) - 1
-    for t in range(1, T + 1):
+    # Above D ~ n^(2/3), at m = n // t, ascending t <= U, W_m is final: it leaves -(block length)
+    # * W_m at each m // j, j >= 2, all <= D once t * j > U.  W is 0 off the floor values of n.
+    D = max(len(small) - 1, int(0.6 * n ** (2 / 3)))  # c = 0.6 balances the two passes
+    U = n // (D + 1)
+    x = small + [0] * (D + 1 - len(small))
+    for u in range(U + 1, len(big)):
+        x[n // u] = big[u]
+    for t in range(1, U + 1):
         w = big[t]
         if w:
-            for u in range(2 * t, T + 1, t):  # n // (t * j) > isqrt(n): no division
+            for u in range(2 * t, U + 1, t):  # n // (t * j) > D: no division
                 big[u] -= w
-            _push(small, n // t, T // t + 1, w)
-    for m in range(len(small) - 1, 1, -1):  # m = 1 leaves nothing below it
-        if small[m]:
-            _push(small, m, 2, small[m])
-    return ([(q, w) for q, w in enumerate(small) if w]
-            + [(n // u, big[u]) for u in range(T, 0, -1) if big[u]])
+            _push(x, n // t, U // t + 1, w)
+    return _dense_solve(x) + [(n // u, big[u]) for u in range(U, 0, -1) if big[u]]
 
 
 def _term_sum(terms: list[tuple[int, int]], k: int | None) -> int:
@@ -155,7 +165,7 @@ def _rows(n: int, k: int | None, cache: MemoCache | None,
     lo = next(iter(rows)) if rows else (k if n == k else 1)
     top = lo + len(rows) - 1
     if top < n - 1:
-        cache.misses += _floor_count(n)  # the floor values the adjoint pass walks
+        cache.misses += _floor_count(n)  # the floor values the adjoint pass solves
         return None
     if top < n:
         fac = factorize(n) if fac is None else fac
@@ -173,8 +183,8 @@ def vector_count(big: list, small: list, fac: Factorization, k: int | None,
     n and k are checked already; the lists are used up.  Grouping the (k-)subsets of
     {1..m} by gcd j gives sum over j of F(m // j) = g(m): L F = g, unit lower triangular
     on the floor values, so the sum is sum of W_r * g(r) with L^T W = w, which the adjoint
-    pass solves in O(n^(3/4)) small-integer steps of one floor division each, whatever k
-    is.  In a sweep the F(q) are read off the prefix rows.
+    pass solves in small integers, whatever k is: 4n / sqrt(D) floor divisions above D ~ 0.6
+    n^(2/3), then D / 2 C-speed slice sums.  In a sweep the F(q) are read off the prefix rows.
     """
     n = fac.n
     rows = _rows(n, k, cache, fac)

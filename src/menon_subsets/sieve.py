@@ -56,14 +56,6 @@ class Factorization(NamedTuple):
     def tau(self) -> int:
         return math.prod(e + 1 for _, e in self.factors)
 
-    def totients(self) -> dict[int, int]:
-        """d -> phi(d) for every divisor d of n, d ascending."""
-        out = [(1, 1)]
-        for p, e in self.factors:
-            out += [(d * p**i, f * p ** (i - 1) * (p - 1))
-                    for d, f in out for i in range(1, e + 1)]
-        return dict(sorted(out))
-
     def mobius(self) -> dict[int, int]:
         """delta -> mu(delta) for every squarefree divisor delta of n."""
         out = [(1, 1)]

@@ -400,6 +400,23 @@ def test_size_guard_follows_the_bounds(capsys, monkeypatch):
         capsys.readouterr()
 
 
+def test_bench_reps_bound(capsys, monkeypatch):
+    import menon_subsets.cli as cli_mod
+
+    limit = cli_mod.MAX_REPS
+    code, out, _ = run_cli(capsys, "bench", "f", "--n", "10", "--reps", str(limit))
+    assert code == 0 and f"reps={limit}" in out
+    _refuse_evaluation(monkeypatch)
+    for past in (limit + 1, 100_000):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "mbar", "--n", "1048576", "--reps", str(past)])
+        assert err.value.code == 2
+        assert f"1..{limit}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    assert f"at most {limit}" in capsys.readouterr().out
+
+
 def test_size_bounds_admit_the_documented_workloads():
     import menon_subsets.cli as cli_mod
 

@@ -1,3 +1,4 @@
+import random
 import re
 from math import comb as binomial
 from math import isqrt
@@ -16,7 +17,10 @@ from menon_subsets import (
     relprime_subsets,
 )
 from menon_subsets.counts import (
+    _adjoint,
+    _dense_solve,
     _floor_count,
+    _push,
     _term_sum,
     coprime_column,
     floor_vectors,
@@ -351,6 +355,86 @@ def edge_weights(draw):
 def test_adjoint_total_matches_mobius_sum_at_the_edges(weighted, k):
     n, weights = weighted
     expected = sum(w * mobius_subset_count(q, BIG_SIEVE, k) for q, w in weights.items())
+    if expected < 0:
+        weights = {q: -w for q, w in weights.items()}
+        expected = -expected
+    assert weighted_count(weights, n, k, None) == expected
+    cache = MemoCache()
+    assert weighted_count(weights, n, k, cache) == expected
+    if 1 < n != k:
+        assert (cache.hits, cache.misses, len(cache)) == (0, _floor_count(n), 0)
+
+
+def descending_solve(x):
+    """The nonzero (q, W_q) of L^T W = x on 1..len(x) - 1 by the descending walk, the reference:
+    at m, descending, W_m is final and leaves -(block length) * W_m at each m // j, j >= 2."""
+    x = list(x)
+    for m in range(len(x) - 1, 1, -1):  # m = 1 leaves nothing below it
+        if x[m]:
+            _push(x, m, 2, x[m])
+    return [(q, w) for q, w in enumerate(x) if q and w]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3000), st.sampled_from((1, 3, 30, 300)), st.integers(0, 2**32))
+def test_dense_solve_matches_the_descending_walk(D, sparsity, seed):
+    # Random signed weights on 1..D, a share 1 / sparsity of them nonzero.
+    rng = random.Random(seed)
+    x = [0] + [rng.randint(-1000, 1000) if rng.random() * sparsity < 1 else 0
+               for _ in range(D)]
+    before = list(x)
+    assert _dense_solve(x) == descending_solve(x)
+    assert x == before  # not modified
+
+
+def adjoint_pairs(weights, n):
+    """_adjoint's pairs for the weights {q: w} on floor values q of n, checked to be what
+    _term_sum takes: nonzero, r strictly ascending, each a floor value of n."""
+    big, small = floor_vectors(n)
+    for q, w in weights.items():
+        vector, i = (small, q) if q < len(small) else (big, n // q)
+        vector[i] += w
+    pairs = _adjoint(big, small, n)
+    floors = {n // t for t in range(1, n + 1)}
+    assert all(w for _, w in pairs)
+    assert all(r < s for (r, _), (s, _) in zip(pairs, pairs[1:]))
+    assert {r for r, _ in pairs} <= floors
+    return pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_floor_weights(), st.sampled_from((None, 1, 2, 3)))
+def test_adjoint_pairs_are_what_the_term_sum_takes(weighted, k):
+    n, weights = weighted
+    expected = sum(w * mobius_subset_count(q, BIG_SIEVE, k) for q, w in weights.items())
+    assert _term_sum(adjoint_pairs(weights, n), k) == expected
+
+
+@st.composite
+def split_weights(draw):
+    """(n, weights): weights on floor values of n near the adjoint pass's dense split.
+
+    The pass walks the floor values above D = max(isqrt(n), int(0.6 n^(2/3))) one by one
+    and solves 1..D at once; the keys are taken among the floor values nearest D on both
+    sides, those nearest U = n // (D + 1), 1 and n.
+    """
+    n = draw(st.integers(1, 3000), label="n")
+    D = max(isqrt(n), int(0.6 * n ** (2 / 3)))
+    U = n // (D + 1)
+    floors = sorted({n // t for t in range(1, n + 1)})
+    near = {q for q in floors if abs(q - U) <= 3} | {1, n}
+    at = next((i for i, q in enumerate(floors) if q > D), len(floors))
+    near |= set(floors[max(0, at - 4):at + 4])
+    keys = draw(st.lists(st.sampled_from(sorted(near)), min_size=1, max_size=6, unique=True))
+    return n, {q: draw(st.integers(-1000, 1000)) for q in keys}
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_weights(), st.sampled_from((None, 1, 2, 3)))
+def test_adjoint_total_matches_mobius_sum_at_the_split(weighted, k):
+    n, weights = weighted
+    expected = sum(w * mobius_subset_count(q, BIG_SIEVE, k) for q, w in weights.items())
+    assert _term_sum(adjoint_pairs(weights, n), k) == expected
     if expected < 0:
         weights = {q: -w for q, w in weights.items()}
         expected = -expected
