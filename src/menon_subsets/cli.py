@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .counts import MemoCache, coprime_column, coprime_subsets, relprime_column, relprime_subsets
-from .menon import MenonParams, divisor_pairs, evaluate, menon_classic
+from .menon import MenonParams, divisor_pairs, evaluate, menon_classic, menon_column
 from .sieve import factorize
 from .verification import run_verification
 
@@ -23,7 +23,7 @@ TAGS = ("f", "fk", "phi", "phik", "menon", "mbar", "mbark")
 K_TAGS = frozenset({"fk", "phik", "mbark"})
 SUM_TAGS = frozenset({"mbar", "mbark"})
 MAX_N = 1 << 20  # compute, bench: a value at n has about n bits, here 1 Mbit
-MAX_TABLE_ROWS = 1 << 12  # table: about n_max^2 / 2 = 8 Mbit of values
+MAX_TABLE_ROWS = 1 << 12  # table: n_max^2 / 2 = 8 Mbit of values; mbar ~0.5 s on a 2-vCPU Xeon
 MAX_FORMULA_N = 4000  # verify: ~11 s on a 2-vCPU Xeon, growing about as n^2
 MAX_K_VALUES = 10  # verify: each k adds 1-3.5 s at MAX_FORMULA_N, most near k = 1300
 MAX_REPS = 100  # bench: a fresh mbar evaluation at MAX_N takes up to ~0.04 s, here ~4 s
@@ -90,12 +90,10 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             values = relprime_column(args.n_max, args.k)
         elif args.function in ("phi", "phik"):
             values = coprime_column(args.n_max, args.k)
+        elif args.function in SUM_TAGS:
+            values = menon_column(args.n_max, args.k)
         else:
-            cache = MemoCache()
-            if args.function in SUM_TAGS:  # every F a gcd sum reads is a row already
-                relprime_column(args.n_max, args.k, cache)
-            values = [_compute_one(args.function, n, args.k, cache)
-                      for n in range(1, args.n_max + 1)]
+            values = [menon_classic(n) for n in range(1, args.n_max + 1)]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

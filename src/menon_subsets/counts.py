@@ -14,10 +14,12 @@ would mean a defect, never a valid answer.
 The count core, vector_count, returns the sum of w_q * F(q), F =
 relprime_subsets(., k), over small-integer weights w_q on the floor values q
 of n, held in t-indexed lists (floor_vectors): by an adjoint pass and one
-big-integer sum, or by reading the prefix rows of a shared cache, which a
-column may install whole.  relprime_subsets is the single weight 1 at q = n.
-mu comes from one factorisation of n; nothing here reads a sieve, and a
-column, one in-place divisor-sum inversion, factors nothing.
+big-integer sum, or by reading the prefix rows of a shared cache.
+relprime_subsets is the single weight 1 at q = n.  mu comes from one
+factorisation of n; nothing here reads a sieve.  A column factors nothing:
+it is one in-place divisor-sum inversion over 1..n_max (_inverted), about
+n_max ln n_max small-integer subtractions, plus one term g per m; the gcd-sum
+column, menon.menon_column, reads its F and Phi_k off these two.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ class MemoCache:
     """Memo of subset counts shared across calls: one dict m -> value per family.
 
     The core keeps the prefix rows F(lo..N) for each k under the family
-    ("prefix", k), appended per n or installed whole by relprime_column; the
-    oracles keep their own values, per-n gcd histograms among them, under
-    families the core never reads.  A cached value always equals a fresh
-    recomputation.  `misses` counts the counts computed: prefix rows appended,
-    or the _floor_count(n) floor_vectors entries an adjoint pass solves, not the
-    rows a column installs.  `hits` counts the calls answered without computing
-    any; histograms move neither.  Lookups and inserts are plain dict
+    ("prefix", k), appended per n; the oracles keep their own values, per-n
+    gcd histograms among them, under families the core never reads.  A cached
+    value always equals a fresh recomputation.  `misses` counts the counts
+    computed: prefix rows appended, or the _floor_count(n) floor_vectors
+    entries an adjoint pass solves.  `hits` counts the calls answered without
+    computing any; histograms move neither.  Lookups and inserts are plain dict
     operations, so sharing one instance across threads behaves as if serialized.
     """
 
@@ -222,14 +223,14 @@ def coprime_subsets(n: int, k: int | None = None) -> int:
 
 
 def _inverted(h: list[int]) -> list[int]:
-    # u[1..N], each a count, with h[m] = sum over d | m of u[d], found in place on h (h[0]
-    # unused): ascending, u[d] is final when reached and leaves -u[d] at each multiple.
+    # u[1..N] with h[m] = sum over d | m of u[d], found in place on h (h[0] unused):
+    # ascending, u[d] is final when reached and leaves -u[d] at each multiple.  Signed;
+    # a caller whose u are counts guards them.
     N = len(h) - 1
     for d in range(1, N // 2 + 1):
         u = h[d]
         for m in range(2 * d, N + 1, d):
             h[m] -= u
-    _finish(min(h[1:], default=0))
     return h[1:]
 
 
@@ -240,18 +241,19 @@ def coprime_column(n_max: int, k: int | None = None) -> list[int]:
     subsets e * B each: sum over d | m of Phi_k(d) = g(m), inverted over 1..n_max.
     """
     n_max, k = check_args(n_max, k)
-    return _inverted([0] + [_term(m, k) for m in range(1, n_max + 1)])
+    column = _inverted([0] + [_term(m, k) for m in range(1, n_max + 1)])
+    _finish(min(column))
+    return column
 
 
-def relprime_column(n_max: int, k: int | None = None, cache: MemoCache | None = None) -> list[int]:
+def relprime_column(n_max: int, k: int | None = None) -> list[int]:
     """[relprime_subsets(n, k) for n in 1..n_max], with no factorisation.
 
     Grouping the (k-)subsets of {1..m} with largest element m by their gcd gives
     sum over d | m of F(d) - F(d - 1) = g'(m): the column is the prefix sums of its
-    inversion.  With a cache, its ("prefix", k) rows become exactly F(1..n_max).
+    inversion.
     """
     n_max, k = check_args(n_max, k)
-    column = list(accumulate(_inverted([0] + [_top_term(m, k) for m in range(1, n_max + 1)])))
-    if cache is not None:
-        cache._tables[("prefix", k)] = dict(enumerate(column, 1))
-    return column
+    steps = _inverted([0] + [_top_term(m, k) for m in range(1, n_max + 1)])
+    _finish(min(steps))
+    return list(accumulate(steps))

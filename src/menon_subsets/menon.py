@@ -6,6 +6,7 @@ menon_sum(n, k=None)   -- the same kind of sum taken over all nonempty
                           subsets A of {1..n} (or its k-element subsets)
                           whose gcd is coprime to n, each contributing
                           gcd(gcd(A) - 1, n)
+menon_column(n_max, k=None) -- menon_sum(n, k) for n in 1..n_max
 
 menon_sum evaluates a triple divisor sum that expresses the total through
 the relatively prime subset counts F = relprime_subsets(., k):
@@ -27,13 +28,22 @@ counts.vector_count, returns the sum of w_q * F(q): the sum over the subsets
 of gcd(gcd(A) - 1, n) - 1, >= 0 and guarded as such.  Every n, prime powers
 included, takes this one route; the paper's prime-power identity is the
 independent oracle.prime_power_menon_sum.
+
+menon_column computes the same weights for a whole table without factoring:
+mu and phi over 1..n_max come from the in-place divisor-sum inversion the
+count columns use, each (d > 1, squarefree delta) pair with d * delta <= n_max
+is visited once (about n_max ln n_max gcd tests, one inverse per pair), and its
+progression goes into the floor_vectors of every multiple of d * delta; F and
+Phi_k are read off relprime_column and coprime_column, so no row computes a count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .counts import MemoCache, _mobius_sum, _term, floor_vectors, vector_count
+from .counts import (MemoCache, _finish, _inverted, _mobius_sum, _term, coprime_column,
+                     floor_vectors, relprime_column, vector_count)
 from .sieve import Factorization, check_args, factorize
 
 
@@ -110,3 +120,34 @@ def menon_sum(n: int, k: int | None = None, cache: MemoCache | None = None) -> i
 def evaluate(params: MenonParams, cache: MemoCache | None = None) -> int:
     """Evaluate the subset gcd sum for `params`: menon_sum(params.n, params.k, cache)."""
     return menon_sum(params.n, params.k, cache)
+
+
+def _mu_phi(n_max: int) -> tuple[list[int], list[int]]:
+    # [0, mu(1..n_max)] and [0, phi(1..n_max)], inverting sum over d | m of mu(d) = [m = 1]
+    # and of phi(d) = m in place: no sieve, no factorisation.
+    return ([0] + _inverted([0, 1] + [0] * (n_max - 1)),
+            [0] + _inverted(list(range(n_max + 1))))
+
+
+def menon_column(n_max: int, k: int | None = None) -> list[int]:
+    """[menon_sum(n, k) for n in 1..n_max], with no factorisation.
+
+    Each coprime pair (d > 1, squarefree delta) with d * delta <= n_max is visited
+    once, with one inverse delta^-1 (mod d), and its progression is added to the
+    floor_vectors(n) of every multiple n of d * delta; each row is then Phi_k(n)
+    plus the sum of w_q * F(q), read off coprime_column and relprime_column.
+    """
+    n_max, k = check_args(n_max, k)
+    mu, phi = _mu_phi(n_max)
+    bigs, smalls = zip(*map(floor_vectors, range(1, n_max + 1)))
+    for d in range(2, n_max + 1):
+        for delta in range(1, n_max // d + 1):
+            if mu[delta] and gcd(d, delta) == 1:
+                first, w, step = pow(delta, -1, d), phi[d] * mu[delta], d * delta
+                for n in range(step, n_max + 1, step):
+                    _add_progression(bigs[n - 1], smalls[n - 1], n, delta, first, d, w)
+    F = [0] + relprime_column(n_max, k)
+    return [phik + _finish(sum(w * F[n // u] for u, w in enumerate(big) if w)
+                           + sum(w * F[q] for q, w in enumerate(small) if w))
+            for n, phik, big, small in zip(range(1, n_max + 1), coprime_column(n_max, k),
+                                           bigs, smalls)]

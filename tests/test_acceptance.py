@@ -21,6 +21,7 @@ from menon_subsets import (
     relprime_subsets,
 )
 from menon_subsets.counts import coprime_column, relprime_column
+from menon_subsets.menon import menon_column
 from menon_subsets.oracle import (
     enumerate_coprime_subsets,
     enumerate_menon_sum,
@@ -197,4 +198,15 @@ def test_criterion_10_table_columns(sieve):
             ok &= all(values[n - 1] == mobius_subset_count(n, sieve, k) for n in range(1, 1201))
     _report(10, "f, fk(3), phi and phik(2) columns to 4096 match the per-n route at "
             "sampled n; f and fk match the sieve Mobius sum for n <= 1200",
+            ok, time.perf_counter() - start, budget=30.0)
+
+
+def test_criterion_11_gcd_sum_columns():
+    start = time.perf_counter()
+    ok = True
+    n_max = 4096
+    for k in (None, 2):
+        cache = MemoCache()
+        ok &= menon_column(n_max, k) == [menon_sum(n, k, cache) for n in range(1, n_max + 1)]
+    _report(11, "mbar and mbark(2) columns to 4096 equal the per-row sweep",
             ok, time.perf_counter() - start, budget=30.0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from menon_subsets import MemoCache, coprime_subsets, relprime_subsets
+from menon_subsets import MemoCache, coprime_subsets, menon_sum, relprime_subsets
 from menon_subsets.cli import K_TAGS, TAGS, SequenceTable, _bench_runs, _decimal_digits, main
 from menon_subsets.oracle import gcd_class_menon_sum
 from menon_subsets.verification import F2_PREFIX, F_PREFIX, MBAR2_PREFIX, MBAR_PREFIX, PHI_PREFIX
@@ -292,49 +292,42 @@ def test_verify_scopes_report_the_ranges_run(capsys):
     assert len(lines) == 16
 
 
-def test_count_tables_take_one_column(capsys, monkeypatch):
-    # An f, fk, phi or phik table is one column: no row is evaluated on its
-    # own and no n is factored.
+def _assert_tables_take_one_column(capsys, monkeypatch, jobs, n_max):
+    # Each (tag, k, per-n function) table equals its per-n values while
+    # factorize and _compute_one fail: no row is evaluated on its own.
     import menon_subsets.cli as cli_mod
     import menon_subsets.counts as counts_mod
     import menon_subsets.menon as menon_mod
 
-    jobs = [("f", None, relprime_subsets), ("fk", 3, relprime_subsets),
-            ("phi", None, coprime_subsets), ("phik", 2, coprime_subsets)]
-    expected = {tag: [f"{n},{count(n, k)}" for n in range(1, 41)] for tag, k, count in jobs}
+    expected = {tag: [f"{n},{value(n, k)}" for n in range(1, n_max + 1)]
+                for tag, k, value in jobs}
 
     def fail(*args):
-        raise AssertionError("a count table evaluated a row on its own")
+        raise AssertionError("a table evaluated a row on its own")
 
     for module in (cli_mod, counts_mod, menon_mod):
         monkeypatch.setattr(module, "factorize", fail)
     monkeypatch.setattr(cli_mod, "_compute_one", fail)
     for tag, k, _ in jobs:
-        argv = ["table", tag] + (["--k", str(k)] if k else []) + ["--n-max", "40"]
+        argv = ["table", tag] + (["--k", str(k)] if k else []) + ["--n-max", str(n_max)]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out.splitlines() == ["n,value"] + expected[tag]
 
 
-@pytest.mark.parametrize("tag, k", [("mbar", None), ("mbark", "2")])
-def test_sum_tables_read_every_count_off_the_rows(capsys, monkeypatch, tag, k):
-    # The one cache holds the rows F(1..60) before the first gcd sum, so each
-    # sum is a hit that appends no row and takes no adjoint pass.
-    import menon_subsets.cli as cli_mod
+def test_count_tables_take_one_column(capsys, monkeypatch):
+    # An f, fk, phi or phik table is one column: no row is evaluated on its
+    # own and no n is factored.
+    jobs = [("f", None, relprime_subsets), ("fk", 3, relprime_subsets),
+            ("phi", None, coprime_subsets), ("phik", 2, coprime_subsets)]
+    _assert_tables_take_one_column(capsys, monkeypatch, jobs, 40)
 
-    caches = []
-    original = cli_mod._compute_one
 
-    def spy(*args):
-        caches.append(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(cli_mod, "_compute_one", spy)
-    argv = ["table", tag] + (["--k", k] if k else []) + ["--n-max", "60"]
-    code, _, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert len(caches) == 60 and len({id(c) for c in caches}) == 1
-    assert (caches[0].hits, caches[0].misses, len(caches[0])) == (60, 0, 60)
+def test_sum_tables_take_one_column(capsys, monkeypatch):
+    # An mbar or mbark table is one sweep over the divisor pairs up to n_max
+    # (menon.menon_column): it factors no n and its rows are the per-n sums.
+    _assert_tables_take_one_column(capsys, monkeypatch,
+                                   [("mbar", None, menon_sum), ("mbark", 2, menon_sum)], 60)
 
 
 def test_bench_reports_divisor_pairs_for_gcd_sums_only(capsys):
@@ -365,6 +358,7 @@ def _refuse_evaluation(monkeypatch):
     monkeypatch.setattr(cli_mod, "_compute_one", fail)
     monkeypatch.setattr(cli_mod, "relprime_column", fail)
     monkeypatch.setattr(cli_mod, "coprime_column", fail)
+    monkeypatch.setattr(cli_mod, "menon_column", fail)
     monkeypatch.setattr(cli_mod, "_bench_runs", fail)
 
 

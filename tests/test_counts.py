@@ -27,6 +27,7 @@ from menon_subsets.counts import (
     relprime_column,
     vector_count,
 )
+from menon_subsets.menon import menon_column, menon_sum
 from menon_subsets.oracle import (
     enumerate_coprime_subsets,
     enumerate_relprime_subsets,
@@ -452,6 +453,22 @@ def test_negative_total_is_refused():
         weighted_count({6: -1}, 6, 2, None)
 
 
+def test_columns_refuse_negative_counts(monkeypatch):
+    # The shared inversion is signed (it also yields mu); each count column
+    # guards its own result, and the gcd-sum column each row's weighted sum.
+    import menon_subsets.counts as counts_mod
+    import menon_subsets.menon as menon_mod
+
+    monkeypatch.setattr(menon_mod, "_add_progression",
+                        lambda big, small, *args: big.__setitem__(1, big[1] - 1))
+    with pytest.raises(ArithmeticError):
+        menon_column(10)
+    for name, column in (("_term", coprime_column), ("_top_term", relprime_column)):
+        monkeypatch.setattr(counts_mod, name, lambda q, k: -q)
+        with pytest.raises(ArithmeticError):
+            column(10)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 400), st.sampled_from((None, 1, 2, 3)), st.data())
 def test_prefix_rows_match_the_cold_adjoint_value(n, k, data):
@@ -540,7 +557,8 @@ def test_columns_match_enumeration():
 
 
 @pytest.mark.parametrize("column, count", [(relprime_column, relprime_subsets),
-                                           (coprime_column, coprime_subsets)])
+                                           (coprime_column, coprime_subsets),
+                                           (menon_column, menon_sum)])
 @pytest.mark.parametrize("args", [(True,), (2.0,), (0,), (-3,), (10, True), (10, 2.0),
                                   (10, 0), (10, -1)])
 def test_columns_reject_bad_arguments_as_the_counts_do(column, count, args):
@@ -548,20 +566,3 @@ def test_columns_reject_bad_arguments_as_the_counts_do(column, count, args):
         count(*args)
     with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
         column(*args)
-
-
-def test_relprime_column_installs_exactly_its_rows():
-    # Whatever rows the cache held for k, they become F(1..n_max), from 1,
-    # without moving hits or misses; a sweep then resumes from them.
-    cache = MemoCache()
-    for n in range(1, 30):
-        relprime_subsets(n, 2, cache)
-    relprime_subsets(5, 5, cache)  # rows for k = 5 start at 5
-    assert (cache.hits, cache.misses, len(cache)) == (0, 30, 30)
-    for k, n_max in ((2, 12), (5, 8)):
-        column = relprime_column(n_max, k, cache)
-        assert list(cache.table(("prefix", k)).items()) == list(enumerate(column, 1))
-    assert (cache.hits, cache.misses, len(cache)) == (0, 30, 20)
-    assert [relprime_subsets(n, 2, cache) for n in range(1, 20)] == \
-        [relprime_subsets(n, 2) for n in range(1, 20)]
-    assert (cache.hits, cache.misses, len(cache)) == (12, 37, 27)

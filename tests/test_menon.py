@@ -21,7 +21,7 @@ from menon_subsets import (
 )
 import menon_subsets.menon as menon_mod
 from menon_subsets.counts import floor_vectors, vector_count
-from menon_subsets.menon import divisor_pairs
+from menon_subsets.menon import _mu_phi, divisor_pairs, menon_column
 from menon_subsets.oracle import (enumerate_menon_sum, gcd_class_menon_sum,
                                   prime_power_menon_sum, residue_menon_sum)
 
@@ -439,3 +439,35 @@ def test_large_n_values_are_pinned(compute, bits, digest):
     # oracle reaches these n, so the values may not move when the count core changes.
     value = compute()
     assert (value.bit_length(), _digest(value)) == (bits, digest)
+
+
+def test_mu_and_phi_columns_match_the_sieve(sieve):
+    # The signed inversion of [m = 1] and the inversion of m, against the linear sieve.
+    assert _mu_phi(sieve.limit) == (sieve.mu, sieve.phi)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 7, 60, 300])
+def test_menon_column_matches_the_per_row_sums(n_max):
+    for k in (None, 1, 2, 3, 7, n_max):
+        assert menon_column(n_max, k) == [menon_sum(n, k) for n in range(1, n_max + 1)], k
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 200), st.one_of(st.none(), st.integers(1, 210)))
+def test_menon_column_matches_the_per_row_sums_at_random(n_max, k):
+    cache = MemoCache()
+    assert menon_column(n_max, k) == [menon_sum(n, k, cache) for n in range(1, n_max + 1)]
+
+
+def test_menon_column_matches_gcd_class_oracle(sieve):
+    cache = MemoCache()
+    assert menon_column(200) == [gcd_class_menon_sum(n, sieve, None, cache) for n in range(1, 201)]
+    assert menon_column(120, 2) == [gcd_class_menon_sum(n, sieve, 2, cache) for n in range(1, 121)]
+    assert menon_column(14) == list(MBAR)
+    assert menon_column(14, 3) == list(MBAR_3)
+
+
+def test_menon_column_diagonal_is_k():
+    # The only k-subset of {1..k} is the whole set: gcd 1, contributing gcd(0, k) = k.
+    for k in range(1, 41):
+        assert menon_column(40, k)[k - 1] == k
