@@ -323,11 +323,24 @@ def test_count_tables_take_one_column(capsys, monkeypatch):
     _assert_tables_take_one_column(capsys, monkeypatch, jobs, 40)
 
 
-def test_sum_tables_take_one_column(capsys, monkeypatch):
+@pytest.mark.parametrize("tag, k", [("mbar", None), ("mbark", "2")])
+def test_sum_tables_read_every_count_off_the_rows(capsys, monkeypatch, tag, k):
     # An mbar or mbark table is one sweep over the divisor pairs up to n_max
-    # (menon.menon_column): it factors no n and its rows are the per-n sums.
+    # (menon.menon_column): it factors no n, reads every count F(q) off one
+    # relprime_column of the rows F(1..n_max), and its rows are the per-n sums.
+    import menon_subsets.menon as menon_mod
+
+    columns = []
+    original = menon_mod.relprime_column
+
+    def spy(*args):
+        columns.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(menon_mod, "relprime_column", spy)
     _assert_tables_take_one_column(capsys, monkeypatch,
-                                   [("mbar", None, menon_sum), ("mbark", 2, menon_sum)], 60)
+                                   [(tag, int(k) if k else None, menon_sum)], 60)
+    assert columns == [(60, int(k) if k else None)]
 
 
 def test_bench_reports_divisor_pairs_for_gcd_sums_only(capsys):
