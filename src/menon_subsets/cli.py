@@ -23,7 +23,8 @@ TAGS = ("f", "fk", "phi", "phik", "menon", "mbar", "mbark")
 K_TAGS = frozenset({"fk", "phik", "mbark"})
 SUM_TAGS = frozenset({"mbar", "mbark"})
 MAX_N = 1 << 20  # compute, bench: a value at n has about n bits, here 1 Mbit
-MAX_TABLE_ROWS = 1 << 12  # table: n_max^2 / 2 = 8 Mbit of values; mbar ~0.5 s on a 2-vCPU Xeon
+# table: n_max^2 / 2 = 8 Mbit of values; on a 2-vCPU Xeon mbar ~0.3 s, mbark --k 2048 ~1.5 s
+MAX_TABLE_ROWS = 1 << 12
 MAX_FORMULA_N = 4000  # verify: ~11 s on a 2-vCPU Xeon, growing about as n^2
 MAX_K_VALUES = 10  # verify: each k adds 1-3.5 s at MAX_FORMULA_N, most near k = 1300
 MAX_REPS = 100  # bench: a fresh mbar evaluation at MAX_N takes up to ~0.04 s, here ~4 s

@@ -29,18 +29,26 @@ of gcd(gcd(A) - 1, n) - 1, >= 0 and guarded as such.  Every n, prime powers
 included, takes this one route; the paper's prime-power identity is the
 independent oracle.prime_power_menon_sum.
 
-menon_column computes the same weights for a whole table without factoring:
-mu and phi over 1..n_max come from the in-place divisor-sum inversion the
-count columns use, each (d > 1, squarefree delta) pair with d * delta <= n_max
-is visited once (about n_max ln n_max gcd tests, one inverse per pair), and its
-progression goes into the floor_vectors of every multiple of d * delta; F and
-Phi_k are read off relprime_column and coprime_column, so no row computes a count.
+menon_column needs no factorisation and no floor_vectors.  For a pair (d > 1,
+squarefree delta coprime to d) with d * delta | n, let r = n / (d * delta) and
+a = delta^-1 (mod d), 1 <= a < d: the progression's members j <= d * r are
+a + d * i, i < r, so its term is V_{d,a}(r) = sum over i < r of
+F(d * r // (a + d * i)), which depends on delta only through a.  Writing F(x) as
+the sum of the steps f(q) = F(q) - F(q - 1), q <= x, and (a + d * i) * q <= d * r
+as i * q + ceil(a * q / d) <= r, V_{d,a}(1..R) is F(d * r // a) plus the prefix
+sums of a list that gets f(q) at r = q + ceil(a * q / d) and every q-th index
+after: about R ln R list additions per distinct (d, a).  Row n is
+Phi_k(n) plus the sum over its pairs of phi(d) * mu(delta) * V_{d,a}(n / (d * delta));
+mu and phi come from the in-place divisor-sum inversion the count columns use,
+F and Phi_k are read off relprime_column and coprime_column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
+from operator import sub
 
 from .counts import (MemoCache, _finish, _inverted, _mobius_sum, _term, coprime_column,
                      floor_vectors, relprime_column, vector_count)
@@ -129,25 +137,47 @@ def _mu_phi(n_max: int) -> tuple[list[int], list[int]]:
             [0] + _inverted(list(range(n_max + 1))))
 
 
+def _progression_sums(F: list[int], f: list[int], d: int, a: int, R: int) -> list[int]:
+    """[0, V(1..R)], V(r) = sum over i < r of F(d * r // (a + d * i)); 1 <= a < d.
+
+    F and f are [0, F(1..)] and their steps [0, f(1..)], long enough for d * R // a.
+    """
+    steps = [0] * (R + 1)  # f(q) at each r = i * q + ceil(a * q / d), i >= 1
+    for q in range(1, R):
+        c = q - (-a * q // d)
+        if c > R:
+            break
+        fq = f[q]
+        if fq:
+            for r in range(c, R + 1, q):
+                steps[r] += fq
+    return [F[d * r // a] + v for r, v in enumerate(accumulate(steps))]  # i = 0 is F(d r // a)
+
+
 def menon_column(n_max: int, k: int | None = None) -> list[int]:
     """[menon_sum(n, k) for n in 1..n_max], with no factorisation.
 
     Each coprime pair (d > 1, squarefree delta) with d * delta <= n_max is visited
-    once, with one inverse delta^-1 (mod d), and its progression is added to the
-    floor_vectors(n) of every multiple n of d * delta; each row is then Phi_k(n)
-    plus the sum of w_q * F(q), read off coprime_column and relprime_column.
+    once, with one inverse a = delta^-1 (mod d); its term at n = d * delta * r is
+    phi(d) * mu(delta) * V_{d,a}(r), V_{d,a}(1..R) one prefix sum shared by the
+    pairs of d with the same a (see the module docstring).  Each row is Phi_k(n),
+    read off coprime_column, plus its guarded pair sum.
     """
     n_max, k = check_args(n_max, k)
     mu, phi = _mu_phi(n_max)
-    bigs, smalls = zip(*map(floor_vectors, range(1, n_max + 1)))
+    F = [0] + relprime_column(n_max, k)
+    f = [0] + list(map(sub, F[1:], F[:-1]))
+    pair_sums = [0] * (n_max + 1)
     for d in range(2, n_max + 1):
+        sums = {}  # a -> V_{d,a}, built at its smallest delta: the longest R
         for delta in range(1, n_max // d + 1):
             if mu[delta] and gcd(d, delta) == 1:
-                first, w, step = pow(delta, -1, d), phi[d] * mu[delta], d * delta
-                for n in range(step, n_max + 1, step):
-                    _add_progression(bigs[n - 1], smalls[n - 1], n, delta, first, d, w)
-    F = [0] + relprime_column(n_max, k)
-    return [phik + _finish(sum(w * F[n // u] for u, w in enumerate(big) if w)
-                           + sum(w * F[q] for q, w in enumerate(small) if w))
-            for n, phik, big, small in zip(range(1, n_max + 1), coprime_column(n_max, k),
-                                           bigs, smalls)]
+                a, w, step = pow(delta, -1, d), phi[d] * mu[delta], d * delta
+                V = sums.get(a)
+                if V is None:
+                    V = sums[a] = _progression_sums(F, f, d, a, n_max // step)
+                for r in range(1, n_max // step + 1):
+                    pair_sums[step * r] += w * V[r]
+    del F, f  # freed before the Phi_k column is built: a lower peak
+    return [phik + _finish(total)
+            for phik, total in zip(coprime_column(n_max, k), pair_sums[1:])]

@@ -325,9 +325,10 @@ def test_count_tables_take_one_column(capsys, monkeypatch):
 
 @pytest.mark.parametrize("tag, k", [("mbar", None), ("mbark", "2")])
 def test_sum_tables_read_every_count_off_the_rows(capsys, monkeypatch, tag, k):
-    # An mbar or mbark table is one sweep over the divisor pairs up to n_max
-    # (menon.menon_column): it factors no n, reads every count F(q) off one
-    # relprime_column of the rows F(1..n_max), and its rows are the per-n sums.
+    # An mbar or mbark table is one prefix sum per (d, delta^-1 mod d) up to n_max
+    # (menon.menon_column): it factors no n, takes every F(q) and every step
+    # F(q) - F(q - 1) from one relprime_column F(1..n_max), and its rows are the
+    # per-n sums.
     import menon_subsets.menon as menon_mod
 
     columns = []

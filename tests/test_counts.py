@@ -455,12 +455,13 @@ def test_negative_total_is_refused():
 
 def test_columns_refuse_negative_counts(monkeypatch):
     # The shared inversion is signed (it also yields mu); each count column
-    # guards its own result, and the gcd-sum column each row's weighted sum.
+    # guards its own result, and the gcd-sum column each row's pair sum, which
+    # the decreasing F column F(m) = -m drives negative.
     import menon_subsets.counts as counts_mod
     import menon_subsets.menon as menon_mod
 
-    monkeypatch.setattr(menon_mod, "_add_progression",
-                        lambda big, small, *args: big.__setitem__(1, big[1] - 1))
+    monkeypatch.setattr(menon_mod, "relprime_column",
+                        lambda n_max, k: [-m for m in range(1, n_max + 1)])
     with pytest.raises(ArithmeticError):
         menon_column(10)
     for name, column in (("_term", coprime_column), ("_top_term", relprime_column)):

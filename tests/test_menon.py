@@ -20,8 +20,8 @@ from menon_subsets import (
     relprime_subsets,
 )
 import menon_subsets.menon as menon_mod
-from menon_subsets.counts import floor_vectors, vector_count
-from menon_subsets.menon import _mu_phi, divisor_pairs, menon_column
+from menon_subsets.counts import floor_vectors, relprime_column, vector_count
+from menon_subsets.menon import _mu_phi, _progression_sums, divisor_pairs, menon_column
 from menon_subsets.oracle import (enumerate_menon_sum, gcd_class_menon_sum,
                                   prime_power_menon_sum, residue_menon_sum)
 
@@ -471,3 +471,16 @@ def test_menon_column_diagonal_is_k():
     # The only k-subset of {1..k} is the whole set: gcd 1, contributing gcd(0, k) = k.
     for k in range(1, 41):
         assert menon_column(40, k)[k - 1] == k
+
+
+def test_progression_sums_are_the_naive_progression_sums():
+    # V(r) = sum over i < r of F(d r // (a + d i)): the term at r = n / (d delta) of
+    # each pair with delta^-1 = a (mod d), summed member by member.
+    for k in (None, 1, 2, 5):
+        F = [0] + relprime_column(24 * 30, k)
+        f = [0] + [F[q] - F[q - 1] for q in range(1, len(F))]
+        for d in range(2, 25):
+            for a in (a for a in range(1, d) if gcd(a, d) == 1):
+                naive = [sum(F[d * r // (a + d * i)] for i in range(r)) for r in range(31)]
+                for R in range(1, 31):
+                    assert _progression_sums(F, f, d, a, R) == naive[:R + 1], (d, a, R, k)
