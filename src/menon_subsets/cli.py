@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from time import perf_counter
 
 from .counts import MemoCache, coprime_column, coprime_subsets, relprime_column, relprime_subsets
@@ -23,7 +24,7 @@ TAGS = ("f", "fk", "phi", "phik", "menon", "mbar", "mbark")
 K_TAGS = frozenset({"fk", "phik", "mbark"})
 SUM_TAGS = frozenset({"mbar", "mbark"})
 MAX_N = 1 << 20  # compute, bench: a value at n has about n bits, here 1 Mbit
-# table: n_max^2 / 2 = 8 Mbit of values; on a 2-vCPU Xeon mbar ~0.3 s, mbark --k 2048 ~1.5 s
+# table: n_max^2 / 2 = 8 Mbit of values; on a 2-vCPU Xeon mbar and mbark --k 2048 ~0.3 s
 MAX_TABLE_ROWS = 1 << 12
 MAX_FORMULA_N = 4000  # verify: ~11 s on a 2-vCPU Xeon, growing about as n^2
 MAX_K_VALUES = 10  # verify: each k adds 1-3.5 s at MAX_FORMULA_N, most near k = 1300
@@ -178,6 +179,7 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
+@cache  # one parser per process: each main call only parses; its help reads the bounds once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="menon-subsets",

@@ -18,7 +18,8 @@ big-integer sum, or by reading the prefix rows of a shared cache.
 relprime_subsets is the single weight 1 at q = n.  mu comes from one
 factorisation of n; nothing here reads a sieve.  A column factors nothing:
 it is one in-place divisor-sum inversion over 1..n_max (_inverted), about
-n_max ln n_max small-integer subtractions, plus one term g per m; the gcd-sum
+n_max ln n_max small-integer subtractions, plus one term g per m, a binomial
+stepped from the one before (C(m, k) = C(m - 1, k) * m // (m - k)); the gcd-sum
 column, menon.menon_column, reads its F and Phi_k off these two.
 """
 
@@ -234,6 +235,15 @@ def _inverted(h: list[int]) -> list[int]:
     return h[1:]
 
 
+def _binomials(m_max: int, k: int) -> list[int]:
+    # [C(m, k) for m in 0..m_max], k >= 0, each stepped from the one before, C(m, k) =
+    # C(m - 1, k) * m // (m - k): one multiply and one division per row, not one comb.
+    if k > m_max:
+        return [0] * (m_max + 1)
+    return [0] * k + list(accumulate(range(k + 1, m_max + 1),
+                                     lambda c, m: c * m // (m - k), initial=1))
+
+
 def coprime_column(n_max: int, k: int | None = None) -> list[int]:
     """[coprime_subsets(n, k) for n in 1..n_max], with no factorisation.
 
@@ -241,7 +251,8 @@ def coprime_column(n_max: int, k: int | None = None) -> list[int]:
     subsets e * B each: sum over d | m of Phi_k(d) = g(m), inverted over 1..n_max.
     """
     n_max, k = check_args(n_max, k)
-    column = _inverted([0] + [_term(m, k) for m in range(1, n_max + 1)])
+    column = _inverted([0] + [_term(m, k) for m in range(1, n_max + 1)] if k is None
+                       else _binomials(n_max, k))  # h[0] = C(0, k) = 0 is unused
     _finish(min(column))
     return column
 
@@ -254,6 +265,7 @@ def relprime_column(n_max: int, k: int | None = None) -> list[int]:
     inversion.
     """
     n_max, k = check_args(n_max, k)
-    steps = _inverted([0] + [_top_term(m, k) for m in range(1, n_max + 1)])
+    steps = _inverted([0] + ([_top_term(m, k) for m in range(1, n_max + 1)] if k is None
+                             else _binomials(n_max - 1, k - 1)))
     _finish(min(steps))
     return list(accumulate(steps))

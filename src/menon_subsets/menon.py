@@ -21,13 +21,26 @@ by prime from one factorisation of n.  The d = 1 layer is closed: grouping
 the (k-)subsets of {1..N} by their gcd j gives sum over j <= N of
 F(N // j) = g(N), g(N) = 2^N - 1 or C(N, k), so the layer is the sum over
 squarefree delta | n of mu(delta) * g(n / delta) = Phi_k(n).  The weight
-pass walks only the d > 1 progressions j = delta^-1 (mod d), adding
-phi(d) * mu(delta) per member to the weight w_q of q = n // (j * delta) in
-the t-indexed lists of counts.floor_vectors.  The count core,
-counts.vector_count, returns the sum of w_q * F(q): the sum over the subsets
-of gcd(gcd(A) - 1, n) - 1, >= 0 and guarded as such.  Every n, prime powers
-included, takes this one route; the paper's prime-power identity is the
-independent oracle.prime_power_menon_sum.
+pass puts the d > 1 pairs' phi(d) * mu(delta) per member j = delta^-1
+(mod d) on the weight w_q of q = n // (j * delta), in the t-indexed lists of
+counts.floor_vectors.  With m = delta * j, the member condition is m = 1
+(mod d) and delta | m, so summing over delta first and then over d | gcd(m - 1,
+n) gives m the weight c(m) = (gcd(m - 1, n) - 1) * [gcd(m, n) = 1], and w_q is
+the sum of c(m) over the m with n // m = q.  The pass takes one of two routes,
+chosen from the number P = prod(e + 2) - 2^omega(n) of d > 1 pairs:
+- few pairs (P^3 < 16 n: primes, p * q, prime powers): walk each pair's
+  progression one block of constant n // m at a time (_add_progression);
+- many pairs: one gcd per m coprime to n up to L = n // q0, q0 ~ sqrt(n /
+  2P), read off a bytearray coprime mask; big[u] = c(u), and small[q] is a
+  difference of the prefix sums H(x) of c, which below q0 take one
+  multiply-add per pair: H(x) = sum of w * ((x // delta - a + d) // d),
+  a = delta^-1 (mod d) (_mask_weights).
+The routes give equal lists; the mask's fixed ~sqrt(n) steps lose to the
+walk when the pairs are few.  The count core, counts.vector_count, returns
+the sum of w_q * F(q): the sum over the subsets of gcd(gcd(A) - 1, n) - 1,
+>= 0 and guarded as such.  Every n, prime powers included, takes this one
+core; the paper's prime-power identity is the independent
+oracle.prime_power_menon_sum.
 
 menon_column needs no factorisation and no floor_vectors.  For a pair (d > 1,
 squarefree delta coprime to d) with d * delta | n, let r = n / (d * delta) and
@@ -45,10 +58,11 @@ F and Phi_k are read off relprime_column and coprime_column.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
-from math import gcd
-from operator import sub
+from itertools import accumulate, compress, repeat
+from math import gcd, isqrt
+from operator import add, floordiv, mul, sub
 
 from .counts import (MemoCache, _finish, _inverted, _mobius_sum, _term, coprime_column,
                      floor_vectors, relprime_column, vector_count)
@@ -94,11 +108,39 @@ def _add_progression(big, small, n: int, delta: int, first: int, step: int, w: i
         j += members * step
 
 
+def _mask_weights(big, small, n: int, fac: Factorization, pairs, q0: int) -> None:
+    """Set the zeroed floor_vectors(n) to the weights of `pairs`, from the coprime mask.
+
+    pairs are the (d > 1, delta, w) of fac, n = fac.n; 1 <= q0 <= isqrt(n) + 1.  One gcd per
+    m <= L = n // q0 coprime to n gives c(m) = gcd(m - 1, n) - 1: big[u] = c(u), and small[q] =
+    H(n // q) - H(n // (q + 1)) for the prefix sums H of c, read off for q >= q0 (n // q <= L)
+    and summed over the pairs below: the j <= x // delta with j = a (mod d) number
+    (x // delta - a + d) // d = (x + delta * (d - a)) // (d * delta).
+    """
+    L = n // q0
+    mask = bytearray([1]) * L  # mask[m - 1] = [gcd(m, n) = 1]
+    for p, _ in fac.factors:
+        mask[p - 1::p] = bytes(L // p)
+    ms = list(compress(range(L), mask))  # m - 1 for the coprime m <= L, ascending
+    gs = list(map(gcd, ms, repeat(n)))
+    for m1, g in zip(ms[:bisect_left(ms, len(big) - 1)], gs):
+        big[m1 + 1] = g - 1
+    acc = list(accumulate(gs, initial=0))
+    shifts = [delta * (d - pow(delta, -1, d)) for d, delta, _ in pairs]
+    strides = [d * delta for d, delta, _ in pairs]
+    ws = [w for _, _, w in pairs]
+    H = [sum(map(mul, ws, map(floordiv, map(add, repeat(n // q), shifts), strides)))
+         for q in range(1, q0)]
+    H += [acc[i] - i for i in (bisect_left(ms, n // q) for q in range(q0, len(small) + 1))]
+    small[1:] = map(sub, H, H[1:])
+
+
 def divisor_pairs(fac: Factorization) -> list[tuple[int, int, int]]:
     """(d, delta, phi(d) * mu(delta)) for all coprime d | n, squarefree delta | n.
 
     All prod(e + 2) of them, as bench's divisor-pairs= counts; the gcd sums
-    walk those with d > 1 and sum the 2^omega(n) with d = 1 in closed form.
+    weigh those with d > 1, by block walk or coprime mask, and sum the
+    2^omega(n) with d = 1 in closed form.
     """
     # Each p^e || n goes into d as one of p^1..p^e, into delta, or into
     # neither, so every coprime pair is built once: prod(e + 2) triples.
@@ -119,8 +161,13 @@ def menon_sum(n: int, k: int | None = None, cache: MemoCache | None = None) -> i
     fac = factorize(n)
     # Phi_k(n), the d = 1 layer, plus the core's sum over the weights of the d > 1 triples.
     big, small = floor_vectors(n)
-    for d, delta, w in divisor_pairs(fac):
-        if d > 1:
+    pairs = [(d, delta, w) for d, delta, w in divisor_pairs(fac) if d > 1]
+    P = len(pairs)
+    if P**3 >= 16 * n:  # the measured crossover of the two weight routes
+        # q0 balances the mask's ~n / q0 C-speed steps against the P * q0 multiply-adds below q0.
+        _mask_weights(big, small, n, fac, pairs, max(isqrt(n // (2 * P)), 1))
+    else:
+        for d, delta, w in pairs:
             _add_progression(big, small, n, delta, pow(delta, -1, d), d, w)
     return vector_count(big, small, fac, k, cache) + _mobius_sum(fac, _term, k)
 

@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import accumulate
 from math import comb as binomial
 from math import isqrt
 
@@ -18,8 +19,10 @@ from menon_subsets import (
 )
 from menon_subsets.counts import (
     _adjoint,
+    _binomials,
     _dense_solve,
     _floor_count,
+    _inverted,
     _push,
     _term_sum,
     coprime_column,
@@ -545,6 +548,26 @@ def test_columns_match_the_per_n_route(sieve, case):
     assert f == [mobius_subset_count(n, sieve, k) for n in range(1, n_max + 1)]
     if k is not None and k > n_max:
         assert f == phi == [0] * n_max
+
+
+@given(st.integers(0, 300).flatmap(lambda m_max: st.tuples(
+    st.just(m_max), st.sampled_from((0, 1, 2, m_max, m_max + 1, m_max + 7)) | st.integers(0, 310))))
+def test_stepped_binomials_are_comb(case):
+    m_max, k = case
+    assert _binomials(m_max, k) == [binomial(m, k) for m in range(m_max + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 600).flatmap(lambda n_max: st.tuples(
+    st.just(n_max), st.sampled_from((None, 1, 2, n_max, n_max + 1)) | st.integers(1, 610))))
+def test_columns_are_the_inversions_of_comb(case):
+    # The stepped binomials leave every column exactly as a comb per row made it.
+    n_max, k = case
+    g = [(1 << m) - 1 if k is None else binomial(m, k) for m in range(n_max + 1)]
+    top = [0] + [1 << (m - 1) if k is None else binomial(m - 1, k - 1)
+                 for m in range(1, n_max + 1)]
+    assert coprime_column(n_max, k) == _inverted(g)
+    assert relprime_column(n_max, k) == list(accumulate(_inverted(top)))
 
 
 def test_columns_match_enumeration():

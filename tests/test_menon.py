@@ -390,6 +390,71 @@ def test_list_weight_pass_matches_the_dict_walk_up_to_ten_million(n):
     assert_list_pass_matches_dict_walk(n)
 
 
+def rule_q0(n):
+    """menon_sum's mask cut-off q0 at n: isqrt(n // (2P)), at least 1, P the d > 1 pairs."""
+    factors = factorize(n).factors
+    pairs = math.prod(e + 2 for _, e in factors) - 2 ** len(factors)
+    return max(math.isqrt(n // (2 * max(pairs, 1))), 1)
+
+
+def route_weights(n, q0s):
+    """{q: w} from the block walk, then from the coprime mask at each q0 of q0s."""
+    fac = factorize(n)
+    pairs = [(d, delta, w) for d, delta, w in divisor_pairs(fac) if d > 1]
+    walked = floor_vectors(n)
+    for d, delta, w in pairs:
+        menon_mod._add_progression(*walked, n, delta, pow(delta, -1, d), d, w)
+    routes = [walked]
+    for q0 in q0s:
+        routes.append(floor_vectors(n))
+        menon_mod._mask_weights(*routes[-1], n, fac, pairs, q0)
+    return [{**{n // u: w for u, w in enumerate(big) if w},
+             **{q: w for q, w in enumerate(small) if w}} for big, small in routes]
+
+
+def assert_weight_routes_match_dict_walk(n, q0s):
+    walked = {q: w for q, w in walked_weights(n, with_layer=False).items() if w}
+    for route in route_weights(n, q0s):
+        assert route == walked, n
+
+
+def test_both_weight_routes_match_the_dict_walk():
+    # Either route at every n, whichever one menon_sum picks there; any cut-off q0 in
+    # 1..isqrt(n) + 1 gives the mask route the same lists.
+    for n in range(1, 3000):
+        assert_weight_routes_match_dict_walk(n, {1, rule_q0(n), math.isqrt(n) + 1})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.integers(1, 10**7),
+                 st.sampled_from((9699690, 7207200, 720720, 65536, 9999991, 3233230))))
+def test_both_weight_routes_match_the_dict_walk_up_to_ten_million(n):
+    assert_weight_routes_match_dict_walk(n, {rule_q0(n)})
+
+
+def test_weight_route_follows_the_pair_count():
+    # The mask only once P^3 >= 16 n: primes, p * q and prime powers keep the walk.
+    for n, masked in ((65521, False), (56027, False), (2**20, False), (83521, False),
+                      (55440, True), (58800, True), (47670, True), (720720, True)):
+        with mock.patch.object(menon_mod, "_mask_weights",
+                               side_effect=menon_mod._mask_weights) as mask:
+            menon_sum(n)
+        assert mask.called == masked, n
+
+
+@pytest.fixture(scope="module")
+def sieve_720720():
+    return build_sieve(720720)
+
+
+@pytest.mark.parametrize("n, k", [(58800, None), (58800, 2), (61200, None), (61200, 2),
+                                  (720720, 2)])
+def test_masked_weights_match_gcd_class_oracle(sieve_720720, n, k):
+    # Many-pair n, where menon_sum weighs from the coprime mask (720720 at k = None
+    # takes the oracle about 20 s and is left out).
+    assert evaluate(MenonParams(n, k)) == gcd_class_menon_sum(n, sieve_720720, k, MemoCache())
+
+
 def assert_layer_matches_walk(n_max, cache):
     # menon_sum against the walked triple sum, for k in {None, 1, 2, 3};
     # one shared cache, or None.
