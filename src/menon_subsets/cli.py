@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import cache
 from time import perf_counter
 
-from .counts import MemoCache, coprime_column, coprime_subsets, relprime_column, relprime_subsets
+from .counts import (_floor_count, coprime_column, coprime_subsets, relprime_column,
+                     relprime_subsets)
 from .menon import MenonParams, divisor_pairs, evaluate, menon_classic, menon_column
 from .sieve import factorize
 from .verification import run_verification
@@ -26,8 +27,8 @@ SUM_TAGS = frozenset({"mbar", "mbark"})
 MAX_N = 1 << 20  # compute, bench: a value at n has about n bits, here 1 Mbit
 # table: n_max^2 / 2 = 8 Mbit of values; on a 2-vCPU Xeon mbar and mbark --k 2048 ~0.3 s
 MAX_TABLE_ROWS = 1 << 12
-MAX_FORMULA_N = 4000  # verify: ~11 s on a 2-vCPU Xeon, growing about as n^2
-MAX_K_VALUES = 10  # verify: each k adds 1-3.5 s at MAX_FORMULA_N, most near k = 1300
+MAX_FORMULA_N = 4000  # verify: ~8 s on a 2-vCPU Xeon, growing about as n^2
+MAX_K_VALUES = 10  # verify: each k adds up to ~0.6 s at MAX_FORMULA_N, most near k = 1300
 MAX_REPS = 100  # bench: a fresh mbar evaluation at MAX_N takes up to ~0.04 s, here ~4 s
 
 
@@ -54,15 +55,15 @@ class SequenceTable:
                 f'  "k": {json.dumps(self.k)},\n  "rows": [{rows}]\n}}\n')
 
 
-def _compute_one(tag, n, k, cache):
+def _compute_one(tag, n, k):
     # k is None unless tag is in K_TAGS (see _validate_k).
     if tag in ("f", "fk"):
-        return relprime_subsets(n, k, cache)
+        return relprime_subsets(n, k)
     if tag in ("phi", "phik"):
         return coprime_subsets(n, k)
     if tag == "menon":
         return menon_classic(n)
-    return evaluate(MenonParams(n, k), cache)
+    return evaluate(MenonParams(n, k))
 
 
 def _validate_k(parser: argparse.ArgumentParser, tag: str, k: int | None) -> None:
@@ -75,7 +76,7 @@ def _validate_k(parser: argparse.ArgumentParser, tag: str, k: int | None) -> Non
 def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _validate_k(parser, args.function, args.k)
     try:
-        value = _compute_one(args.function, args.n, args.k, MemoCache())
+        value = _compute_one(args.function, args.n, args.k)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -140,10 +141,10 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _bench_runs(tag, n, k):
-    # One benchmark evaluation; returns (value, subset-count evaluations).
-    cache = MemoCache()
-    value = _compute_one(tag, n, k, cache)
-    return value, cache.misses
+    # One benchmark evaluation; returns (value, subset-count evaluations): the floor
+    # values of n the count core solves for, none for phi, phik and menon.
+    value = _compute_one(tag, n, k)
+    return value, _floor_count(n) if tag in ("f", "fk", "mbar", "mbark") else 0
 
 
 def _decimal_digits(value: int) -> int:

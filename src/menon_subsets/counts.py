@@ -14,9 +14,10 @@ would mean a defect, never a valid answer.
 The count core, vector_count, returns the sum of w_q * F(q), F =
 relprime_subsets(., k), over small-integer weights w_q on the floor values q
 of n, held in t-indexed lists (floor_vectors): by an adjoint pass and one
-big-integer sum, or by reading the prefix rows of a shared cache.
-relprime_subsets is the single weight 1 at q = n.  mu comes from one
-factorisation of n; nothing here reads a sieve.  A column factors nothing:
+big-integer sum.  relprime_subsets is the single weight 1 at q = n.  Every
+per-n call is cold: it keeps nothing between calls, and a sweep over n reads
+a column instead.  mu comes from one factorisation of n; nothing here reads
+a sieve.  A column factors nothing:
 it is one in-place divisor-sum inversion over 1..n_max (_inverted), about
 n_max ln n_max small-integer subtractions, plus one term g per m, a binomial
 stepped from the one before (C(m, k) = C(m - 1, k) * m // (m - k)); the gcd-sum
@@ -32,16 +33,17 @@ from .sieve import Factorization, check_args, factorize
 
 
 class MemoCache:
-    """Memo of subset counts shared across calls: one dict m -> value per family.
+    """The oracles' memo: one dict m -> value per family, shared across their calls.
 
-    The core keeps the prefix rows F(lo..N) for each k under the family
-    ("prefix", k), appended per n; the oracles keep their own values, per-n
-    gcd histograms among them, under families the core never reads.  A cached
-    value always equals a fresh recomputation.  `misses` counts the counts
-    computed: prefix rows appended, or the _floor_count(n) floor_vectors
-    entries an adjoint pass solves.  `hits` counts the calls answered without
-    computing any; histograms move neither.  Lookups and inserts are plain dict
-    operations, so sharing one instance across threads behaves as if serialized.
+    The oracle module keeps its per-n gcd histograms under ("enum", k) and its
+    Möbius-sum counts under ("mobius", k); no counting or gcd-sum function
+    reads or fills one.  A cached value always equals a fresh recomputation.
+    `misses` counts the Möbius sums computed and `hits` those answered from the
+    memo; histograms move neither.  It lives here, below the oracles, because
+    the layering lets the oracles import this container and nothing else from
+    the core, and the benchmark's tracer finds it as counts.MemoCache.  Lookups
+    and inserts are plain dict operations, so sharing one instance across
+    threads behaves as if serialized.
     """
 
     __slots__ = ("_tables", "hits", "misses")
@@ -74,9 +76,9 @@ def _top_term(q: int, k: int | None) -> int:
     return (1 << (q - 1)) if k is None else comb(q - 1, k - 1)
 
 
-def _mobius_sum(fac: Factorization, term, k: int | None) -> int:
-    # sum over squarefree delta | n of mu(delta) * term(n // delta, k)
-    return sum(m * term(fac.n // d, k) for d, m in fac.mobius().items())
+def _mobius_sum(fac: Factorization, k: int | None) -> int:
+    # Phi_k(n) = sum over squarefree delta | n of mu(delta) * g(n // delta)
+    return sum(m * _term(fac.n // d, k) for d, m in fac.mobius().items())
 
 
 def _finish(total: int) -> int:
@@ -155,61 +157,29 @@ def _term_sum(terms: list[tuple[int, int]], k: int | None) -> int:
     return total + (terms[0][1] << terms[0][0] if terms else 0)
 
 
-def _rows(n: int, k: int | None, cache: MemoCache | None,
-          fac: Factorization | None = None) -> dict[int, int] | None:
-    # The prefix rows F(lo..n) for k (lo = 1, or k if first asked at n = k), else None: if
-    # they reach n - 1, F(n) = F(n-1) + sum over squarefree delta | n of mu(delta) * g'(n / delta)
-    # is appended, g'(q) = 2^(q-1) or C(q-1, k-1) the subsets of {1..q} with largest element q;
-    # fac, when the caller holds it, is factorize(n).
-    if cache is None:
-        return None
-    rows = cache.table(("prefix", k))
-    lo = next(iter(rows)) if rows else (k if n == k else 1)
-    top = lo + len(rows) - 1
-    if top < n - 1:
-        cache.misses += _floor_count(n)  # the floor values the adjoint pass solves
-        return None
-    if top < n:
-        fac = factorize(n) if fac is None else fac
-        rows[n] = rows.get(n - 1, 0) + _finish(_mobius_sum(fac, _top_term, k))
-        cache.misses += 1
-    else:
-        cache.hits += 1
-    return rows
-
-
-def vector_count(big: list, small: list, fac: Factorization, k: int | None,
-                 cache: MemoCache | None) -> int:
-    """Sum of w * F(q) over the floor_vectors(n) entries, F = relprime_subsets(., k), n = fac.n.
+def vector_count(big: list, small: list, n: int, k: int | None) -> int:
+    """Sum of w * F(q) over the floor_vectors(n) entries, F = relprime_subsets(., k).
 
     n and k are checked already; the lists are used up.  Grouping the (k-)subsets of
     {1..m} by gcd j gives sum over j of F(m // j) = g(m): L F = g, unit lower triangular
     on the floor values, so the sum is sum of W_r * g(r) with L^T W = w, which the adjoint
     pass solves in small integers, whatever k is: 4n / sqrt(D) floor divisions above D ~ 0.6
-    n^(2/3), then D / 2 C-speed slice sums.  In a sweep the F(q) are read off the prefix rows.
+    n^(2/3), then D / 2 C-speed slice sums.
     """
-    n = fac.n
-    rows = _rows(n, k, cache, fac)
-    if rows is None:
-        return _finish(_term_sum(_adjoint(big, small, n), k))
-    return _finish(sum(w * rows.get(n // u, 0) for u, w in enumerate(big) if w)
-                   + sum(w * rows.get(q, 0) for q, w in enumerate(small) if w))
+    return _finish(_term_sum(_adjoint(big, small, n), k))
 
 
-def relprime_subsets(n: int, k: int | None = None, cache: MemoCache | None = None) -> int:
+def relprime_subsets(n: int, k: int | None = None) -> int:
     """Number of nonempty (k-element) subsets of {1..n} with gcd 1.
 
-    Equals the Möbius sum over d in 1..n of mu(d) * g(floor(n/d)); read off
-    the prefix rows when a cache holds them, else the adjoint pass of the
-    single weight 1 at q = n (big[1], or small[1] at n = 1).  0 whenever k > n.
+    Equals the Möbius sum over d in 1..n of mu(d) * g(floor(n/d)); here the
+    adjoint pass of the single weight 1 at q = n (big[1], or small[1] at
+    n = 1).  0 whenever k > n.
     """
     n, k = check_args(n, k)
-    rows = _rows(n, k, cache)
-    if rows is not None:
-        return rows.get(n, 0)
     big, small = floor_vectors(n)
     (small if n == 1 else big)[1] = 1
-    return _finish(_term_sum(_adjoint(big, small, n), k))
+    return vector_count(big, small, n, k)
 
 
 def coprime_subsets(n: int, k: int | None = None) -> int:
@@ -220,7 +190,7 @@ def coprime_subsets(n: int, k: int | None = None) -> int:
     not the empty set.
     """
     n, k = check_args(n, k)
-    return _finish(_mobius_sum(factorize(n), _term, k))
+    return _finish(_mobius_sum(factorize(n), k))
 
 
 def _inverted(h: list[int]) -> list[int]:

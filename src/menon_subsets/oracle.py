@@ -7,7 +7,10 @@ Three flavours, each with an optional k that restricts it to k-subsets:
   scratch, one gcd call over its elements, and groups the subsets by it,
   and the enumerate_* counts and subset_gcd_histogram read that histogram;
 * the textbook Möbius sum for the relatively prime count, sum over d in
-  1..n of mu(d) * g(floor(n/d)), g(q) = 2^q - 1 or C(q, k), mu from the sieve;
+  1..n of mu(d) * g(floor(n/d)), g(q) = 2^q - 1 or C(q, k), taken one block
+  of constant q = floor(n/d) at a time: the d in lo..hi add up to
+  (M(hi) - M(lo - 1)) * g(q), M the Mertens function, the sieve's prefix sums
+  of mu, so a count costs about 2 sqrt(n) terms instead of n;
 * a gcd-class route: the subsets of {1..n} with gcd exactly j biject with
   the relatively prime subsets of {1..floor(n/j)}, so the subset gcd sum is
   one sum over j of Möbius-sum counts, O(n) of them instead of 2^n subsets.
@@ -21,9 +24,10 @@ The gcd-class identity is validated against full enumeration in the test
 suite before anything trusts it at scales enumeration cannot reach.
 Nothing here calls the counting or gcd-sum modules: mu comes from the
 sieve, not from a factorisation.  A MemoCache, when given, keeps the
-histograms under ("enum", k) and the Möbius sums under ("mobius", k),
-families the core never reads; no memo outlives it.  No subset DP here on
-purpose: the whole value of this module is that it is obviously correct.
+histograms under ("enum", k) and the Möbius sums under ("mobius", k); the
+counting and gcd-sum functions never read one, and no memo outlives it.  No
+subset DP here on purpose: the whole value of this module is that it is
+obviously correct.
 """
 
 from __future__ import annotations
@@ -112,11 +116,11 @@ def mobius_subset_count(
     """Relatively prime (k-)subset count of {1..n} by the Möbius sum over 1..n.
 
     sum over d in 1..n of mu(d) * (2^floor(n/d) - 1), or of
-    mu(d) * C(floor(n/d), k): Θ(n) terms, mu read from `sieve`, which must
-    reach n.
+    mu(d) * C(floor(n/d), k), summed per block of constant floor(n/d) by
+    the Mertens function of `sieve` (O(sqrt(n)) terms), which must reach n.
     """
     n, k = _check_sieve(n, k, sieve)
-    return _mobius_count(n, k, sieve.mu, cache)
+    return _mobius_count(n, k, sieve.mertens, cache)
 
 
 def _check_sieve(n, k, sieve: SieveTables) -> tuple[int, int | None]:
@@ -126,16 +130,20 @@ def _check_sieve(n, k, sieve: SieveTables) -> tuple[int, int | None]:
     return n, k
 
 
-def _mobius_count(n: int, k: int | None, mu: list[int], cache: MemoCache | None) -> int:
+def _mobius_count(n: int, k: int | None, M: list[int], cache: MemoCache | None) -> int:
+    # The Möbius sum by blocks: M[hi] - M[d - 1] is the sum of mu over d..hi, where n // . = q.
     table = cache.table(("mobius", k)) if cache is not None else {}
     if n in table:
         cache.hits += 1
         return table[n]
-    total = 0
-    for d in range(1, n + 1):
-        if mu[d]:
-            q = n // d
-            total += mu[d] * (((1 << q) - 1) if k is None else comb(q, k))
+    total, d = 0, 1
+    while d <= n:
+        q = n // d
+        hi = n // q
+        s = M[hi] - M[d - 1]
+        if s:
+            total += s * (((1 << q) - 1) if k is None else comb(q, k))
+        d = hi + 1
     if cache is not None:
         cache.misses += 1
     table[n] = total
@@ -155,14 +163,14 @@ def gcd_class_menon_sum(
     once per call.
     """
     n, k = _check_sieve(n, k, sieve)
-    counts = {}
+    counts, M = {}, sieve.mertens
     total = 0
     for j in range(1, n + 1):
         if gcd(j, n) == 1:
             q = n // j
             count = counts.get(q)
             if count is None:
-                count = counts[q] = _mobius_count(q, k, sieve.mu, cache)
+                count = counts[q] = _mobius_count(q, k, M, cache)
             total += gcd(j - 1, n) * count
     return total
 
@@ -184,11 +192,11 @@ def prime_power_menon_sum(p: int, t: int, sieve: SieveTables, k: int | None = No
         raise ValueError(f"{p} is not prime")
     if t > sieve.limit.bit_length() or p**t > sieve.limit:  # p^t >= 2^t: no huge power built
         raise ValueError(f"sieve limit {sieve.limit} is too small for n = {p}^{t}")
-    n, mu = p**t, sieve.mu
+    n, mu, M = p**t, sieve.mu, sieve.mertens
     total = sum(mu[d] * ((1 << n // d) - 1 if k is None else comb(n // d, k))
                 for d in range(1, n + 1) if n % d == 0)
     for s in range(1, t + 1):
-        total += sieve.phi[p**s] * sum(_mobius_count(n // j, k, mu, cache)
+        total += sieve.phi[p**s] * sum(_mobius_count(n // j, k, M, cache)
                                        for j in range(1, n + 1, p**s))
     return total
 

@@ -3,10 +3,10 @@
 The counting and gcd-sum modules read mu and phi only at divisors of n, so
 they take them from factorize(n), a single trial-division pass.  The sieve
 tables over 1..limit remain as the oracles' independent source of mu and
-phi; no production count reads them.  The strict integer checks on n and k
-that every public function applies live here too, at the bottom of the
-import graph, so the oracles share them without importing the code they
-check.
+phi, and of the Mertens function their Möbius sums read; no production count
+reads them.  The strict integer checks on n and k that every public function
+applies live here too, at the bottom of the import graph, so the oracles
+share them without importing the code they check.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 
@@ -99,14 +100,12 @@ class SieveTables:
 
     @cached_property
     def mertens(self) -> list[int]:
-        """Prefix sums of the Möbius values: mertens[x] = mu[1] + ... + mu[x]."""
-        out = [0] * (self.limit + 1)
-        acc = 0
-        mu = self.mu
-        for i in range(1, self.limit + 1):
-            acc += mu[i]
-            out[i] = acc
-        return out
+        """Prefix sums of the Möbius values: mertens[x] = mu[1] + ... + mu[x].
+
+        The oracles' Möbius sums read mu through it, one block of constant
+        n // d at a time.
+        """
+        return list(accumulate(self.mu))  # mu[0] = 0 pads mertens[0]
 
 
 def build_sieve(limit: int) -> SieveTables:

@@ -2,10 +2,15 @@
 
 Replays the known small value tables, the enumeration/gcd-class/divisor-sum
 agreements and the structural identities, and collects the outcomes in a
-VerificationReport.  Each check records its first mismatch, so a red run
-points straight at the offending (n, k), along with the number of cases it
-ran and its elapsed seconds.  A check that ran no case is reported as SKIP,
-and a report with a SKIP is not an overall PASS.
+VerificationReport.  The sweeps to n_max_formula compare whole columns
+(relprime_column, coprime_column, menon_column) with the oracles; the per-n
+route is checked at that scale by gcd-class-vs-divisor-sum, which sets a cold
+menon_sum(n) beside the column and the gcd-class oracle at every n.  The
+other checks' count and gcd-sum calls are per n at n <= 256, each one cold.
+Each check records its first mismatch, so a red run points straight at the
+offending (n, k), along with the number of cases it ran and its elapsed
+seconds.  A check that ran no case is reported as SKIP, and a report with a
+SKIP is not an overall PASS.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import asdict, dataclass, field
 from math import comb
 from time import perf_counter
 
-from .counts import MemoCache, coprime_subsets, relprime_subsets
-from .menon import MenonParams, evaluate, menon_classic, menon_sum
+from .counts import MemoCache, coprime_column, coprime_subsets, relprime_column, relprime_subsets
+from .menon import MenonParams, evaluate, menon_classic, menon_column, menon_sum
 from .oracle import (
     DEFAULT_ENUMERATION_LIMIT,
     enumerate_coprime_subsets,
@@ -118,9 +123,10 @@ def run_verification(
     """Run every formula-vs-oracle check and return the report.
 
     n_max_enum bounds the 2^n brute-force enumerations, n_max_formula the
-    polynomial-cost sweeps.  The sieve feeds the oracle side only (the
-    Möbius-sum counts, the gcd-class sums, the prime-power identity and the
-    totient partial sums); the evaluators under test factor n themselves.
+    polynomial-cost sweeps, which read columns.  The sieve feeds the oracle
+    side only (the Möbius-sum counts, the gcd-class sums, the prime-power
+    identity and the totient partial sums); the evaluators under test factor
+    n themselves, and the columns invert divisor sums.
     A prebuilt sieve may be injected (the test harness uses this to prove
     that corruption is detected); it must cover max(n_max_formula,
     n_max_enum, 256).
@@ -135,7 +141,7 @@ def run_verification(
     elif sieve.limit < needed:
         raise ValueError(f"provided sieve limit {sieve.limit} < required {needed}")
 
-    cache = MemoCache()  # one per run: every enumerated (n, k) is walked once
+    cache = MemoCache()  # the oracles', one per run: every enumerated (n, k) is walked once
     walk = {"limit": enumeration_limit, "cache": cache}
     report = VerificationReport()
 
@@ -161,11 +167,11 @@ def run_verification(
 
     def known_values():
         rows = (
-            ("f", F_PREFIX, lambda n: relprime_subsets(n, None, cache)),
-            ("f2", F2_PREFIX, lambda n: relprime_subsets(n, 2, cache)),
-            ("phi", PHI_PREFIX, lambda n: coprime_subsets(n)),
-            ("mbar", MBAR_PREFIX, lambda n: menon_sum(n, None, cache)),
-            ("mbar2", MBAR2_PREFIX, lambda n: menon_sum(n, 2, cache)),
+            ("f", F_PREFIX, relprime_subsets),
+            ("f2", F2_PREFIX, lambda n: relprime_subsets(n, 2)),
+            ("phi", PHI_PREFIX, coprime_subsets),
+            ("mbar", MBAR_PREFIX, menon_sum),
+            ("mbar2", MBAR2_PREFIX, lambda n: menon_sum(n, 2)),
         )
         for tag, prefix, fn in rows:
             for i in range(prefix_n):
@@ -185,7 +191,7 @@ def run_verification(
                 suffix = "" if k is None else "k"
                 for tag, expected, got in (
                     ("f", enumerate_relprime_subsets(n, k, **walk),
-                     relprime_subsets(n, k, cache)),
+                     relprime_subsets(n, k)),
                     ("phi", enumerate_coprime_subsets(n, k, **walk),
                      coprime_subsets(n, k)),
                 ):
@@ -204,7 +210,7 @@ def run_verification(
                 yield
                 enum = enumerate_menon_sum(n, k, **walk).total
                 gcls = gcd_class_menon_sum(n, sieve, k, cache)
-                thrm = menon_sum(n, k, cache)
+                thrm = menon_sum(n, k)
                 if not (enum == gcls == thrm):
                     return _mm(n, k, f"enum:{enum}",
                                f"gcd-class:{gcls}, divisor-sum:{thrm}")
@@ -215,40 +221,45 @@ def run_verification(
     run("three-way-gcd-sum-k", f"k-subset variant, n <= {n_max_enum}",
         lambda: three_way(True))
 
+    def column(fn, k=None, n_max=n_max_formula):
+        # fn's values at 1..n_max, or none when the range is empty.
+        return fn(n_max, k) if n_max else []
+
     def gcd_class_medium():
+        mbar = column(menon_column)
         for n in range(1, n_max_formula + 1):
             yield
             gcls = gcd_class_menon_sum(n, sieve, None, cache)
-            thrm = menon_sum(n, None, cache)
-            if gcls != thrm:
-                return _mm(n, None, gcls, thrm)
+            thrm = menon_sum(n)
+            if not (gcls == mbar[n - 1] == thrm):
+                return _mm(n, None, f"gcd-class:{gcls}",
+                           f"column:{mbar[n - 1]}, divisor-sum:{thrm}")
         return None
 
-    run("gcd-class-vs-divisor-sum", f"two-way at formula scale, n <= {n_max_formula}",
-        gcd_class_medium)
+    run("gcd-class-vs-divisor-sum", "gcd-class = column = cold divisor sum, "
+        f"n <= {n_max_formula}", gcd_class_medium)
 
     def singleton_sweep():
-        for n in range(1, n_max_formula + 1):
+        for n, got in enumerate(column(relprime_column, 1), 1):
             yield
-            got = relprime_subsets(n, 1, cache)
             if got != 1:
                 return _mm(n, 1, 1, got)
         return None
 
-    run("singleton-count-is-one", f"fk(n, 1) = 1, n <= {n_max_formula}",
+    run("singleton-count-is-one", f"fk(n, 1) = 1 on the column, n <= {n_max_formula}",
         singleton_sweep)
 
     def core_vs_mobius():
+        columns = {k: column(relprime_column, k) for k in (None, *k_set)}
         for n in range(1, n_max_formula + 1):
             yield
-            for k in (None, *k_set):
+            for k, values in columns.items():
                 expected = mobius_subset_count(n, sieve, k, cache)
-                got = relprime_subsets(n, k, cache)
-                if got != expected:
-                    return _mm(n, k, expected, got)
+                if values[n - 1] != expected:
+                    return _mm(n, k, expected, values[n - 1])
         return None
 
-    run("core-vs-mobius-sum", f"count core = sieve-mu Mobius sum, n <= {n_max_formula}, "
+    run("core-vs-mobius-sum", f"f and fk columns = sieve-mu Mobius sum, n <= {n_max_formula}, "
         f"k in {{None, {', '.join(map(str, k_set))}}}", core_vs_mobius)
 
     def prime_power_consistency():
@@ -258,7 +269,7 @@ def run_verification(
                 yield
                 n = p**t
                 for k in (None, *k_set):
-                    got = evaluate(MenonParams(n, k), cache)
+                    got = evaluate(MenonParams(n, k))
                     gcls = gcd_class_menon_sum(n, sieve, k, cache)
                     identity = prime_power_menon_sum(p, t, sieve, k, cache)
                     if not (gcls == identity == got):
@@ -271,15 +282,14 @@ def run_verification(
         f"powers <= {POWER_CAP}", prime_power_consistency)
 
     def menon_reduction():
-        for n in range(1, n_max_formula + 1):
+        for n, got in enumerate(column(menon_column, 1), 1):
             yield
             expected = menon_classic(n)
-            got = menon_sum(n, 1, cache)
             if got != expected:
                 return _mm(n, 1, expected, got)
         return None
 
-    run("menon-reduction", f"k = 1 collapses to phi*tau, n <= {n_max_formula}",
+    run("menon-reduction", f"k = 1 column collapses to phi*tau, n <= {n_max_formula}",
         menon_reduction)
 
     def classic_direct():
@@ -300,7 +310,7 @@ def run_verification(
     def diagonal():
         for n in range(1, diagonal_n + 1):
             yield
-            got = menon_sum(n, n, cache)
+            got = menon_sum(n, n)
             if got != n:
                 return _mm(n, n, n, got)
         return None
@@ -322,39 +332,33 @@ def run_verification(
         f"n <= {n_max_enum}", term_count_law)
 
     def partitions():
-        for n in range(1, partition_n + 1):
-            yield
-            total = sum(relprime_subsets(n, k, cache) for k in range(1, n + 1))
-            whole = relprime_subsets(n, None, cache)
-            if total != whole:
-                return _mm(n, None, f"f:{whole}", total)
-            total = sum(coprime_subsets(n, k) for k in range(1, n + 1))
-            whole = coprime_subsets(n)
-            if total != whole:
-                return _mm(n, None, f"phi:{whole}", total)
-        for n in range(1, diagonal_n + 1):
-            yield
-            total = sum(menon_sum(n, k, cache) for k in range(1, n + 1))
-            whole = menon_sum(n, None, cache)
-            if total != whole:
-                return _mm(n, None, f"mbar:{whole}", total)
+        # One column per k: at each n the k-columns sum to the unrestricted column.
+        for n_max, tags in ((partition_n, (("f", relprime_column), ("phi", coprime_column))),
+                            (diagonal_n, (("mbar", menon_column),))):
+            rows = [(tag, column(fn, None, n_max),
+                     [column(fn, k, n_max) for k in range(1, n_max + 1)]) for tag, fn in tags]
+            for n in range(1, n_max + 1):
+                yield
+                for tag, whole, by_k in rows:
+                    total = sum(values[n - 1] for values in by_k)
+                    if total != whole[n - 1]:
+                        return _mm(n, None, f"{tag}:{whole[n - 1]}", total)
         return None
 
-    run("cardinality-partitions", "sums over k rebuild the unrestricted values, "
-        f"f and phi n <= {partition_n}, mbar n <= {diagonal_n}", partitions)
+    run("cardinality-partitions", "sums over k of the columns rebuild the unrestricted "
+        f"values, f and phi n <= {partition_n}, mbar n <= {diagonal_n}", partitions)
 
     def totient_partial_sum():
         acc = 0
-        for n in range(2, n_max_formula + 1):
+        for n, got in enumerate(column(relprime_column, 2)[1:], 2):
             yield
             acc += sieve.phi[n]
-            got = relprime_subsets(n, 2, cache)
             if got != acc:
                 return _mm(n, 2, acc, got)
         return None
 
-    run("pair-count-totient-sum", f"fk(n, 2) = phi(2) + ... + phi(n), n <= {n_max_formula}",
-        totient_partial_sum)
+    run("pair-count-totient-sum", f"fk(n, 2) column = phi(2) + ... + phi(n), "
+        f"n <= {n_max_formula}", totient_partial_sum)
 
     def histogram_consistency():
         for n in range(1, n_max_enum + 1):
@@ -363,7 +367,7 @@ def run_verification(
             if sum(hist.values()) != (1 << n) - 1:
                 return _mm(n, None, (1 << n) - 1, sum(hist.values()))
             for j, count in hist.items():
-                expected = relprime_subsets(n // j, None, cache)
+                expected = relprime_subsets(n // j)
                 if count != expected:
                     return _mm(n, j, expected, count)
         return None

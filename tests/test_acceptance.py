@@ -7,8 +7,12 @@ from n <= 16 to n <= 20 when MENON_SUBSETS_EXTENDED=1 is set.
 
 import os
 import time
+from math import comb
 
 import pytest
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menon_subsets import (
     MemoCache,
@@ -59,14 +63,14 @@ def _report(num, description, ok, elapsed, budget=None):
     assert in_budget, f"criterion {num} took {elapsed:.2f}s, budget {budget}s"
 
 
-def test_criterion_1_value_tables(cache):
+def test_criterion_1_value_tables():
     start = time.perf_counter()
     ok = (
-        [relprime_subsets(n, None, cache) for n in range(1, 7)] == list(F_TABLE)
-        and [relprime_subsets(n, 2, cache) for n in range(1, 7)]
+        [relprime_subsets(n) for n in range(1, 7)] == list(F_TABLE)
+        and [relprime_subsets(n, 2) for n in range(1, 7)]
         == list(F2_TABLE)
-        and [menon_sum(n, None, cache) for n in range(1, 7)] == list(MBAR_TABLE)
-        and [menon_sum(n, 2, cache) for n in range(1, 7)]
+        and [menon_sum(n) for n in range(1, 7)] == list(MBAR_TABLE)
+        and [menon_sum(n, 2) for n in range(1, 7)]
         == list(MBAR2_TABLE)
     )
     _report(1, "tabulated values for f, f2, subset gcd sums reproduced",
@@ -79,20 +83,20 @@ def test_criterion_2_three_way_agreement(sieve, cache):
     ok = True
     for n in range(1, n_max + 1):
         ks = sorted({1, 2, 3, n})
-        ok &= enumerate_relprime_subsets(n) == relprime_subsets(n, None, cache)
+        ok &= enumerate_relprime_subsets(n) == relprime_subsets(n)
         ok &= enumerate_coprime_subsets(n) == coprime_subsets(n)
         hist = subset_gcd_histogram(n)
-        ok &= all(hist[j] == relprime_subsets(n // j, None, cache) for j in hist)
+        ok &= all(hist[j] == relprime_subsets(n // j) for j in hist)
         for k in ks:
-            ok &= enumerate_relprime_subsets(n, k) == relprime_subsets(n, k, cache)
+            ok &= enumerate_relprime_subsets(n, k) == relprime_subsets(n, k)
             ok &= enumerate_coprime_subsets(n, k) == coprime_subsets(n, k)
         enum = enumerate_menon_sum(n).total
         ok &= enum == gcd_class_menon_sum(n, sieve, None, cache)
-        ok &= enum == menon_sum(n, None, cache)
+        ok &= enum == menon_sum(n)
         for k in ks:
             enum = enumerate_menon_sum(n, k).total
             ok &= enum == gcd_class_menon_sum(n, sieve, k, cache)
-            ok &= enum == menon_sum(n, k, cache)
+            ok &= enum == menon_sum(n, k)
         if not ok:
             break
     scope = f"n <= {n_max}" + (" (extended)" if EXTENDED else "")
@@ -102,10 +106,10 @@ def test_criterion_2_three_way_agreement(sieve, cache):
 
 def test_criterion_3_singleton_sweep():
     start = time.perf_counter()
-    shared = MemoCache()
-    ok = all(relprime_subsets(n, 1, shared) == 1 for n in range(1, 100_001))
-    _report(3, "fk(n, 1) = 1 for every n <= 100000 via the prefix rows",
-            ok, time.perf_counter() - start, budget=60.0)
+    ok = relprime_column(100_000, 1) == [1] * 100_000
+    ok &= all(relprime_subsets(n, 1) == 1 for n in (*range(1, 100_001, 997), 100_000))
+    _report(3, "fk(n, 1) = 1 for every n <= 100000 on the column, and by cold calls "
+            "at every 997th n and at 100000", ok, time.perf_counter() - start, budget=60.0)
 
 
 def test_criterion_4_specialization_consistency(sieve, cache):
@@ -116,16 +120,16 @@ def test_criterion_4_specialization_consistency(sieve, cache):
         while p**t <= 256:
             n = p**t
             for k in (None, 1, 2, 3):
-                ok &= prime_power_menon_sum(p, t, sieve, k, cache) == menon_sum(n, k, cache)
+                ok &= prime_power_menon_sum(p, t, sieve, k, cache) == menon_sum(n, k)
             t += 1
     _report(4, "the prime-power identity matches the general sum at prime powers <= 256",
             ok, time.perf_counter() - start, budget=30.0)
 
 
-def test_criterion_5_classic_reduction(cache):
+def test_criterion_5_classic_reduction():
     start = time.perf_counter()
-    ok = all(menon_sum(n, 1, cache) == menon_classic(n) for n in range(1, 501))
-    ok = ok and all(menon_sum(n, n, cache) == n for n in range(1, 25))
+    ok = all(menon_sum(n, 1) == menon_classic(n) for n in range(1, 501))
+    ok = ok and all(menon_sum(n, n) == n for n in range(1, 25))
     _report(5, "k = 1 reduces to phi*tau for n <= 500; k = n gives n for n <= 24",
             ok, time.perf_counter() - start)
 
@@ -141,16 +145,16 @@ def test_criterion_6_term_count_law():
             ok, time.perf_counter() - start)
 
 
-def test_criterion_7_structural_identities(sieve, cache):
+def test_criterion_7_structural_identities(sieve):
     start = time.perf_counter()
     ok = True
     for n in range(1, 25):
-        ok &= sum(relprime_subsets(n, k, cache)
-                  for k in range(1, n + 1)) == relprime_subsets(n, None, cache)
+        ok &= sum(relprime_subsets(n, k)
+                  for k in range(1, n + 1)) == relprime_subsets(n)
         ok &= sum(coprime_subsets(n, k)
                   for k in range(1, n + 1)) == coprime_subsets(n)
-        ok &= sum(menon_sum(n, k, cache)
-                  for k in range(1, n + 1)) == menon_sum(n, None, cache)
+        ok &= sum(menon_sum(n, k)
+                  for k in range(1, n + 1)) == menon_sum(n)
     acc = 0
     for n in range(2, 1001):
         acc += sieve.phi[n]
@@ -160,13 +164,12 @@ def test_criterion_7_structural_identities(sieve, cache):
 
 
 def test_criterion_8_performance(sieve):
-    cache = MemoCache()
     start = time.perf_counter()
-    via_divisor_sum = menon_sum(3000, None, cache)
+    via_divisor_sum = menon_sum(3000)
     elapsed = time.perf_counter() - start
-    ok = via_divisor_sum == gcd_class_menon_sum(3000, sieve, None, cache)
+    ok = via_divisor_sum == gcd_class_menon_sum(3000, sieve, None, MemoCache())
     ok = ok and relprime_subsets(5000) == mobius_subset_count(5000, sieve)
-    _report(8, "memoized divisor sum at n = 3000 matches the gcd-class oracle; "
+    _report(8, "cold divisor sum at n = 3000 matches the gcd-class oracle; "
             "f(5000) matches the sieve Mobius sum", ok, elapsed, budget=60.0)
 
 
@@ -175,10 +178,8 @@ def test_criterion_9_blocked_sums_at_scale(sieve):
     ok = True
     for n in (55440, 65536):  # highly composite, prime power
         cache = MemoCache()
-        ok &= evaluate(MenonParams(n), MemoCache()) == \
-            gcd_class_menon_sum(n, sieve, None, cache)
-        ok &= evaluate(MenonParams(n, 2), MemoCache()) == \
-            gcd_class_menon_sum(n, sieve, 2, cache)
+        ok &= evaluate(MenonParams(n)) == gcd_class_menon_sum(n, sieve, None, cache)
+        ok &= evaluate(MenonParams(n, 2)) == gcd_class_menon_sum(n, sieve, 2, cache)
     _report(9, "blocked gcd sums match the gcd-class oracle at n = 55440 and "
             "n = 65536, k in {none, 2}", ok, time.perf_counter() - start, budget=60.0)
 
@@ -206,7 +207,22 @@ def test_criterion_11_gcd_sum_columns():
     ok = True
     n_max = 4096
     for k in (None, 2):
-        cache = MemoCache()
-        ok &= menon_column(n_max, k) == [menon_sum(n, k, cache) for n in range(1, n_max + 1)]
-    _report(11, "mbar and mbark(2) columns to 4096 equal the per-row sweep",
+        ok &= menon_column(n_max, k) == [menon_sum(n, k) for n in range(1, n_max + 1)]
+    _report(11, "mbar and mbark(2) columns to 4096 equal the cold per-n sums",
             ok, time.perf_counter() - start, budget=30.0)
+
+
+def textbook_mobius_count(n, sieve, k=None):
+    """sum over d in 1..n of mu(d) * g(n // d), one term per d: the reference."""
+    g = (lambda q: (1 << q) - 1) if k is None else (lambda q: comb(q, k))
+    return sum(sieve.mu[d] * g(n // d) for d in range(1, n + 1) if sieve.mu[d])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.integers(1, 100_000), st.integers(99_000, 100_000)),
+       st.sampled_from((None, 1, 2, 3)))
+def test_mertens_block_count_matches_the_per_d_sum_up_to_the_sieve(sieve, n, k):
+    # The oracle's Möbius sum by blocks of constant n // d, against one term per d
+    # and the count core, over the whole 100000 sieve.
+    expected = textbook_mobius_count(n, sieve, k)
+    assert mobius_subset_count(n, sieve, k) == expected == relprime_subsets(n, k)

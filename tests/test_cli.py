@@ -2,7 +2,6 @@ import json
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -227,20 +226,20 @@ def test_module_invocation_round_trip():
     assert proc.stdout.strip() == "53"
 
 
-def test_value_tables_script_reproduces_the_tabulated_prefixes(tmp_path):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "value_tables.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--n-max", "12", "--out-dir", str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    for name, prefix in (("f", F_PREFIX), ("fk2", F2_PREFIX), ("phi", PHI_PREFIX),
-                         ("mbar", MBAR_PREFIX), ("mbark2", MBAR2_PREFIX)):
-        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+def test_table_out_reproduces_the_tabulated_prefixes(tmp_path, capsys):
+    # The reference tables as CSV files, one `table --out` each.
+    for name, tag, k, prefix in (("f", "f", None, F_PREFIX), ("fk2", "fk", 2, F2_PREFIX),
+                                 ("phi", "phi", None, PHI_PREFIX),
+                                 ("mbar", "mbar", None, MBAR_PREFIX),
+                                 ("mbark2", "mbark", 2, MBAR2_PREFIX)):
+        path = tmp_path / f"{name}.csv"
+        argv = ["table", tag, "--n-max", "12", "--out", str(path)] + (["--k", str(k)] if k else [])
+        assert main(argv) == 0, name
+        lines = path.read_text().splitlines()
         assert lines[0] == "n,value" and len(lines) == 13
         values = tuple(int(line.split(",")[1]) for line in lines[1:])
         assert values[:len(prefix)] == prefix, name
+    assert capsys.readouterr().out == ""
 
 
 def test_compute_prints_values_past_the_str_digit_limit(capsys):
@@ -342,6 +341,24 @@ def test_sum_tables_read_every_count_off_the_rows(capsys, monkeypatch, tag, k):
     _assert_tables_take_one_column(capsys, monkeypatch,
                                    [(tag, int(k) if k else None, menon_sum)], 60)
     assert columns == [(60, int(k) if k else None)]
+
+
+@pytest.mark.parametrize("tag, n, k, evaluations", [
+    ("f", 1, None, 1), ("fk", 30, 3, 10), ("fk", 7, 7, 4), ("mbar", 55440, None, 469),
+    ("phi", 60, None, 0)])
+def test_bench_counts_the_floor_values_a_cold_call_solves(capsys, tag, n, k, evaluations):
+    # count-evaluations= is the number of floor values of n, T + isqrt(n) with
+    # T = n // (isqrt(n) + 1), for the counts and gcd sums on the count core, and 0
+    # for phi and phik, which take no floor value; bench itself takes f, fk, mbar, mbark.
+    value, counted = _bench_runs(tag, n, k)
+    assert counted == evaluations
+    if tag == "phi":
+        assert value == coprime_subsets(n)
+        return
+    argv = ["bench", tag, "--n", str(n), "--reps", "1"] + (["--k", str(k)] if k else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert f"   count-evaluations={evaluations}" in out.splitlines()[1]
 
 
 def test_bench_reports_divisor_pairs_for_gcd_sums_only(capsys):

@@ -14,7 +14,6 @@ from menon_subsets import (
     build_sieve,
     coprime_subsets,
     evaluate,
-    factorize,
     relprime_subsets,
 )
 from menon_subsets.counts import (
@@ -34,17 +33,18 @@ from menon_subsets.menon import menon_column, menon_sum
 from menon_subsets.oracle import (
     enumerate_coprime_subsets,
     enumerate_relprime_subsets,
+    gcd_class_menon_sum,
     mobius_subset_count,
 )
 
 
-def weighted_count(weights, n, k, cache):
+def weighted_count(weights, n, k):
     """The count core's sum of w * F(q) over the weights {q: w} on floor values q of n."""
     big, small = floor_vectors(n)
     for q, w in weights.items():
         vector, i = (small, q) if q < len(small) else (big, n // q)
         vector[i] += w
-    return vector_count(big, small, factorize(n), k, cache)
+    return vector_count(big, small, n, k)
 
 
 def _floor_values(n: int) -> list[int]:
@@ -173,10 +173,14 @@ def test_core_matches_mobius_sum_property(n, k):
 @given(st.lists(st.integers(1, 600), min_size=1, max_size=40),
        st.sampled_from((None, 1, 2, 3)))
 def test_shared_cache_in_any_order_matches_fresh_calls(order, k):
+    # The oracles' shared memo, asked in any order, and the columns, read at any
+    # row, both give the cold per-n values.
     shared = MemoCache()
+    f = relprime_column(max(order), k)
+    mbar = menon_column(max(order), k)
     for n in order:
-        assert relprime_subsets(n, k, shared) == relprime_subsets(n, k)
-        assert evaluate(MenonParams(n, k), shared) == evaluate(MenonParams(n, k))
+        assert mobius_subset_count(n, BIG_SIEVE, k, shared) == f[n - 1] == relprime_subsets(n, k)
+        assert mbar[n - 1] == evaluate(MenonParams(n, k))
 
 
 def test_matches_enumeration():
@@ -188,54 +192,44 @@ def test_matches_enumeration():
             assert coprime_subsets(n, k) == enumerate_coprime_subsets(n, k)
 
 
-def test_cache_is_transparent():
+def test_cache_is_transparent(sieve):
+    # The oracles' memo gives what a cold call gives, warm or not, and holds
+    # only the Möbius sums, under their own family.
     shared = MemoCache()
-    with_cache = [relprime_subsets(n, cache=shared) for n in range(1, 101)]
+    with_cache = [mobius_subset_count(n, sieve, None, shared) for n in range(1, 101)]
     without = [relprime_subsets(n) for n in range(1, 101)]
-    assert with_cache == without
+    assert with_cache == without == relprime_column(100)
     # warm lookups return the identical values
-    again = [relprime_subsets(n, cache=shared) for n in range(1, 101)]
+    again = [mobius_subset_count(n, sieve, None, shared) for n in range(1, 101)]
     assert again == without
     for (tag, n, *rest), value in shared.items():
-        assert tag == "prefix"
+        assert tag == "mobius"
         assert value == relprime_subsets(n)
 
 
-def test_cache_counts_hits_and_misses():
-    # Without the rows F(1..n-1) a call takes the adjoint pass: it computes
-    # (misses) one value per floor value of n and caches nothing.  30 has
-    # ten floor values: 1..5, 6, 7, 10, 15, 30; so has 31.
+def test_cache_counts_hits_and_misses(sieve):
+    # The memo counts the oracles' Möbius sums: a miss computes and keeps one
+    # under ("mobius", k), a hit reads it back.  The gcd-class sum at 30 reads
+    # one count per distinct 30 // j over the j coprime to 30: 30, 4, 2 and 1.
     cache = MemoCache()
-    relprime_subsets(30, 2, cache=cache)
-    assert (cache.hits, cache.misses, len(cache)) == (0, 10, 0)
-    relprime_subsets(30, 2, cache=cache)
-    assert (cache.hits, cache.misses, len(cache)) == (0, 20, 0)
-    relprime_subsets(30, 3, cache=cache)
-    assert (cache.hits, cache.misses, len(cache)) == (0, 30, 0)
-    relprime_subsets(31, 3, cache=cache)
-    assert (cache.hits, cache.misses, len(cache)) == (0, 40, 0)
-    # A sweep from 1 appends one prefix row per n; a call at or below the
-    # last row is a hit and computes nothing.
-    for n in range(1, 32):
-        relprime_subsets(n, 3, cache=cache)
-    assert (cache.hits, cache.misses, len(cache)) == (0, 71, 31)
-    relprime_subsets(31, 3, cache=cache)
-    relprime_subsets(10, 3, cache=cache)
-    assert (cache.hits, cache.misses, len(cache)) == (2, 71, 31)
-    relprime_subsets(32, 3, cache=cache)  # only the row 32 is new
-    assert (cache.hits, cache.misses, len(cache)) == (2, 72, 32)
+    mobius_subset_count(30, sieve, 2, cache)
+    assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
+    mobius_subset_count(30, sieve, 2, cache)
+    mobius_subset_count(30, sieve, 3, cache)  # another k, another family
+    assert (cache.hits, cache.misses, len(cache)) == (1, 2, 2)
+    assert gcd_class_menon_sum(30, sieve, 2, cache) == menon_column(30, 2)[29]
+    assert (cache.hits, cache.misses, len(cache)) == (2, 5, 5)
+    # The count core keeps nothing: its per-n calls equal the column cold.
+    assert [relprime_subsets(n, 3) for n in range(1, 33)] == relprime_column(32, 3)
+    assert (cache.hits, cache.misses, len(cache)) == (2, 5, 5)
 
 
 def test_rows_for_a_k_may_start_at_k():
-    # F(m) = 0 for m < k, so a k first asked at n = k starts its rows there.
-    cache = MemoCache()
-    assert relprime_subsets(5, 5, cache) == 1
-    assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
-    assert [relprime_subsets(n, 5, cache) for n in range(1, 9)] == \
-        [relprime_subsets(n, 5) for n in range(1, 9)]
-    # 1..5 are answered from the rows, 6..8 each append one
-    assert (cache.hits, cache.misses, len(cache)) == (5, 4, 4)
-    assert evaluate(MenonParams(8, 5), cache) == evaluate(MenonParams(8, 5))
+    # F(m) = 0 for m < k: a k-column's rows start at k, and equal the cold calls.
+    assert relprime_subsets(5, 5) == 1
+    assert relprime_column(8, 5) == [relprime_subsets(n, 5) for n in range(1, 9)] == \
+        [0, 0, 0, 0, 1, 6, 21, 56]
+    assert menon_column(8, 5) == [evaluate(MenonParams(n, 5)) for n in range(1, 9)]
 
 
 def test_rejects_bad_arguments():
@@ -261,29 +255,26 @@ def test_counts_reject_non_integer_n_and_k(count, bad):
 def test_floor_counts_small_cases():
     # Unit weights read F(q) off one floor value of n; 6 has 1, 2, 3 and 6.
     def at(q, n, k=None):
-        return weighted_count({q: 1}, n, k, None)
+        return weighted_count({q: 1}, n, k)
 
     assert at(1, 1) == 1
     assert [at(q, 6) for q in (1, 2, 3, 6)] == [1, 2, 5, 53]
     assert [at(q, 6, 2) for q in (1, 2, 3, 6)] == [0, 1, 3, 11]
     assert [at(q, 4, 9) for q in (1, 2, 4)] == [0, 0, 0]
-    assert weighted_count({6: 2, 3: -1, 1: 0}, 6, None, None) == 2 * 53 - 5
-    assert weighted_count({}, 6, None, None) == 0
+    assert weighted_count({6: 2, 3: -1, 1: 0}, 6, None) == 2 * 53 - 5
+    assert weighted_count({}, 6, None) == 0
 
 
 @given(st.integers(1, 1200), st.sampled_from((None, 1, 2, 3, 5)))
 def test_floor_counts_match_direct_counts(sieve, n, k):
-    # Unit weights read F(q) off every floor value of n, by the adjoint
-    # pass and through the prefix rows of a sweep to n.
+    # Unit weights read F(q) off every floor value of n by the adjoint pass;
+    # the column to n holds the same F(q).
     floors = _floor_values(n)
     assert set(floors) == {n // t for t in range(1, n + 1)}
-    cache = MemoCache()
-    for m in range(1, n + 1):
-        relprime_subsets(m, k, cache)
+    column = relprime_column(n, k)
     for q in floors:
         expected = mobius_subset_count(q, sieve, k)
-        assert weighted_count({q: 1}, n, k, None) == expected
-        assert weighted_count({q: 1}, n, k, cache) == expected
+        assert weighted_count({q: 1}, n, k) == expected == column[q - 1]
 
 
 def test_floor_count_is_the_number_of_floor_values():
@@ -328,13 +319,8 @@ def test_adjoint_total_matches_mobius_sum(weighted, k):
         weights = {q: -w for q, w in weights.items()}
         expected = -expected
     before = dict(weights)
-    assert weighted_count(weights, n, k, None) == expected
+    assert weighted_count(weights, n, k) == expected
     assert weights == before  # not modified
-    cache = MemoCache()
-    assert weighted_count(weights, n, k, cache) == expected
-    if 1 < n != k:  # no rows below n: the adjoint pass, one miss per floor value
-        floors = len({n // t for t in range(1, n + 1)})
-        assert (cache.hits, cache.misses, len(cache)) == (0, floors, 0)
 
 
 @st.composite
@@ -362,11 +348,7 @@ def test_adjoint_total_matches_mobius_sum_at_the_edges(weighted, k):
     if expected < 0:
         weights = {q: -w for q, w in weights.items()}
         expected = -expected
-    assert weighted_count(weights, n, k, None) == expected
-    cache = MemoCache()
-    assert weighted_count(weights, n, k, cache) == expected
-    if 1 < n != k:
-        assert (cache.hits, cache.misses, len(cache)) == (0, _floor_count(n), 0)
+    assert weighted_count(weights, n, k) == expected
 
 
 def descending_solve(x):
@@ -442,18 +424,14 @@ def test_adjoint_total_matches_mobius_sum_at_the_split(weighted, k):
     if expected < 0:
         weights = {q: -w for q, w in weights.items()}
         expected = -expected
-    assert weighted_count(weights, n, k, None) == expected
-    cache = MemoCache()
-    assert weighted_count(weights, n, k, cache) == expected
-    if 1 < n != k:
-        assert (cache.hits, cache.misses, len(cache)) == (0, _floor_count(n), 0)
+    assert weighted_count(weights, n, k) == expected
 
 
 def test_negative_total_is_refused():
     with pytest.raises(ArithmeticError):
-        weighted_count({6: -1}, 6, None, None)
+        weighted_count({6: -1}, 6, None)
     with pytest.raises(ArithmeticError):
-        weighted_count({6: -1}, 6, 2, None)
+        weighted_count({6: -1}, 6, 2)
 
 
 def test_columns_refuse_negative_counts(monkeypatch):
@@ -476,19 +454,15 @@ def test_columns_refuse_negative_counts(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 400), st.sampled_from((None, 1, 2, 3)), st.data())
 def test_prefix_rows_match_the_cold_adjoint_value(n, k, data):
-    # A sweep that resumes at a random prefix length appends one row per
-    # new n, and every value equals the cold adjoint value.
-    start = data.draw(st.integers(0, n - 1), label="rows cached first")
-    cache = MemoCache()
-    for m in range(1, start + 1):
-        relprime_subsets(m, k, cache)
-    assert (cache.hits, cache.misses, len(cache)) == (0, start, start)
+    # The f column is the prefix sums of its inversion: every row from a random
+    # start on equals the cold adjoint value, and the gcd-sum column's row n the
+    # cold gcd sum.
+    start = data.draw(st.integers(0, n - 1), label="rows skipped")
+    column = relprime_column(n, k)
+    assert len(column) == n
     for m in range(start + 1, n + 1):
-        assert relprime_subsets(m, k, cache) == relprime_subsets(m, k)
-    assert (cache.hits, cache.misses, len(cache)) == (0, n, n)
-    # Every floor value of n is a row now: a gcd sum is answered from them.
-    assert evaluate(MenonParams(n, k), cache) == evaluate(MenonParams(n, k))
-    assert (cache.hits, cache.misses, len(cache)) == (1, n, n)
+        assert column[m - 1] == relprime_subsets(m, k)
+    assert menon_column(n, k)[n - 1] == evaluate(MenonParams(n, k))
 
 
 EXPONENTS = st.lists(st.integers(0, 2000), max_size=40).map(sorted)
@@ -513,22 +487,17 @@ def test_term_sum_edge_cases():
         -1 + 2 * 15 + 15 - ((1 << 60) - 1)
 
 
-SWEEPS = {}  # k -> a MemoCache whose prefix rows F(1..m) grow across examples
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 10**4), st.sampled_from((None, 1, 2, 3, 4)))
 def test_gcd_classes_of_the_subsets_sum_to_g(N, k):
     # Grouping the nonempty (k-)subsets of {1..N} by their gcd j gives
     # sum over j <= N of F(N // j) = g(N), with g(N) = 2^N - 1 or C(N, k):
     # the identity that puts the gcd sums' d = 1 layer in closed form.  F is
-    # read off the prefix rows, which rest on another identity (the subsets
+    # read off the column, which rests on another identity (the subsets
     # grouped by their largest element).
-    cache = SWEEPS.setdefault(k, MemoCache())
-    for m in range(len(cache) + 1, N + 1):
-        relprime_subsets(m, k, cache)
+    F = relprime_column(N, k)
     g = (1 << N) - 1 if k is None else binomial(N, k)
-    assert sum(relprime_subsets(N // j, k, cache) for j in range(1, N + 1)) == g
+    assert sum(F[N // j - 1] for j in range(1, N + 1)) == g
 
 
 def _column_ks(n_max: int):

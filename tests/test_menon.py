@@ -43,13 +43,13 @@ def totients(fac):
     return dict(sorted(out))
 
 
-def weighted_count(weights, n, k, cache):
+def weighted_count(weights, n, k):
     """The count core's sum of w * F(q) over the weights {q: w} on floor values q of n."""
     big, small = floor_vectors(n)
     for q, w in weights.items():
         vector, i = (small, q) if q < len(small) else (big, n // q)
         vector[i] += w
-    return vector_count(big, small, factorize(n), k, cache)
+    return vector_count(big, small, n, k)
 
 
 def test_classic_small_values():
@@ -64,22 +64,19 @@ def test_classic_product_equals_direct_sum():
 
 
 def test_known_values():
-    cache = MemoCache()
-    assert [menon_sum(n, cache=cache) for n in range(1, 15)] == list(MBAR)
-    assert [menon_sum(n, 2, cache) for n in range(1, 15)] == list(MBAR_2)
-    assert [menon_sum(n, 3, cache) for n in range(1, 15)] == list(MBAR_3)
+    assert [menon_sum(n) for n in range(1, 15)] == list(MBAR)
+    assert [menon_sum(n, 2) for n in range(1, 15)] == list(MBAR_2)
+    assert [menon_sum(n, 3) for n in range(1, 15)] == list(MBAR_3)
 
 
 def test_reduces_to_classic_at_k1():
-    cache = MemoCache()
     for n in range(1, 241):
-        assert menon_sum(n, 1, cache) == menon_classic(n)
+        assert menon_sum(n, 1) == menon_classic(n)
 
 
 def test_full_set_diagonal():
-    cache = MemoCache()
     for n in range(1, 21):
-        assert menon_sum(n, n, cache) == n
+        assert menon_sum(n, n) == n
 
 
 def test_k_beyond_n_is_zero():
@@ -87,10 +84,9 @@ def test_k_beyond_n_is_zero():
 
 
 def test_cardinality_partition():
-    cache = MemoCache()
     for n in range(1, 17):
-        total = sum(menon_sum(n, k, cache) for k in range(1, n + 1))
-        assert total == menon_sum(n, cache=cache)
+        total = sum(menon_sum(n, k) for k in range(1, n + 1))
+        assert total == menon_sum(n)
 
 
 # The paper's prime-power identity, oracle.prime_power_menon_sum, at n = p^t.
@@ -157,7 +153,7 @@ def test_rejects_bad_arguments():
 def test_matches_gcd_class_oracle(sieve):
     cache = MemoCache()
     for n in range(1, 201):
-        assert menon_sum(n, cache=cache) == gcd_class_menon_sum(n, sieve, cache=cache)
+        assert menon_sum(n) == gcd_class_menon_sum(n, sieve, cache=cache)
 
 
 def test_params_validation():
@@ -169,20 +165,15 @@ def test_params_validation():
         MenonParams(n=8, strategy="prime-power")  # no route to choose: one field less
 
 
-def test_shared_cache_is_reused():
+def test_shared_cache_is_reused(sieve):
+    # The gcd-class oracle keeps one Möbius sum per distinct 30 // j in the memo: a
+    # second call is served from it entirely.  The divisor sum keeps nothing.
     cache = MemoCache()
-    first = menon_sum(30, cache=cache)
+    first = gcd_class_menon_sum(30, sieve, cache=cache)
     misses = cache.misses
-    second = menon_sum(30, cache=cache)
-    assert first == second
-    # No rows F(1..29): each call takes the adjoint pass and caches nothing.
-    assert (cache.hits, cache.misses, len(cache)) == (0, 2 * misses, 0)
-    for n in range(1, 31):  # a sweep from 1 leaves the rows F(1..30)
-        menon_sum(n, cache=cache)
-    misses = cache.misses
-    assert menon_sum(30, cache=cache) == first
-    assert cache.misses == misses  # third run served entirely from the cache
-    assert cache.hits == 1
+    assert (cache.hits, misses, len(cache)) == (0, 4, 4)  # 30 // j in {30, 4, 2, 1}
+    assert gcd_class_menon_sum(30, sieve, cache=cache) == first == menon_sum(30)
+    assert (cache.hits, cache.misses, len(cache)) == (4, misses, 4)
 
 
 @pytest.mark.parametrize("gcd_sum", [
@@ -215,6 +206,14 @@ def test_params_reject_non_integer_k(bad):
         MenonParams(n=6, k=bad)
 
 
+def test_evaluate_ignores_the_old_cache_slot():
+    # evaluate(params, cache) callers still run, cold; the keyword is gone.
+    assert evaluate(MenonParams(30, 2), None) == evaluate(MenonParams(30, 2), MemoCache()) == \
+        menon_sum(30, 2)
+    with pytest.raises(TypeError):
+        evaluate(MenonParams(30), cache=MemoCache())
+
+
 def test_params_keep_plain_ints():
     params = MenonParams(n=12, k=2)
     assert (params.n, params.k) == (12, 2)
@@ -245,7 +244,7 @@ def oracle_cache():
 @settings(max_examples=60, deadline=None)
 @given(SHAPED_N, st.sampled_from((None, 1, 2, 3)))
 def test_evaluate_matches_gcd_class_oracle(oracle_cache, n, k):
-    got = evaluate(MenonParams(n, k), MemoCache())
+    got = evaluate(MenonParams(n, k))
     assert got == gcd_class_menon_sum(n, BIG_SIEVE, k, oracle_cache)
 
 
@@ -284,29 +283,17 @@ def seeded_queries(draw):
 @settings(max_examples=40, deadline=None)
 @given(seeded_queries())
 def test_preseeded_cache_matches_cold_calls(query):
-    # A warm cache takes the prefix route when its rows reach F(n-1) (the
-    # seeds were every m < n, or every m from k on) and the adjoint pass
-    # otherwise; both must match a cold call.  A row costs one miss, the
-    # adjoint pass one per floor value of n, and neither moves the hits.
+    # The oracles' memo preseeded at the smaller n, and the columns to n, give at
+    # n and at every seed what cold per-n calls give.
     n, seeds, k = query
-
-    def seeded():
-        cache = MemoCache()
-        for m in seeds:
-            evaluate(MenonParams(m, k), cache)
-        return cache
-
-    cache = seeded()
-    rows = cache.table(("prefix", k))
-    first = min(rows, default=k if n == k else 1)  # F(m) = 0 below k
-    row = first + len(rows) == n
-    hits, misses = cache.hits, cache.misses
-    assert relprime_subsets(n, k, cache) == relprime_subsets(n, k)
-    computed = 1 if row else len({n // t for t in range(1, n + 1)})
-    assert cache.hits == hits
-    assert cache.misses == misses + computed
-    assert menon_sum(n, k, seeded()) == menon_sum(n, k)
-    assert evaluate(MenonParams(n, k), seeded()) == evaluate(MenonParams(n, k))
+    cache = MemoCache()
+    for m in seeds:
+        gcd_class_menon_sum(m, BIG_SIEVE, k, cache)
+    f, mbar = relprime_column(n, k), menon_column(n, k)
+    for m in (*seeds, n):
+        assert f[m - 1] == relprime_subsets(m, k)
+        assert mbar[m - 1] == menon_sum(m, k) == evaluate(MenonParams(m, k))
+    assert gcd_class_menon_sum(n, BIG_SIEVE, k, cache) == mbar[n - 1]
 
 
 def test_hot_path_leaves_no_reference_cycles():
@@ -317,13 +304,11 @@ def test_hot_path_leaves_no_reference_cycles():
     try:
         for k in (None, 2):
             for n in (55440, 48090, 65536, 65521):
-                evaluate(MenonParams(n, k), MemoCache())
+                evaluate(MenonParams(n, k))
             relprime_subsets(5000, k)
-            relprime_subsets(5000, k, MemoCache())
-            sweep = MemoCache()
             for n in range(1, 60):
-                evaluate(MenonParams(n, k), sweep)
-                relprime_subsets(n, k, sweep)
+                evaluate(MenonParams(n, k))
+                relprime_subsets(n, k)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -363,8 +348,8 @@ def list_weights(n):
     """The nonzero weights {q: w} the list weight pass hands to the count core."""
     seen = []
 
-    def record(big, small, fac, k, cache):
-        seen.append({**{fac.n // u: w for u, w in enumerate(big) if w},
+    def record(big, small, n, k):
+        seen.append({**{n // u: w for u, w in enumerate(big) if w},
                      **{q: w for q, w in enumerate(small) if w}})
         return 0
 
@@ -455,22 +440,23 @@ def test_masked_weights_match_gcd_class_oracle(sieve_720720, n, k):
     assert evaluate(MenonParams(n, k)) == gcd_class_menon_sum(n, sieve_720720, k, MemoCache())
 
 
-def assert_layer_matches_walk(n_max, cache):
-    # menon_sum against the walked triple sum, for k in {None, 1, 2, 3};
-    # one shared cache, or None.
+def assert_layer_matches_walk(n_max, values):
+    # values(n_max, k), the gcd sums at 1..n_max, against the walked triple sum,
+    # for k in {None, 1, 2, 3}.
+    got = {k: values(n_max, k) for k in (None, 1, 2, 3)}
     for n in range(1, n_max + 1):
         weights = walked_weights(n)
-        for k in (None, 1, 2, 3):
-            got = menon_sum(n, k, cache)  # first, so a sweep appends its rows
-            assert got == weighted_count(weights, n, k, cache), (n, k)
+        for k, column in got.items():
+            assert column[n - 1] == weighted_count(weights, n, k), (n, k)
 
 
 def test_closed_form_layer_matches_the_walked_layer_cold():
-    assert_layer_matches_walk(1000, None)
+    assert_layer_matches_walk(1000, lambda n_max, k: [menon_sum(n, k)
+                                                      for n in range(1, n_max + 1)])
 
 
 def test_closed_form_layer_matches_the_walked_layer_in_a_sweep():
-    assert_layer_matches_walk(3000, MemoCache())
+    assert_layer_matches_walk(3000, menon_column)
 
 
 def test_remainder_over_the_layer_is_the_excess_gcd_sum():
@@ -520,8 +506,7 @@ def test_menon_column_matches_the_per_row_sums(n_max):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 200), st.one_of(st.none(), st.integers(1, 210)))
 def test_menon_column_matches_the_per_row_sums_at_random(n_max, k):
-    cache = MemoCache()
-    assert menon_column(n_max, k) == [menon_sum(n, k, cache) for n in range(1, n_max + 1)]
+    assert menon_column(n_max, k) == [menon_sum(n, k) for n in range(1, n_max + 1)]
 
 
 def test_menon_column_matches_gcd_class_oracle(sieve):

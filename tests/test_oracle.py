@@ -89,11 +89,10 @@ def test_gcd_class_matches_enumeration(sieve):
 def test_gcd_class_matches_divisor_sum(sieve):
     cache = MemoCache()
     for n in range(1, 501):
-        assert gcd_class_menon_sum(n, sieve, cache=cache) == menon_sum(n, cache=cache)
+        assert gcd_class_menon_sum(n, sieve, cache=cache) == menon_sum(n)
     for k in (1, 2, 3):
         for n in range(1, 101):
-            assert gcd_class_menon_sum(n, sieve, k, cache) == \
-                menon_sum(n, k, cache)
+            assert gcd_class_menon_sum(n, sieve, k, cache) == menon_sum(n, k)
 
 
 def test_prime_power_identity_matches_enumeration(sieve):
@@ -149,6 +148,24 @@ def test_mobius_count_matches_enumeration(sieve):
         assert mobius_subset_count(n, sieve) == enumerate_relprime_subsets(n)
         for k in (1, 2, 3, n):
             assert mobius_subset_count(n, sieve, k) == enumerate_relprime_subsets(n, k)
+
+
+def textbook_mobius_count(n, sieve, k=None):
+    """sum over d in 1..n of mu(d) * g(n // d), one term per d: the reference."""
+    g = (lambda q: (1 << q) - 1) if k is None else (lambda q: math.comb(q, k))
+    return sum(sieve.mu[d] * g(n // d) for d in range(1, n + 1) if sieve.mu[d])
+
+
+def test_mertens_block_count_matches_the_per_d_sum():
+    # The oracle sums mu over each block of constant n // d off the Mertens table;
+    # the textbook sum takes one term per d.
+    sieve = build_sieve(1500)
+    for k in (None, 1, 2, 3):
+        cache = MemoCache()
+        for n in range(1, 1501):
+            expected = textbook_mobius_count(n, sieve, k)
+            assert mobius_subset_count(n, sieve, k) == expected, (n, k)
+            assert mobius_subset_count(n, sieve, k, cache) == expected, (n, k)
 
 
 def test_mobius_count_memoises_under_its_own_family(sieve):

@@ -149,3 +149,26 @@ def test_each_battery_run_walks_again(subset_walks):
     assert once
     run_verification(n_max_enum=8, n_max_formula=20, k_set=(2,))
     assert subset_walks == once * 2  # no memo outlives a run
+
+
+def test_default_battery_runs_the_cold_divisor_sum_at_every_formula_n(monkeypatch):
+    # gcd-class-vs-divisor-sum keeps the per-n route covered at formula scale: the
+    # battery calls menon_sum(n), cold and with no cache, at k = None for every
+    # n <= n_max_formula, beside the column and the gcd-class oracle.
+    import menon_subsets.verification as verification_mod
+
+    calls = []
+    original = verification_mod.menon_sum
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verification_mod, "menon_sum", recorder)
+    report = run_verification()
+    assert report.overall
+    assert all(not kwargs and len(args) <= 2 for args, kwargs in calls)
+    cold = {args[0] for args, _ in calls if len(args) == 1 or args[1] is None}
+    assert cold >= set(range(1, 301))
+    check = next(c for c in report.checks if c.name == "gcd-class-vs-divisor-sum")
+    assert check.cases == 300 and "gcd-class = column = cold divisor sum" in check.scope
