@@ -56,7 +56,7 @@ class SequenceTable:
 
 
 def _compute_one(tag, n, k):
-    # k is None unless tag is in K_TAGS (see _validate_k).
+    # k is None unless tag is in K_TAGS (main checks).
     if tag in ("f", "fk"):
         return relprime_subsets(n, k)
     if tag in ("phi", "phik"):
@@ -66,40 +66,22 @@ def _compute_one(tag, n, k):
     return evaluate(MenonParams(n, k))
 
 
-def _validate_k(parser: argparse.ArgumentParser, tag: str, k: int | None) -> None:
-    if tag in K_TAGS and k is None:
-        parser.error(f"--k is required for {tag}")
-    if tag not in K_TAGS and k is not None:
-        parser.error(f"--k does not apply to {tag}")
-
-
 def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _validate_k(parser, args.function, args.k)
-    try:
-        value = _compute_one(args.function, args.n, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(value)
+    print(_compute_one(args.function, args.n, args.k))
     return 0
 
 
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _validate_k(parser, args.function, args.k)
     if not 1 <= args.n_max <= MAX_TABLE_ROWS:
         parser.error(f"--n-max must be in 1..{MAX_TABLE_ROWS} (output-size bound)")
-    try:
-        if args.function in ("f", "fk"):
-            values = relprime_column(args.n_max, args.k)
-        elif args.function in ("phi", "phik"):
-            values = coprime_column(args.n_max, args.k)
-        elif args.function in SUM_TAGS:
-            values = menon_column(args.n_max, args.k)
-        else:
-            values = [menon_classic(n) for n in range(1, args.n_max + 1)]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.function in ("f", "fk"):
+        values = relprime_column(args.n_max, args.k)
+    elif args.function in ("phi", "phik"):
+        values = coprime_column(args.n_max, args.k)
+    elif args.function in SUM_TAGS:
+        values = menon_column(args.n_max, args.k)
+    else:
+        values = [menon_classic(n) for n in range(1, args.n_max + 1)]
     table = SequenceTable(function=args.function, k=args.k, rows=list(enumerate(values, 1)))
     text = table.to_csv() if args.format == "csv" else table.to_json()
     if args.out is None:
@@ -127,12 +109,8 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         parser.error(f"--k-set must be comma-separated positive integers, got {args.k_set!r}")
     if len(k_set) > MAX_K_VALUES:
         parser.error(f"--k-set has {len(k_set)} distinct values, past the bound {MAX_K_VALUES}")
-    try:
-        report = run_verification(n_max_enum=args.n_max_enum,
-                                  n_max_formula=args.n_max_formula, k_set=k_set)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_verification(n_max_enum=args.n_max_enum,
+                              n_max_formula=args.n_max_formula, k_set=k_set)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -157,20 +135,16 @@ def _decimal_digits(value: int) -> int:
 
 def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     tag = args.function
-    _validate_k(parser, tag, args.k)
     if not 1 <= args.reps <= MAX_REPS:
         parser.error(f"--reps must be in 1..{MAX_REPS} (run-time bound)")
-    try:
-        best = float("inf")
-        for _ in range(args.reps):
-            t0 = perf_counter()
-            value, evals = _bench_runs(tag, args.n, args.k)
-            best = min(best, perf_counter() - t0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    best = float("inf")
+    for _ in range(args.reps):
+        t0 = perf_counter()
+        value, evals = _bench_runs(tag, args.n, args.k)
+        best = min(best, perf_counter() - t0)
 
-    pairs = (f"   divisor-pairs={len(divisor_pairs(factorize(args.n)))}"
+    # The d > 1 pairs, which the weight pass walks; the d = 1 ones are summed in closed form.
+    pairs = (f"   divisor-pairs={sum(d > 1 for d, _, _ in divisor_pairs(factorize(args.n)))}"
              if tag in SUM_TAGS else "")
     digits = _decimal_digits(value)
     shown = str(value) if digits <= 40 else f"<{digits} decimal digits>"
@@ -222,6 +196,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("compute", "bench") and args.n > MAX_N:
         parser.error(f"--n {args.n} is past the output-size bound {MAX_N}")
+    if args.command != "verify" and (args.function in K_TAGS) != (args.k is not None):
+        rule = "is required for" if args.k is None else "does not apply to"
+        parser.error(f"--k {rule} {args.function}")
     handler = {
         "compute": cmd_compute,
         "table": cmd_table,
@@ -235,6 +212,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return handler(parser, args)
+    except ValueError as exc:  # bad values past the parser: n < 1, k < 1, ...
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

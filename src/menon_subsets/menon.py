@@ -140,8 +140,8 @@ def _mask_weights(big, small, n: int, fac: Factorization, pairs, q0: int) -> Non
 def divisor_pairs(fac: Factorization) -> list[tuple[int, int, int]]:
     """(d, delta, phi(d) * mu(delta)) for all coprime d | n, squarefree delta | n.
 
-    All prod(e + 2) of them, as bench's divisor-pairs= counts; the gcd sums
-    weigh those with d > 1, by block walk or coprime mask, and sum the
+    All prod(e + 2) of them; the gcd sums weigh those with d > 1, by block
+    walk or coprime mask (bench's divisor-pairs= counts these), and sum the
     2^omega(n) with d = 1 in closed form.
     """
     # Each p^e || n goes into d as one of p^1..p^e, into delta, or into

@@ -7,10 +7,13 @@ VerificationReport.  The sweeps to n_max_formula compare whole columns
 route is checked at that scale by gcd-class-vs-divisor-sum, which sets a cold
 menon_sum(n) beside the column and the gcd-class oracle at every n.  The
 other checks' count and gcd-sum calls are per n at n <= 256, each one cold.
-Each check records its first mismatch, so a red run points straight at the
-offending (n, k), along with the number of cases it ran and its elapsed
-seconds.  A check that ran no case is reported as SKIP, and a report with a
-SKIP is not an overall PASS.
+
+A check is a generator of its cases: it yields one result per finished case,
+that case's Mismatch or None.  The harness counts the cases and times the
+check; it stops at the first Mismatch, so a red run points straight at the
+offending (n, k), and a raised exception becomes the check's error, its case
+not counted: `cases` counts finished cases.  A check that ran no case is
+reported as SKIP, and a report with a SKIP is not an overall PASS.
 """
 
 from __future__ import annotations
@@ -109,8 +112,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _mm(n, k, expected, actual) -> Mismatch:
-    return Mismatch(n=n, k=k, expected=str(expected), actual=str(actual))
+def _same(n, k, expected, actual, label: str = "") -> Mismatch | None:
+    """None when actual equals expected, else their Mismatch; label prefixes expected."""
+    return None if actual == expected else Mismatch(n, k, f"{label}{expected}", str(actual))
+
+
+def _first(results) -> Mismatch | None:
+    """The first Mismatch among results, or None; a lazy iterable stops at it."""
+    return next(filter(None, results), None)
 
 
 def run_verification(
@@ -118,23 +127,21 @@ def run_verification(
     n_max_formula: int = 300,
     k_set: tuple[int, ...] = (1, 2, 3),
     sieve: SieveTables | None = None,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> VerificationReport:
     """Run every formula-vs-oracle check and return the report.
 
-    n_max_enum bounds the 2^n brute-force enumerations, n_max_formula the
-    polynomial-cost sweeps, which read columns.  The sieve feeds the oracle
-    side only (the Möbius-sum counts, the gcd-class sums, the prime-power
-    identity and the totient partial sums); the evaluators under test factor
-    n themselves, and the columns invert divisor sums.
-    A prebuilt sieve may be injected (the test harness uses this to prove
-    that corruption is detected); it must cover max(n_max_formula,
-    n_max_enum, 256).
+    n_max_enum bounds the 2^n brute-force enumerations (at most
+    DEFAULT_ENUMERATION_LIMIT), n_max_formula the polynomial-cost sweeps,
+    which read columns.  The sieve feeds the oracle side only (the
+    Möbius-sum counts, the gcd-class sums, the prime-power identity and the
+    totient partial sums); the evaluators under test factor n themselves, and
+    the columns invert divisor sums.  A prebuilt sieve may be injected (the
+    test harness uses this to prove that corruption is detected); it must
+    cover max(n_max_formula, n_max_enum, 256).
     """
-    if n_max_enum > enumeration_limit:
-        raise ValueError(
-            f"n_max_enum {n_max_enum} exceeds the enumeration limit {enumeration_limit}"
-        )
+    if n_max_enum > DEFAULT_ENUMERATION_LIMIT:
+        raise ValueError(f"n_max_enum {n_max_enum} exceeds the enumeration limit "
+                         f"{DEFAULT_ENUMERATION_LIMIT}")
     needed = max(n_max_formula, POWER_CAP, n_max_enum)
     if sieve is None:
         sieve = build_sieve(needed)
@@ -142,22 +149,19 @@ def run_verification(
         raise ValueError(f"provided sieve limit {sieve.limit} < required {needed}")
 
     cache = MemoCache()  # the oracles', one per run: every enumerated (n, k) is walked once
-    walk = {"limit": enumeration_limit, "cache": cache}
     report = VerificationReport()
 
-    def run(name: str, scope: str, fn) -> None:
-        # fn is a generator: it yields once per case it runs and returns
-        # its first mismatch, or None.
+    def run(name: str, scope: str, cases) -> None:
+        # cases yields one result per finished case: its Mismatch, or None.
         result = CheckResult(name, scope, passed=False)
         start = perf_counter()
-        cases = fn()
         try:
-            while True:
-                next(cases)
+            for mismatch in cases:
                 result.cases += 1
-        except StopIteration as done:
-            result.mismatch = done.value
-            result.passed = done.value is None
+                if mismatch is not None:
+                    result.mismatch = mismatch
+                    break
+            result.passed = result.mismatch is None
         except Exception as exc:  # a crashed check is a failed check
             result.error = f"{type(exc).__name__}: {exc}"
         result.seconds = perf_counter() - start
@@ -166,60 +170,48 @@ def run_verification(
     prefix_n = min(len(F_PREFIX), max(n_max_enum, 6))
 
     def known_values():
-        rows = (
+        for tag, prefix, fn in (
             ("f", F_PREFIX, relprime_subsets),
             ("f2", F2_PREFIX, lambda n: relprime_subsets(n, 2)),
             ("phi", PHI_PREFIX, coprime_subsets),
             ("mbar", MBAR_PREFIX, menon_sum),
             ("mbar2", MBAR2_PREFIX, lambda n: menon_sum(n, 2)),
-        )
-        for tag, prefix, fn in rows:
-            for i in range(prefix_n):
-                yield
-                got = fn(i + 1)
-                if got != prefix[i]:
-                    return _mm(i + 1, None, f"{tag}={prefix[i]}", got)
-        return None
+        ):
+            for n in range(1, prefix_n + 1):
+                yield _same(n, None, prefix[n - 1], fn(n), f"{tag}=")
 
-    run("known-values", f"tabulated prefixes, n <= {prefix_n}", known_values)
+    run("known-values", f"tabulated prefixes, n <= {prefix_n}", known_values())
+
+    def enumerated(with_k):
+        # The brute-force checks' (n, k): k None, or each k in k_set and k = n.
+        for n in range(1, n_max_enum + 1):
+            for k in sorted(set(k_set) | {n}) if with_k else (None,):
+                yield n, k
 
     def enum_counts(with_k):
-        # The brute-force checks run once with k None, once over k_set and n.
-        for n in range(1, n_max_enum + 1):
-            for k in sorted(set(k_set) | {n}) if with_k else (None,):
-                yield
-                suffix = "" if k is None else "k"
-                for tag, expected, got in (
-                    ("f", enumerate_relprime_subsets(n, k, **walk),
-                     relprime_subsets(n, k)),
-                    ("phi", enumerate_coprime_subsets(n, k, **walk),
-                     coprime_subsets(n, k)),
-                ):
-                    if got != expected:
-                        return _mm(n, k, f"{tag}{suffix}:{expected}", got)
-        return None
+        for n, k in enumerated(with_k):
+            suffix = "" if k is None else "k"
+            yield _first([_same(n, k, enumerate_relprime_subsets(n, k, cache=cache),
+                                relprime_subsets(n, k), f"f{suffix}:"),
+                          _same(n, k, enumerate_coprime_subsets(n, k, cache=cache),
+                                coprime_subsets(n, k), f"phi{suffix}:")])
 
     run("enumeration-counts", f"f and phi vs brute force, n <= {n_max_enum}",
-        lambda: enum_counts(False))
+        enum_counts(False))
     run("enumeration-counts-k", f"fk and phik vs brute force, n <= {n_max_enum}",
-        lambda: enum_counts(True))
+        enum_counts(True))
 
     def three_way(with_k):
-        for n in range(1, n_max_enum + 1):
-            for k in sorted(set(k_set) | {n}) if with_k else (None,):
-                yield
-                enum = enumerate_menon_sum(n, k, **walk).total
-                gcls = gcd_class_menon_sum(n, sieve, k, cache)
-                thrm = menon_sum(n, k)
-                if not (enum == gcls == thrm):
-                    return _mm(n, k, f"enum:{enum}",
-                               f"gcd-class:{gcls}, divisor-sum:{thrm}")
-        return None
+        for n, k in enumerated(with_k):
+            enum = enumerate_menon_sum(n, k, cache=cache).total
+            gcls = gcd_class_menon_sum(n, sieve, k, cache)
+            thrm = menon_sum(n, k)
+            yield None if enum == gcls == thrm else Mismatch(
+                n, k, f"enum:{enum}", f"gcd-class:{gcls}, divisor-sum:{thrm}")
 
     run("three-way-gcd-sum", f"enumeration = gcd-class = divisor sum, n <= {n_max_enum}",
-        lambda: three_way(False))
-    run("three-way-gcd-sum-k", f"k-subset variant, n <= {n_max_enum}",
-        lambda: three_way(True))
+        three_way(False))
+    run("three-way-gcd-sum-k", f"k-subset variant, n <= {n_max_enum}", three_way(True))
 
     def column(fn, k=None, n_max=n_max_formula):
         # fn's values at 1..n_max, or none when the range is empty.
@@ -228,108 +220,76 @@ def run_verification(
     def gcd_class_medium():
         mbar = column(menon_column)
         for n in range(1, n_max_formula + 1):
-            yield
             gcls = gcd_class_menon_sum(n, sieve, None, cache)
             thrm = menon_sum(n)
-            if not (gcls == mbar[n - 1] == thrm):
-                return _mm(n, None, f"gcd-class:{gcls}",
-                           f"column:{mbar[n - 1]}, divisor-sum:{thrm}")
-        return None
+            yield None if gcls == mbar[n - 1] == thrm else Mismatch(
+                n, None, f"gcd-class:{gcls}", f"column:{mbar[n - 1]}, divisor-sum:{thrm}")
 
     run("gcd-class-vs-divisor-sum", "gcd-class = column = cold divisor sum, "
-        f"n <= {n_max_formula}", gcd_class_medium)
+        f"n <= {n_max_formula}", gcd_class_medium())
 
     def singleton_sweep():
         for n, got in enumerate(column(relprime_column, 1), 1):
-            yield
-            if got != 1:
-                return _mm(n, 1, 1, got)
-        return None
+            yield _same(n, 1, 1, got)
 
     run("singleton-count-is-one", f"fk(n, 1) = 1 on the column, n <= {n_max_formula}",
-        singleton_sweep)
+        singleton_sweep())
 
     def core_vs_mobius():
         columns = {k: column(relprime_column, k) for k in (None, *k_set)}
         for n in range(1, n_max_formula + 1):
-            yield
-            for k, values in columns.items():
-                expected = mobius_subset_count(n, sieve, k, cache)
-                if values[n - 1] != expected:
-                    return _mm(n, k, expected, values[n - 1])
-        return None
+            yield _first(_same(n, k, mobius_subset_count(n, sieve, k, cache), values[n - 1])
+                         for k, values in columns.items())
 
     run("core-vs-mobius-sum", f"f and fk columns = sieve-mu Mobius sum, n <= {n_max_formula}, "
-        f"k in {{None, {', '.join(map(str, k_set))}}}", core_vs_mobius)
+        f"k in {{None, {', '.join(map(str, k_set))}}}", core_vs_mobius())
+
+    def prime_power_case(p, t, k):
+        n = p**t
+        got = evaluate(MenonParams(n, k))
+        gcls = gcd_class_menon_sum(n, sieve, k, cache)
+        identity = prime_power_menon_sum(p, t, sieve, k, cache)
+        return None if gcls == identity == got else Mismatch(
+            n, k, f"gcd-class:{gcls}, prime-power identity:{identity}", f"evaluate:{got}")
 
     def prime_power_consistency():
         for p in POWER_PRIMES:
             t = 1
             while p**t <= POWER_CAP:
-                yield
-                n = p**t
-                for k in (None, *k_set):
-                    got = evaluate(MenonParams(n, k))
-                    gcls = gcd_class_menon_sum(n, sieve, k, cache)
-                    identity = prime_power_menon_sum(p, t, sieve, k, cache)
-                    if not (gcls == identity == got):
-                        return _mm(n, k, f"gcd-class:{gcls}, prime-power identity:{identity}",
-                                   f"evaluate:{got}")
+                yield _first(prime_power_case(p, t, k) for k in (None, *k_set))
                 t += 1
-        return None
 
     run("prime-power-consistency", "evaluate = gcd-class = prime-power identity at prime "
-        f"powers <= {POWER_CAP}", prime_power_consistency)
+        f"powers <= {POWER_CAP}", prime_power_consistency())
 
     def menon_reduction():
         for n, got in enumerate(column(menon_column, 1), 1):
-            yield
-            expected = menon_classic(n)
-            if got != expected:
-                return _mm(n, 1, expected, got)
-        return None
+            yield _same(n, 1, menon_classic(n), got)
 
     run("menon-reduction", f"k = 1 column collapses to phi*tau, n <= {n_max_formula}",
-        menon_reduction)
-
-    def classic_direct():
-        for n in range(1, n_max_formula + 1):
-            yield
-            product = menon_classic(n)
-            direct = residue_menon_sum(n)
-            if product != direct:
-                return _mm(n, None, direct, product)
-        return None
+        menon_reduction())
 
     run("classic-product-vs-direct", f"phi*tau = residue sum, n <= {n_max_formula}",
-        classic_direct)
+        (_same(n, None, residue_menon_sum(n), menon_classic(n))
+         for n in range(1, n_max_formula + 1)))
 
     diagonal_n = min(24, n_max_formula)
     partition_n = min(60, n_max_formula)
 
-    def diagonal():
-        for n in range(1, diagonal_n + 1):
-            yield
-            got = menon_sum(n, n)
-            if got != n:
-                return _mm(n, n, n, got)
-        return None
-
-    run("full-set-diagonal", f"k = n gives exactly n, n <= {diagonal_n}", diagonal)
+    run("full-set-diagonal", f"k = n gives exactly n, n <= {diagonal_n}",
+        (_same(n, n, n, menon_sum(n, n)) for n in range(1, diagonal_n + 1)))
 
     def term_count_law():
+        def phi_k(n, k):  # Phi_k(n) as the sieve-mu divisor sum
+            return sum(sieve.mu[d] * ((1 << n // d) - 1 if k is None else comb(n // d, k))
+                       for d in range(1, n + 1) if n % d == 0)
+
         for n in range(1, n_max_enum + 1):
-            yield
-            for k in (None, *k_set):
-                expected = sum(sieve.mu[d] * ((1 << n // d) - 1 if k is None else comb(n // d, k))
-                               for d in range(1, n + 1) if n % d == 0)
-                result = enumerate_menon_sum(n, k, **walk)
-                if result.count != expected:
-                    return _mm(n, k, expected, result.count)
-        return None
+            yield _first(_same(n, k, phi_k(n, k), enumerate_menon_sum(n, k, cache=cache).count)
+                         for k in (None, *k_set))
 
     run("term-count-law", f"enumerated term counts = sieve-mu divisor sum Phi_k(n), "
-        f"n <= {n_max_enum}", term_count_law)
+        f"n <= {n_max_enum}", term_count_law())
 
     def partitions():
         # One column per k: at each n the k-columns sum to the unrestricted column.
@@ -338,41 +298,28 @@ def run_verification(
             rows = [(tag, column(fn, None, n_max),
                      [column(fn, k, n_max) for k in range(1, n_max + 1)]) for tag, fn in tags]
             for n in range(1, n_max + 1):
-                yield
-                for tag, whole, by_k in rows:
-                    total = sum(values[n - 1] for values in by_k)
-                    if total != whole[n - 1]:
-                        return _mm(n, None, f"{tag}:{whole[n - 1]}", total)
-        return None
+                yield _first(_same(n, None, whole[n - 1], sum(values[n - 1] for values in by_k),
+                                   f"{tag}:") for tag, whole, by_k in rows)
 
     run("cardinality-partitions", "sums over k of the columns rebuild the unrestricted "
-        f"values, f and phi n <= {partition_n}, mbar n <= {diagonal_n}", partitions)
+        f"values, f and phi n <= {partition_n}, mbar n <= {diagonal_n}", partitions())
 
     def totient_partial_sum():
         acc = 0
         for n, got in enumerate(column(relprime_column, 2)[1:], 2):
-            yield
             acc += sieve.phi[n]
-            if got != acc:
-                return _mm(n, 2, acc, got)
-        return None
+            yield _same(n, 2, acc, got)
 
     run("pair-count-totient-sum", f"fk(n, 2) column = phi(2) + ... + phi(n), "
-        f"n <= {n_max_formula}", totient_partial_sum)
+        f"n <= {n_max_formula}", totient_partial_sum())
 
     def histogram_consistency():
         for n in range(1, n_max_enum + 1):
-            yield
-            hist = subset_gcd_histogram(n, **walk)
-            if sum(hist.values()) != (1 << n) - 1:
-                return _mm(n, None, (1 << n) - 1, sum(hist.values()))
-            for j, count in hist.items():
-                expected = relprime_subsets(n // j)
-                if count != expected:
-                    return _mm(n, j, expected, count)
-        return None
+            hist = subset_gcd_histogram(n, cache=cache)
+            sizes = (_same(n, j, relprime_subsets(n // j), count) for j, count in hist.items())
+            yield _same(n, None, (1 << n) - 1, sum(hist.values())) or _first(sizes)
 
     run("gcd-histogram", f"class sizes match shrunk counts and sum to 2^n - 1, "
-        f"n <= {n_max_enum}", histogram_consistency)
+        f"n <= {n_max_enum}", histogram_consistency())
 
     return report

@@ -1,12 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import menon_subsets
 from menon_subsets import MemoCache, coprime_subsets, menon_sum, relprime_subsets
 from menon_subsets.cli import K_TAGS, TAGS, SequenceTable, _bench_runs, _decimal_digits, main
 from menon_subsets.oracle import gcd_class_menon_sum
@@ -195,8 +198,8 @@ def test_bench_value_matches_gcd_class_oracle(capsys, sieve):
     header, timing = out.splitlines()
     reported = int(header.split("value=")[1])
     assert reported == gcd_class_menon_sum(64, sieve, cache=MemoCache())
-    # 64 = 2^6: (1, 1), (1, 2) and (2^s, 1) for s = 1..6
-    assert "count-evaluations=" in timing and timing.endswith("divisor-pairs=8")
+    # 64 = 2^6: the d > 1 pairs (2^s, 1) for s = 1..6, not (1, 1) and (1, 2)
+    assert "count-evaluations=" in timing and timing.endswith("divisor-pairs=6")
 
 
 def test_bench_runs_match_oracle_at_210(sieve):
@@ -217,10 +220,13 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
 
 
 def test_module_invocation_round_trip():
+    # The child imports the package from where this process did: its src/.
+    src = Path(menon_subsets.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "menon_subsets", "compute", "f", "--n", "6"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "53"
@@ -362,10 +368,10 @@ def test_bench_counts_the_floor_values_a_cold_call_solves(capsys, tag, n, k, eva
 
 
 def test_bench_reports_divisor_pairs_for_gcd_sums_only(capsys):
-    # 55440 = 2^4 3^2 5 7 11: (4 + 2)(2 + 2) 3^3 = 648 pairs
+    # 55440 = 2^4 3^2 5 7 11: (4 + 2)(2 + 2) 3^3 = 648 pairs, less the 2^5 with d = 1
     code, out, _ = run_cli(capsys, "bench", "mbark", "--n", "55440", "--k", "2", "--reps", "1")
     assert code == 0
-    assert out.splitlines()[1].endswith("divisor-pairs=648")
+    assert out.splitlines()[1].endswith("divisor-pairs=616")
     code, out, _ = run_cli(capsys, "bench", "f", "--n", "500", "--reps", "1")
     assert code == 0
     _, timing = out.splitlines()

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from menon_subsets import build_sieve
-from menon_subsets.verification import run_verification
+from menon_subsets.verification import Mismatch, run_verification
 
 
 def test_scaled_down_run_passes():
@@ -42,11 +42,41 @@ def test_detects_mobius_corruption():
     assert "FAIL" in report.render()
 
 
+def test_mobius_corruption_pins_the_first_mismatch_of_each_failing_check():
+    bad = build_sieve(300)
+    bad.mu[10] = -1  # true value is +1
+    report = run_verification(n_max_enum=10, n_max_formula=60, sieve=bad)
+    failing = {c.name: (c.cases, c.mismatch, c.error) for c in report.checks if not c.passed}
+    assert failing == {
+        "three-way-gcd-sum": (10, Mismatch(10, None, "enum:9844",
+                                           "gcd-class:9824, divisor-sum:9844"), None),
+        "three-way-gcd-sum-k": (34, Mismatch(10, 1, "enum:16", "gcd-class:-4, divisor-sum:16"),
+                                None),
+        "gcd-class-vs-divisor-sum": (10, Mismatch(10, None, "gcd-class:9824",
+                                                  "column:9844, divisor-sum:9844"), None),
+        "core-vs-mobius-sum": (10, Mismatch(10, None, "981", "983"), None),
+        "prime-power-consistency": (4, Mismatch(16, None, "gcd-class:1043948, prime-power "
+                                                "identity:1043950", "evaluate:1043980"), None),
+        "term-count-law": (10, Mismatch(10, None, "988", "990"), None),
+    }
+
+
 def test_detects_totient_corruption():
     bad = build_sieve(300)
     bad.phi[7] = 5  # true value is 6
     report = run_verification(n_max_enum=8, n_max_formula=40, sieve=bad)
     assert not report.overall
+
+
+def test_a_case_that_raises_is_not_counted():
+    bad = build_sieve(300)
+    bad.phi[7] = 5  # the prime-power identity refuses 7 as not prime
+    report = run_verification(n_max_enum=8, n_max_formula=40, sieve=bad)
+    check = next(c for c in report.checks if c.name == "prime-power-consistency")
+    assert check.status == "FAIL" and check.mismatch is None
+    assert check.error == "ValueError: 7 is not prime"
+    # 2^1..2^8, 3^1..3^5 and 5^1..5^3 finish; the case at 7 raises and is not counted.
+    assert check.cases == 16
 
 
 def test_rejects_enum_bound_above_limit():
@@ -154,21 +184,30 @@ def test_each_battery_run_walks_again(subset_walks):
 def test_default_battery_runs_the_cold_divisor_sum_at_every_formula_n(monkeypatch):
     # gcd-class-vs-divisor-sum keeps the per-n route covered at formula scale: the
     # battery calls menon_sum(n), cold and with no cache, at k = None for every
-    # n <= n_max_formula, beside the column and the gcd-class oracle.
+    # n <= n_max_formula, beside the column and the gcd-class oracle.  The battery
+    # looks each function up when it calls it: the oracles' recorders see every call too.
     import menon_subsets.verification as verification_mod
 
-    calls = []
-    original = verification_mod.menon_sum
+    calls = {"menon_sum": [], "gcd_class_menon_sum": [], "enumerate_menon_sum": []}
 
-    def recorder(*args, **kwargs):
-        calls.append((args, kwargs))
-        return original(*args, **kwargs)
+    def recording(name):
+        original = getattr(verification_mod, name)
 
-    monkeypatch.setattr(verification_mod, "menon_sum", recorder)
+        def recorder(*args, **kwargs):
+            calls[name].append((args, kwargs))
+            return original(*args, **kwargs)
+
+        return recorder
+
+    for name in calls:
+        monkeypatch.setattr(verification_mod, name, recording(name))
     report = run_verification()
     assert report.overall
-    assert all(not kwargs and len(args) <= 2 for args, kwargs in calls)
-    cold = {args[0] for args, _ in calls if len(args) == 1 or args[1] is None}
+    assert all(not kwargs and len(args) <= 2 for args, kwargs in calls["menon_sum"])
+    cold = {args[0] for args, _ in calls["menon_sum"] if len(args) == 1 or args[1] is None}
     assert cold >= set(range(1, 301))
+    assert {args[0] for args, _ in calls["gcd_class_menon_sum"]} >= set(range(1, 301))
+    enumerated = {(args[0], args[1]) for args, _ in calls["enumerate_menon_sum"]}
+    assert enumerated == {(n, k) for n in range(1, 17) for k in (None, 1, 2, 3, n)}
     check = next(c for c in report.checks if c.name == "gcd-class-vs-divisor-sum")
     assert check.cases == 300 and "gcd-class = column = cold divisor sum" in check.scope
