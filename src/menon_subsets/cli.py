@@ -2,8 +2,12 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Values are
 printed in full decimal, however many digits they have; JSON tables carry
-them as strings because they outgrow every fixed-width numeric type.
-`bench` prints a value and its best time over --reps evaluations.
+them as strings because they outgrow every fixed-width numeric type.  The f
+and phi tables are built in exact decimal.Decimal arithmetic, under a context
+that raises on any rounding, so each value prints in time linear in its
+digits: int -> str is quadratic before Python 3.12.
+`bench` prints a value and its best time over --reps evaluations, stopping
+early once the runs so far have taken BENCH_BUDGET_S.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ MAX_TABLE_ROWS = 1 << 12
 MAX_FORMULA_N = 4000  # verify: ~8 s on a 2-vCPU Xeon, growing about as n^2
 MAX_K_VALUES = 10  # verify: each k adds up to ~0.6 s at MAX_FORMULA_N, most near k = 1300
 MAX_REPS = 100  # bench: a fresh mbar evaluation at MAX_N takes up to ~0.04 s, here ~4 s
+BENCH_BUDGET_S = 10.0  # bench: no rep starts after the runs so far took this long
 
 
 @dataclass
@@ -42,14 +47,14 @@ class SequenceTable:
 
     def to_csv(self) -> str:
         lines = ["n,value"]
-        lines.extend(f"{n},{value}" for n, value in self.rows)
+        lines.extend(f"{n},{value!s}" for n, value in self.rows)  # str: Decimal formats slower
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         # The bytes of json.dumps(obj, indent=2) + "\n" for obj = {"function",
         # "k", "rows": [{"n", "value": str(value)}]}, written row by row: with
         # an indent, json falls back to its pure-Python encoder.
-        rows = ",".join(f'\n    {{\n      "n": {n},\n      "value": "{value}"\n    }}'
+        rows = ",".join(f'\n    {{\n      "n": {n},\n      "value": "{value!s}"\n    }}'
                         for n, value in self.rows) + ("\n  " if self.rows else "")
         return (f'{{\n  "function": {json.dumps(self.function)},\n'
                 f'  "k": {json.dumps(self.k)},\n  "rows": [{rows}]\n}}\n')
@@ -71,13 +76,25 @@ def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0
 
 
+def _count_column(tag, n_max, k):
+    # The f, fk, phi or phik column; the f and phi ones in Decimal, whose str is linear.
+    # Imported here, so that no other command and no importer of this module pays for it.
+    import decimal
+
+    column = relprime_column if tag in ("f", "fk") else coprime_column
+    # Only + and - run, all on integers: any rounding is a defect and raises.
+    traps = [t for t, on in decimal.DefaultContext.traps.items() if on]
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=traps + [decimal.Inexact, decimal.Rounded])
+    with decimal.localcontext(exact):  # a Context, not keywords: those need 3.11
+        return column(n_max, k, one=decimal.Decimal(1))
+
+
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if not 1 <= args.n_max <= MAX_TABLE_ROWS:
         parser.error(f"--n-max must be in 1..{MAX_TABLE_ROWS} (output-size bound)")
-    if args.function in ("f", "fk"):
-        values = relprime_column(args.n_max, args.k)
-    elif args.function in ("phi", "phik"):
-        values = coprime_column(args.n_max, args.k)
+    if args.function in ("f", "fk", "phi", "phik"):
+        values = _count_column(args.function, args.n_max, args.k)
     elif args.function in SUM_TAGS:
         values = menon_column(args.n_max, args.k)
     else:
@@ -137,11 +154,14 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     tag = args.function
     if not 1 <= args.reps <= MAX_REPS:
         parser.error(f"--reps must be in 1..{MAX_REPS} (run-time bound)")
-    best = float("inf")
-    for _ in range(args.reps):
+    best, spent = float("inf"), 0.0
+    for reps in range(1, args.reps + 1):
         t0 = perf_counter()
         value, evals = _bench_runs(tag, args.n, args.k)
-        best = min(best, perf_counter() - t0)
+        seconds = perf_counter() - t0
+        best, spent = min(best, seconds), spent + seconds
+        if spent >= BENCH_BUDGET_S:
+            break
 
     # The d > 1 pairs, which the weight pass walks; the d = 1 ones are summed in closed form.
     pairs = (f"   divisor-pairs={sum(d > 1 for d, _, _ in divisor_pairs(factorize(args.n)))}"
@@ -149,7 +169,7 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     digits = _decimal_digits(value)
     shown = str(value) if digits <= 40 else f"<{digits} decimal digits>"
     print(f"{tag} n={args.n}" + (f" k={args.k}" if args.k is not None else "")
-          + f"  reps={args.reps}  value={shown}")
+          + f"  reps={reps}  value={shown}")
     print(f"  best {best * 1000:.2f} ms   count-evaluations={evals}{pairs}")
     return 0
 
@@ -182,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"comma-separated k >= 1, at most {MAX_K_VALUES} distinct values")
     verify.add_argument("--json", action="store_true")
 
-    bench = sub.add_parser("bench", help="time one evaluation, best of --reps")
+    bench = sub.add_parser("bench", help="time one evaluation, best of --reps"
+                           f" (no rep starts past {BENCH_BUDGET_S:g} s)")
     bench.add_argument("function", choices=("f", "fk", "mbar", "mbark"))
     bench.add_argument("--n", type=int, required=True)
     bench.add_argument("--k", type=int)

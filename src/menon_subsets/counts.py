@@ -6,10 +6,12 @@ relprime_column(n_max, k=None), coprime_column(n_max, k=None) -- n in 1..n_max
 
 With k given, only the k-element subsets are counted.  Both functions are
 one formula over the term g(q) = 2^q - 1 (all nonempty subsets of {1..q})
-or g(q) = C(q, k) (its k-subsets).  All results are exact Python ints; the
-unrestricted counts grow like 2^n, so nothing here may round.  The signed
-sums are checked nonnegative before they are returned -- a negative total
-would mean a defect, never a valid answer.
+or g(q) = C(q, k) (its k-subsets).  All results are exact; the unrestricted
+counts grow like 2^n, so nothing here may round.  They are Python ints, except
+that an unrestricted column may be built from another exact unit `one`, e.g.
+decimal.Decimal(1) under a context that traps rounding, whose values then print
+in linear time.  The signed sums are checked nonnegative before they are
+returned -- a negative total would mean a defect, never a valid answer.
 
 The count core, vector_count, returns the sum of w_q * F(q), F =
 relprime_subsets(., k), over small-integer weights w_q on the floor values q
@@ -19,9 +21,10 @@ per-n call is cold: it keeps nothing between calls, and a sweep over n reads
 a column instead.  mu comes from one factorisation of n; nothing here reads
 a sieve.  A column factors nothing:
 it is one in-place divisor-sum inversion over 1..n_max (_inverted), about
-n_max ln n_max small-integer subtractions, plus one term g per m, a binomial
-stepped from the one before (C(m, k) = C(m - 1, k) * m // (m - k)); the gcd-sum
-column, menon.menon_column, reads its F and Phi_k off these two.
+n_max ln n_max small-integer subtractions, plus one term g per m, a power of 2
+or a binomial, each stepped from the one before (2^m = 2^(m - 1) + 2^(m - 1),
+C(m, k) = C(m - 1, k) * m // (m - k)); the gcd-sum column, menon.menon_column,
+reads its F and Phi_k off these two.
 """
 
 from __future__ import annotations
@@ -69,11 +72,6 @@ class MemoCache:
 
 def _term(q: int, k: int | None) -> int:
     return ((1 << q) - 1) if k is None else comb(q, k)
-
-
-def _top_term(q: int, k: int | None) -> int:
-    # The nonempty (k-)subsets of {1..q} whose largest element is q.
-    return (1 << (q - 1)) if k is None else comb(q - 1, k - 1)
 
 
 def _mobius_sum(fac: Factorization, k: int | None) -> int:
@@ -205,6 +203,12 @@ def _inverted(h: list[int]) -> list[int]:
     return h[1:]
 
 
+def _doublings(m_max: int, unit):
+    # [0, unit, 2 unit, 4 unit, ..., 2^(m_max - 1) unit], m_max >= 1, each the one before
+    # added to itself: exact in any exact number type.
+    return [0] + list(accumulate(range(m_max - 1), lambda x, _: x + x, initial=unit))
+
+
 def _binomials(m_max: int, k: int) -> list[int]:
     # [C(m, k) for m in 0..m_max], k >= 0, each stepped from the one before, C(m, k) =
     # C(m - 1, k) * m // (m - k): one multiply and one division per row, not one comb.
@@ -214,28 +218,33 @@ def _binomials(m_max: int, k: int) -> list[int]:
                                      lambda c, m: c * m // (m - k), initial=1))
 
 
-def coprime_column(n_max: int, k: int | None = None) -> list[int]:
+def coprime_column(n_max: int, k: int | None = None, *, one=1) -> list:
     """[coprime_subsets(n, k) for n in 1..n_max], with no factorisation.
 
     Grouping the (k-)subsets of {1..m} by e = gcd(gcd A, m) gives Phi_k(m / e)
     subsets e * B each: sum over d | m of Phi_k(d) = g(m), inverted over 1..n_max.
+    With k None the column is built in the number type of `one` (int 1 by default).
     """
     n_max, k = check_args(n_max, k)
-    column = _inverted([0] + [_term(m, k) for m in range(1, n_max + 1)] if k is None
-                       else _binomials(n_max, k))  # h[0] = C(0, k) = 0 is unused
+    if k is None:  # the -1 of g(m) = 2^m - 1 inverts to -[m = 1]: invert 2^m alone
+        column = _inverted(_doublings(n_max, 2 * one))
+        column[0] -= 1
+    else:
+        column = _inverted(_binomials(n_max, k))  # h[0] = C(0, k) = 0 is unused
     _finish(min(column))
     return column
 
 
-def relprime_column(n_max: int, k: int | None = None) -> list[int]:
+def relprime_column(n_max: int, k: int | None = None, *, one=1) -> list:
     """[relprime_subsets(n, k) for n in 1..n_max], with no factorisation.
 
     Grouping the (k-)subsets of {1..m} with largest element m by their gcd gives
-    sum over d | m of F(d) - F(d - 1) = g'(m): the column is the prefix sums of its
-    inversion.
+    sum over d | m of F(d) - F(d - 1) = g'(m), 2^(m - 1) or C(m - 1, k - 1): the
+    column is the prefix sums of its inversion.  With k None the column is built in
+    the number type of `one` (int 1 by default).
     """
     n_max, k = check_args(n_max, k)
-    steps = _inverted([0] + ([_top_term(m, k) for m in range(1, n_max + 1)] if k is None
-                             else _binomials(n_max - 1, k - 1)))
+    steps = _inverted(_doublings(n_max, one) if k is None
+                      else [0] + _binomials(n_max - 1, k - 1))
     _finish(min(steps))
     return list(accumulate(steps))

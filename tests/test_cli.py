@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import menon_subsets
 from menon_subsets import MemoCache, coprime_subsets, menon_sum, relprime_subsets
-from menon_subsets.cli import K_TAGS, TAGS, SequenceTable, _bench_runs, _decimal_digits, main
+from menon_subsets.cli import (K_TAGS, TAGS, SequenceTable, _bench_runs, _count_column,
+                                _decimal_digits, main)
+from menon_subsets.counts import coprime_column, relprime_column
 from menon_subsets.oracle import gcd_class_menon_sum
 from menon_subsets.verification import F2_PREFIX, F_PREFIX, MBAR2_PREFIX, MBAR_PREFIX, PHI_PREFIX
 
@@ -328,6 +330,40 @@ def test_count_tables_take_one_column(capsys, monkeypatch):
     _assert_tables_take_one_column(capsys, monkeypatch, jobs, 40)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4096), st.sampled_from((None, 1, 2, 3)))
+def test_decimal_count_columns_are_the_int_columns(n_max, k):
+    # The table path's columns, Decimal for k None, equal the int columns at every
+    # row and print the same digits.
+    from decimal import Decimal
+
+    for tag, column in (("f" if k is None else "fk", relprime_column),
+                        ("phi" if k is None else "phik", coprime_column)):
+        exact, ints = _count_column(tag, n_max, k), column(n_max, k)
+        assert {type(value) for value in exact} == {int if k else Decimal}
+        assert {type(value) for value in ints} == {int}
+        assert exact == ints
+        assert list(map(str, exact)) == list(map(str, ints))
+
+
+@pytest.mark.parametrize("tag", ["f", "phi"])
+def test_table_rounding_raises_rather_than_printing(capsys, monkeypatch, tag):
+    # At 10 digits the values up to n = 30 fit and print as the ints do; at 300
+    # they would round, and the table raises before it prints a row.
+    import decimal
+
+    def table(fmt):
+        return run_cli(capsys, "table", tag, "--n-max", "30", "--format", fmt)
+
+    expected = {fmt: table(fmt) for fmt in ("csv", "json")}
+    monkeypatch.setattr(decimal, "MAX_PREC", 10)
+    for fmt, want in expected.items():
+        assert table(fmt) == want
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        main(["table", tag, "--n-max", "300"])
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("tag, k", [("mbar", None), ("mbark", "2")])
 def test_sum_tables_read_every_count_off_the_rows(capsys, monkeypatch, tag, k):
     # An mbar or mbark table is one prefix sum per (d, delta^-1 mod d) up to n_max
@@ -446,6 +482,25 @@ def test_bench_reps_bound(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["bench", "--help"])
     assert f"at most {limit}" in capsys.readouterr().out
+
+
+def test_bench_stops_repeating_past_its_time_budget(capsys, monkeypatch):
+    # No rep starts once the runs so far took BENCH_BUDGET_S; the first always runs,
+    # and reps= reports the runs made.
+    import menon_subsets.cli as cli_mod
+
+    runs = []
+    bench_runs = cli_mod._bench_runs
+
+    def counted(*args):
+        runs.append(args)
+        return bench_runs(*args)
+
+    monkeypatch.setattr(cli_mod, "_bench_runs", counted)
+    monkeypatch.setattr(cli_mod, "BENCH_BUDGET_S", 0)
+    code, out, _ = run_cli(capsys, "bench", "mbar", "--n", "720", "--reps", "100")
+    assert code == 0 and runs == [("mbar", 720, None)]
+    assert "  reps=1  " in out.splitlines()[0]
 
 
 def test_size_bounds_admit_the_documented_workloads():

@@ -445,8 +445,10 @@ def test_columns_refuse_negative_counts(monkeypatch):
                         lambda n_max, k: [-m for m in range(1, n_max + 1)])
     with pytest.raises(ArithmeticError):
         menon_column(10)
-    for name, column in (("_term", coprime_column), ("_top_term", relprime_column)):
-        monkeypatch.setattr(counts_mod, name, lambda q, k: -q)
+    # Both unrestricted columns take their terms from the doubling sequence.
+    monkeypatch.setattr(counts_mod, "_doublings",
+                        lambda m_max, unit: [0] + [-m for m in range(1, m_max + 1)])
+    for column in (coprime_column, relprime_column):
         with pytest.raises(ArithmeticError):
             column(10)
 
@@ -537,6 +539,19 @@ def test_columns_are_the_inversions_of_comb(case):
                  for m in range(1, n_max + 1)]
     assert coprime_column(n_max, k) == _inverted(g)
     assert relprime_column(n_max, k) == list(accumulate(_inverted(top)))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 12, 300])
+def test_phi_is_twice_the_f_step_less_one_at_one(n_max):
+    # 2^m - 1 = 2 * 2^(m - 1) - 1, and the f column inverts 2^(m - 1) into its steps
+    # F(m) - F(m - 1): Phi(m) = 2 (F(m) - F(m - 1)) - [m = 1].  Phi here is a test-local
+    # inversion of 2^m - 1, each Phi(m) = g(m) less the Phi(d) of the proper divisors d.
+    phi = [0]
+    for m in range(1, n_max + 1):
+        phi.append((1 << m) - 1 - sum(phi[d] for d in range(1, m) if m % d == 0))
+    F = [0] + relprime_column(n_max)
+    assert coprime_column(n_max) == phi[1:] == [
+        2 * (F[m] - F[m - 1]) - (m == 1) for m in range(1, n_max + 1)]
 
 
 def test_columns_match_enumeration():

@@ -3,7 +3,9 @@
 The counting and gcd-sum modules take mu, phi and the divisors from one
 factorisation of n; the sieve is the oracles' independent table.  The
 oracles in turn must not lean on the code they check, so they may import
-only the MemoCache container from the core.
+only the MemoCache container from the core.  No module imports decimal when
+it is imported: only the table command uses it, and every process that
+imports the package would pay for its import.
 """
 
 import ast
@@ -43,3 +45,30 @@ def test_oracle_imports_only_memocache_from_the_core():
 def test_guard_sees_imports():
     assert ("sieve", "build_sieve") in imported_names("verification")
     assert ("sieve", "factorize") in imported_names("counts")
+
+
+def module_level_imports(path: Path) -> set[str]:
+    """Top-level names of the modules a module imports when it is imported itself:
+    every import outside a function body, relative ones as ""."""
+    out, stack = set(), list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            out.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.add("" if node.level else node.module.partition(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_imports_decimal_when_imported(path):
+    assert "decimal" not in module_level_imports(path)
+
+
+def test_decimal_guard_sees_imports():
+    assert {"argparse", "json", "sys", ""} <= module_level_imports(PACKAGE / "cli.py")
+    # cli imports decimal inside the table path, which the guard must not count.
+    assert ("", "decimal") in imported_names("cli")
