@@ -198,8 +198,9 @@ def _inverted(h: list[int]) -> list[int]:
     N = len(h) - 1
     for d in range(1, N // 2 + 1):
         u = h[d]
-        for m in range(2 * d, N + 1, d):
-            h[m] -= u
+        if u:  # a zero entry leaves its multiples as they are
+            for m in range(2 * d, N + 1, d):
+                h[m] -= u
     return h[1:]
 
 

@@ -52,10 +52,13 @@ F(d * r // (a + d * i)), which depends on delta only through a.  Writing F(x) as
 the sum of the steps f(q) = F(q) - F(q - 1), q <= x, and (a + d * i) * q <= d * r
 as i * q + ceil(a * q / d) <= r, V_{d,a}(1..R) is F(d * r // a) plus the prefix
 sums of a list that gets f(q) at r = q + ceil(a * q / d) and every q-th index
-after: about R ln R list additions per distinct (d, a).  Row n is
-Phi_k(n) plus the sum over its pairs of phi(d) * mu(delta) * V_{d,a}(n / (d * delta));
-mu and phi come from the in-place divisor-sum inversion the count columns use,
-F and Phi_k are read off relprime_column and coprime_column.
+after: about R ln R list additions per distinct (d, a), R = n_max // (d * delta).
+A pair with R <= 2 builds no list: V(1) = F(d // a) and, as d < a + d < 2 * d,
+V(2) = F(2 * d // a) + F(1).  delta walks the squarefree numbers in ascending
+order while d * delta <= n_max.  Row n is Phi_k(n) plus the sum over its pairs of
+phi(d) * mu(delta) * V_{d,a}(n / (d * delta)); mu and phi come from the in-place
+divisor-sum inversion the count columns use, F and Phi_k are read off
+relprime_column and coprime_column.
 """
 
 from __future__ import annotations
@@ -213,24 +216,34 @@ def menon_column(n_max: int, k: int | None = None) -> list[int]:
 
     Each coprime pair (d > 1, squarefree delta) with d * delta <= n_max is visited
     once, with one inverse a = delta^-1 (mod d); its term at n = d * delta * r is
-    phi(d) * mu(delta) * V_{d,a}(r), V_{d,a}(1..R) one prefix sum shared by the
-    pairs of d with the same a (see the module docstring).  Each row is Phi_k(n),
-    read off coprime_column, plus its guarded pair sum.
+    phi(d) * mu(delta) * V_{d,a}(r), in closed form if R = n_max // (d * delta) <= 2,
+    else read off V_{d,a}(1..R), one prefix sum shared by the pairs of d with the
+    same a (see the module docstring).  Each row is Phi_k(n), read off
+    coprime_column, plus its guarded pair sum.
     """
     n_max, k = check_args(n_max, k)
     mu, phi = _mu_phi(n_max)
     F = [0] + relprime_column(n_max, k)
     f = [0] + list(map(sub, F[1:], F[:-1]))
     pair_sums = [0] * (n_max + 1)
+    squarefree = [delta for delta in range(1, n_max // 2 + 1) if mu[delta]]
     for d in range(2, n_max + 1):
         sums = {}  # a -> V_{d,a}, built at its smallest delta: the longest R
-        for delta in range(1, n_max // d + 1):
-            if mu[delta] and gcd(d, delta) == 1:
-                a, w, step = pow(delta, -1, d), phi[d] * mu[delta], d * delta
+        for delta in squarefree:
+            step = d * delta
+            if step > n_max:
+                break
+            if gcd(d, delta) == 1:
+                a, w, R = pow(delta, -1, d), phi[d] * mu[delta], n_max // step
+                if R <= 2:  # closed terms, no list
+                    pair_sums[step] += w * F[d // a]
+                    if R == 2:
+                        pair_sums[2 * step] += w * (F[2 * d // a] + F[1])
+                    continue
                 V = sums.get(a)
                 if V is None:
-                    V = sums[a] = _progression_sums(F, f, d, a, n_max // step)
-                for r in range(1, n_max // step + 1):
+                    V = sums[a] = _progression_sums(F, f, d, a, R)
+                for r in range(1, R + 1):
                     pair_sums[step * r] += w * V[r]
     del F, f  # freed before the Phi_k column is built: a lower peak
     return [phik + _finish(total)

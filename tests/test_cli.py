@@ -366,10 +366,11 @@ def test_table_rounding_raises_rather_than_printing(capsys, monkeypatch, tag):
 
 @pytest.mark.parametrize("tag, k", [("mbar", None), ("mbark", "2")])
 def test_sum_tables_read_every_count_off_the_rows(capsys, monkeypatch, tag, k):
-    # An mbar or mbark table is one prefix sum per (d, delta^-1 mod d) up to n_max
-    # (menon.menon_column): it factors no n, takes every F(q) and every step
-    # F(q) - F(q - 1) from one relprime_column F(1..n_max), and its rows are the
-    # per-n sums.
+    # An mbar or mbark table is one sweep over the pairs (d, squarefree delta)
+    # (menon.menon_column): one prefix sum per (d, delta^-1 mod d) with
+    # n_max // (d delta) >= 3, closed terms for the rest.  It factors no n, takes
+    # every F(q) and every step F(q) - F(q - 1) from one relprime_column
+    # F(1..n_max), and its rows are the per-n sums.
     import menon_subsets.menon as menon_mod
 
     columns = []

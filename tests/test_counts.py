@@ -1,3 +1,4 @@
+import decimal
 import random
 import re
 from itertools import accumulate
@@ -539,6 +540,37 @@ def test_columns_are_the_inversions_of_comb(case):
                  for m in range(1, n_max + 1)]
     assert coprime_column(n_max, k) == _inverted(g)
     assert relprime_column(n_max, k) == list(accumulate(_inverted(top)))
+
+
+def naive_inversion(h):
+    """u[1..N] with h[m] = sum over d | m of u[d]: each u[m] is h[m] less the u[d] of the
+    proper divisors d of m, found by trial division."""
+    u = [None]
+    for m in range(1, len(h)):
+        u.append(h[m] - sum(u[d] for d in range(1, m) if m % d == 0))
+    return u[1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from((0, 0, 0, 0, 1, -1, 3, -7, 2**70)), min_size=1, max_size=200))
+def test_inverted_matches_the_naive_inversion_on_sparse_lists(h):
+    # Mostly zeros: an entry whose inverse is 0 walks none of its multiples.
+    h = [0] + h
+    assert _inverted(list(h)) == naive_inversion(h)
+
+
+def test_inverted_matches_the_naive_inversion_in_decimal():
+    # The table f|phi path inverts Decimal lists; here every third inverse entry is 0.
+    u = [(1 << m) * (m % 3 != 0) for m in range(1, 121)]
+    ints = [0] + [sum(u[d - 1] for d in range(1, m + 1) if m % d == 0) for m in range(1, 121)]
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.InvalidOperation, decimal.Inexact, decimal.Rounded])
+    with decimal.localcontext(exact):
+        h = [decimal.Decimal(v) for v in ints]
+        got = _inverted(list(h))
+        assert got == naive_inversion(h) == u
+    assert all(isinstance(v, decimal.Decimal) for v in got)
+    assert [str(v) for v in got] == [str(v) for v in u]
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 12, 300])

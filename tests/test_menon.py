@@ -534,3 +534,32 @@ def test_progression_sums_are_the_naive_progression_sums():
                 naive = [sum(F[d * r // (a + d * i)] for i in range(r)) for r in range(31)]
                 for R in range(1, 31):
                     assert _progression_sums(F, f, d, a, R) == naive[:R + 1], (d, a, R, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 600).flatmap(lambda n: st.tuples(st.integers(1, n - 1), st.just(n))),
+       st.one_of(st.none(), st.integers(1, 6)))
+def test_menon_column_rows_do_not_depend_on_n_max(mn, k):
+    # Which pairs take closed terms (n_max // (d delta) <= 2) and which share a V list
+    # depends on n_max; the value of a row may not.
+    m, n = mn
+    assert menon_column(m, k) == menon_column(n, k)[:m]
+
+
+@pytest.mark.parametrize("k", [None, 2])
+def test_menon_column_builds_few_progression_lists(monkeypatch, k):
+    # A host-independent work bound at n_max = 800: the pairs with n_max // (d delta) <= 2
+    # take closed terms, so 505 V lists of 6071 entries V(1..R) in all are built, where
+    # one list per distinct (d, a) took 1713 lists and 7568 entries.
+    built = []
+    original = menon_mod._progression_sums
+
+    def spy(F, f, d, a, R):
+        built.append(R)
+        return original(F, f, d, a, R)
+
+    monkeypatch.setattr(menon_mod, "_progression_sums", spy)
+    menon_column(800, k)
+    assert len(built) <= 505
+    assert sum(built) <= 6071
+    assert min(built) >= 3
