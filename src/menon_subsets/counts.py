@@ -19,18 +19,19 @@ of n, held in t-indexed lists (floor_vectors): by an adjoint pass and one
 big-integer sum.  relprime_subsets is the single weight 1 at q = n.  Every
 per-n call is cold: it keeps nothing between calls, and a sweep over n reads
 a column instead.  mu comes from one factorisation of n; nothing here reads
-a sieve.  A column factors nothing:
-it is one in-place divisor-sum inversion over 1..n_max (_inverted), about
-n_max ln n_max small-integer subtractions, plus one term g per m, a power of 2
-or a binomial, each stepped from the one before (2^m = 2^(m - 1) + 2^(m - 1),
-C(m, k) = C(m - 1, k) * m // (m - k)); the gcd-sum column, menon.menon_column,
-reads its F and Phi_k off these two.
+a sieve.  A column factors nothing: it is one in-place divisor-sum inversion
+over 1..n_max (_inverted), a pass per prime and about n_max ln ln n_max
+subtractions, plus one term g per m, a power of 2 or a binomial, each stepped
+from the one before (2^m = 2^(m - 1) + 2^(m - 1), C(m, k) = C(m - 1, k) * m //
+(m - k)); the gcd-sum column, menon.menon_column, reads its F and Phi_k off
+these two.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, compress, islice
 from math import comb, isqrt
+from operator import sub
 
 from .sieve import Factorization, check_args, factorize
 
@@ -192,15 +193,23 @@ def coprime_subsets(n: int, k: int | None = None) -> int:
 
 
 def _inverted(h: list[int]) -> list[int]:
-    # u[1..N] with h[m] = sum over d | m of u[d], found in place on h (h[0] unused):
-    # ascending, u[d] is final when reached and leaves -u[d] at each multiple.  Signed;
-    # a caller whose u are counts guards them.
+    # u[1..N] with h[m] = sum over d | m of u[d], found in place on h (h[0] unused) by the
+    # Euler product mu = prod over primes p of (1 - [p]): one pass h[m] -= h[m // p] per
+    # prime, m = p, 2p, ..., about N ln ln N subtractions.  h and u are 0 below the first
+    # nonzero h[j0], so a pass starts at m = p * j0 and only p <= N // j0 run.  Signed; a
+    # caller whose u are counts guards them.
     N = len(h) - 1
-    for d in range(1, N // 2 + 1):
-        u = h[d]
-        if u:  # a zero entry leaves its multiples as they are
-            for m in range(2 * d, N + 1, d):
-                h[m] -= u
+    j0 = next(compress(range(1, N + 1), islice(h, 1, None)), N + 1)
+    composite = bytearray(N // j0 + 1)  # composite[c] = 1 once a prime p, p * p <= c, passed
+    for p in range(2, N // j0 + 1):
+        if composite[p]:
+            continue
+        if p * p <= N:  # m // p may be a multiple of p: the slice reads all before it writes
+            composite[p * p::p] = b"\1" * len(range(p * p, N // j0 + 1, p))
+            h[p * j0::p] = map(sub, h[p * j0::p], h[j0:N // p + 1])
+        else:  # j <= N // p < p: no pass from here on writes an h[j] it reads
+            for j in range(j0, N // p + 1):
+                h[p * j] -= h[j]
     return h[1:]
 
 

@@ -6,7 +6,7 @@ from math import comb as binomial
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from menon_subsets import (
@@ -21,6 +21,7 @@ from menon_subsets.counts import (
     _adjoint,
     _binomials,
     _dense_solve,
+    _doublings,
     _floor_count,
     _inverted,
     _push,
@@ -554,9 +555,52 @@ def naive_inversion(h):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from((0, 0, 0, 0, 1, -1, 3, -7, 2**70)), min_size=1, max_size=200))
 def test_inverted_matches_the_naive_inversion_on_sparse_lists(h):
-    # Mostly zeros: an entry whose inverse is 0 walks none of its multiples.
+    # Mostly zeros: runs of zeros, leading ones among them, and inverses 0 at many m.
     h = [0] + h
     assert _inverted(list(h)) == naive_inversion(h)
+
+
+@st.composite
+def dense_inversion_inputs(draw):
+    """[0, h(1..N)], N <= 400 so that N crosses the prime squares 4 .. 361: zero below a
+    first nonzero h(j0) and dense signed above it, all zero when j0 = N + 1."""
+    N = draw(st.integers(0, 400))
+    j0 = draw(st.sampled_from((1, N + 1)) | st.integers(1, N + 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return [0] * j0 + [rng.choice((-1, 1)) * rng.randint(1, 2**70) for _ in range(j0, N + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_inversion_inputs())
+@example([0])
+@example([0] * 401)
+def test_inverted_matches_the_naive_inversion_prime_by_prime(h):
+    # The slice passes (p^2 <= N), the loop passes (p^2 > N) and the leading-zero skip.
+    assert _inverted(list(h)) == naive_inversion(h)
+
+
+class Counted(int):
+    """An int whose subtractions are tallied in Counted.subtractions."""
+
+    subtractions = 0
+
+    def __sub__(self, other):
+        Counted.subtractions += 1
+        return Counted(int(self) - other)
+
+
+def inversion_subtractions(h) -> int:
+    Counted.subtractions = 0
+    _inverted([Counted(v) for v in h])
+    return Counted.subtractions
+
+
+def test_inverted_takes_one_pass_per_prime():
+    # The Euler product mu = prod over p of (1 - [p]) takes about N ln ln N subtractions;
+    # subtracting each final u[d] from its multiples took 17460, 13712 and 1.
+    assert inversion_subtractions(_doublings(2500, 2)) <= 5646
+    assert inversion_subtractions([0] + _binomials(2499, 2)) <= 5075  # the fk k = 3 column
+    assert inversion_subtractions(_binomials(4096, 2048)) == 1  # zero below 2048: p = 2 alone
 
 
 def test_inverted_matches_the_naive_inversion_in_decimal():
@@ -584,6 +628,15 @@ def test_phi_is_twice_the_f_step_less_one_at_one(n_max):
     F = [0] + relprime_column(n_max)
     assert coprime_column(n_max) == phi[1:] == [
         2 * (F[m] - F[m - 1]) - (m == 1) for m in range(1, n_max + 1)]
+
+
+def test_small_columns_match_cold_counts_at_every_n_max():
+    # Small n_max and k near n_max: the zero-led binomial lists whose inversion skips primes.
+    for n_max in range(1, 41):
+        ns = range(1, n_max + 1)
+        for k in {None, 1, n_max // 2, n_max - 1, n_max, n_max + 1} - {0}:
+            assert relprime_column(n_max, k) == [relprime_subsets(n, k) for n in ns]
+            assert coprime_column(n_max, k) == [coprime_subsets(n, k) for n in ns]
 
 
 def test_columns_match_enumeration():
