@@ -163,8 +163,8 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if spent >= BENCH_BUDGET_S:
             break
 
-    # The d > 1 pairs, which the weight pass walks; the d = 1 ones are summed in closed form.
-    pairs = (f"   divisor-pairs={sum(d > 1 for d, _, _ in divisor_pairs(factorize(args.n)))}"
+    # The d > 1 pairs, which the weight pass walks; the d = 1 ones are Phi_k(n)'s terms.
+    pairs = (f"   divisor-pairs={len(divisor_pairs(factorize(args.n)))}"
              if tag in SUM_TAGS else "")
     digits = _decimal_digits(value)
     shown = str(value) if digits <= 40 else f"<{digits} decimal digits>"

@@ -13,18 +13,18 @@ decimal.Decimal(1) under a context that traps rounding, whose values then print
 in linear time.  The signed sums are checked nonnegative before they are
 returned -- a negative total would mean a defect, never a valid answer.
 
-The count core, vector_count, returns the sum of w_q * F(q), F =
-relprime_subsets(., k), over small-integer weights w_q on the floor values q
-of n, held in t-indexed lists (floor_vectors): by an adjoint pass and one
-big-integer sum.  relprime_subsets is the single weight 1 at q = n.  Every
-per-n call is cold: it keeps nothing between calls, and a sweep over n reads
-a column instead.  mu comes from one factorisation of n; nothing here reads
-a sieve.  A column factors nothing: it is one in-place divisor-sum inversion
-over 1..n_max (_inverted), a pass per prime and about n_max ln ln n_max
-subtractions, plus one term g per m, a power of 2 or a binomial, each stepped
-from the one before (2^m = 2^(m - 1) + 2^(m - 1), C(m, k) = C(m - 1, k) * m //
-(m - k)); the gcd-sum column, menon.menon_column, reads its F and Phi_k off
-these two.
+The count core, vector_count, returns the sum of w_q * F(q), F = relprime_subsets(., k),
+over small-integer weights w_q on the floor values q of n, held in t-indexed lists
+(floor_vectors), by an adjoint pass to terms (r, W_r) and one term evaluator,
+_term_sum, which sums w * g(r) over one or more term lists, each C(r, k) once per
+distinct r, and guards each list's total.  relprime_subsets is the weight 1 at q = n;
+coprime_subsets sums the Möbius terms (n // delta, mu(delta)), and menon.menon_sum
+both.  Per-n calls are cold and keep nothing; a sweep over n reads a column.  mu comes
+from one factorisation of n; nothing here reads a sieve.  A column factors nothing: it
+is one in-place divisor-sum inversion over 1..n_max (_inverted), a pass per prime and
+about n_max ln ln n_max subtractions, plus one term g per m, a power of 2 or a
+binomial, each stepped from the one before (2^m = 2^(m - 1) + 2^(m - 1), C(m, k) =
+C(m - 1, k) * m // (m - k)); menon.menon_column reads its F and Phi_k off these two.
 """
 
 from __future__ import annotations
@@ -71,13 +71,12 @@ class MemoCache:
                 yield (tag, m, k), value
 
 
-def _term(q: int, k: int | None) -> int:
-    return ((1 << q) - 1) if k is None else comb(q, k)
-
-
-def _mobius_sum(fac: Factorization, k: int | None) -> int:
-    # Phi_k(n) = sum over squarefree delta | n of mu(delta) * g(n // delta)
-    return sum(m * _term(fac.n // d, k) for d, m in fac.mobius().items())
+def _mobius_terms(fac: Factorization) -> list[tuple[int, int]]:
+    # Phi_k(n)'s terms (n // delta, mu(delta)), squarefree delta | n, n // delta ascending.
+    terms = [(fac.n, 1)]
+    for p, _ in fac.factors:
+        terms += [(r // p, -m) for r, m in terms]
+    return sorted(terms)
 
 
 def _finish(total: int) -> int:
@@ -138,22 +137,27 @@ def _adjoint(big: list[int], small: list[int], n: int) -> list[tuple[int, int]]:
     return _dense_solve(x) + [(n // u, big[u]) for u in range(U, 0, -1) if big[u]]
 
 
-def _term_sum(terms: list[tuple[int, int]], k: int | None) -> int:
-    """Sum of w * g(r) over the (r, w) pairs of `terms`, r ascending.
+def _term_sum(k: int | None, *lists: list[tuple[int, int]]) -> int:
+    """Sum over `lists` of each one's guarded total of w * g(r) over its (r, w), r ascending.
 
-    The powers 2^r are summed by merging neighbours pairwise, the upper one
-    shifted by its offset above the lower: a round adds about max(r) bits
-    in all, not per term.  A loop, as a recursive closure is a reference
-    cycle that leaves each call's lists to the cyclic garbage collector.
+    The C(r, k) of all lists but the last are taken once per distinct r and shared: with
+    distinct r in the last, each C(r, k) is taken once.  The powers 2^r are summed by
+    merging neighbours pairwise, the upper one shifted by its offset above the lower, so a
+    round adds about max(r) bits in all; in a loop, as a recursive closure would leave each
+    call's lists to the cyclic garbage collector.
     """
     if k is not None:
-        return sum(w * comb(r, k) for r, w in terms)
-    total = -sum(w for _, w in terms)
-    while len(terms) > 1:
-        merged = [(r, w + (v << (s - r)))
-                  for (r, w), (s, v) in zip(terms[::2], terms[1::2])]
-        terms = merged + terms[len(merged) * 2:]
-    return total + (terms[0][1] << terms[0][0] if terms else 0)
+        g = {r: comb(r, k) for r in {r for terms in lists[:-1] for r, _ in terms}}
+        return sum(_finish(sum([w * g[r] if r in g else w * comb(r, k) for r, w in terms]))
+                   for terms in lists)
+    out = 0
+    for terms in lists:
+        total = -sum(w for _, w in terms)
+        while len(terms) > 1:
+            merged = [(r, w + (v << (s - r))) for (r, w), (s, v) in zip(terms[::2], terms[1::2])]
+            terms = merged + terms[len(merged) * 2:]
+        out += _finish(total + (terms[0][1] << terms[0][0] if terms else 0))
+    return out
 
 
 def vector_count(big: list, small: list, n: int, k: int | None) -> int:
@@ -165,7 +169,7 @@ def vector_count(big: list, small: list, n: int, k: int | None) -> int:
     pass solves in small integers, whatever k is: 4n / sqrt(D) floor divisions above D ~ 0.6
     n^(2/3), then D / 2 C-speed slice sums.
     """
-    return _finish(_term_sum(_adjoint(big, small, n), k))
+    return _term_sum(k, _adjoint(big, small, n))
 
 
 def relprime_subsets(n: int, k: int | None = None) -> int:
@@ -189,7 +193,7 @@ def coprime_subsets(n: int, k: int | None = None) -> int:
     not the empty set.
     """
     n, k = check_args(n, k)
-    return _finish(_mobius_sum(factorize(n), k))
+    return _term_sum(k, _mobius_terms(factorize(n)))
 
 
 def _inverted(h: list[int]) -> list[int]:

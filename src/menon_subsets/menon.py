@@ -16,33 +16,34 @@ the relatively prime subset counts F = relprime_subsets(., k):
         sum over j in 1..n/delta with delta * j = 1 (mod d) of
           F(floor(n / (j * delta)))
 
-The (d, delta) pairs and their weights phi(d) * mu(delta) are built prime
-by prime from one factorisation of n.  The d = 1 layer is closed: grouping
-the (k-)subsets of {1..N} by their gcd j gives sum over j <= N of
-F(N // j) = g(N), g(N) = 2^N - 1 or C(N, k), so the layer is the sum over
-squarefree delta | n of mu(delta) * g(n / delta) = Phi_k(n).  The weight
-pass puts the d > 1 pairs' phi(d) * mu(delta) per member j = delta^-1
-(mod d) on the weight w_q of q = n // (j * delta), in the t-indexed lists of
-counts.floor_vectors.  With m = delta * j, the member condition is m = 1
-(mod d) and delta | m, so summing over delta first and then over d | gcd(m - 1,
-n) gives m the weight c(m) = (gcd(m - 1, n) - 1) * [gcd(m, n) = 1], and w_q is
-the sum of c(m) over the m with n // m = q.  The pass takes one of two routes,
-chosen from the number P = prod(e + 2) - 2^omega(n) of d > 1 pairs:
+The d = 1 layer is closed: grouping the (k-)subsets of {1..N} by their gcd j gives
+sum over j <= N of F(N // j) = g(N), g(N) = 2^N - 1 or C(N, k), so the layer is the
+sum over squarefree delta | n of mu(delta) * g(n / delta) = Phi_k(n).  divisor_pairs
+builds only the d > 1 pairs, prime by prime from one factorisation of n, each with
+its weight phi(d) * mu(delta) and inverse a = delta^-1 (mod d).  The weight pass
+puts a pair's weight per member j = a (mod d) on the weight w_q of
+q = n // (j * delta), in the t-indexed lists of counts.floor_vectors.  With
+m = delta * j, the member condition is m = 1 (mod d) and delta | m, so summing over
+delta first and then over d | gcd(m - 1, n) gives m the weight
+c(m) = (gcd(m - 1, n) - 1) * [gcd(m, n) = 1], and w_q is the sum of c(m) over the m
+with n // m = q.  The pass takes one of two routes, chosen from the number
+P = prod(e + 2) - 2^omega(n) of d > 1 pairs:
 - few pairs (P^3 < 16 n: primes, p * q, prime powers): walk each pair's
   progression one block of constant n // m at a time (_add_progression);
 - many pairs: one gcd per m coprime to n up to L = n // q0, q0 ~ sqrt(n /
   2P), read off a bytearray coprime mask; big[u] = c(u), and small[q] is a
   difference of the prefix sums H(x) of c, which below q0 take one
-  multiply-add per pair: H(x) = sum of w * ((x // delta - a + d) // d),
-  a = delta^-1 (mod d) (_mask_weights).
-The routes give equal lists; the mask's fixed ~sqrt(n) steps lose to the
-walk when the pairs are few.  The count core, counts.vector_count, returns
-the sum of w_q * F(q): the sum over the subsets of gcd(gcd(A) - 1, n) - 1,
->= 0 and guarded as such.  Every n, prime powers included, takes this one
-core; the paper's prime-power identity is the independent
-oracle.prime_power_menon_sum.  menon_sum keeps nothing between calls: a sweep
-over 1..n_max is menon_column, and the verify battery checks the two against
-each other and the gcd-class oracle at every n of its formula-scale sweep.
+  multiply-add per pair: H(x) = sum of w * ((x // delta - a + d) // d)
+  (_mask_weights).
+The routes give equal lists; the mask's fixed ~sqrt(n) steps lose to the walk when
+the pairs are few.  The count core's adjoint pass turns the w_q into terms (r, W_r),
+and the sum over the subsets of gcd(gcd(A) - 1, n) - 1 is the sum of W_r * g(r); one
+counts._term_sum takes them and Phi_k(n)'s terms (n // delta, mu(delta)), each
+C(r, k) once, and guards the two totals, each >= 0, apart.  Every n, prime powers
+included, takes this one core; the paper's prime-power identity is the independent
+oracle.prime_power_menon_sum.  menon_sum keeps nothing between calls: a sweep over
+1..n_max is menon_column, which the verify battery checks against it and the
+gcd-class oracle at every n of its formula-scale sweep.
 
 menon_column needs no factorisation and no floor_vectors.  For a pair (d > 1,
 squarefree delta coprime to d) with d * delta | n, let r = n / (d * delta) and
@@ -69,8 +70,8 @@ from itertools import accumulate, compress, repeat
 from math import gcd, isqrt
 from operator import add, floordiv, mul, sub
 
-from .counts import (_finish, _inverted, _mobius_sum, coprime_column, floor_vectors,
-                     relprime_column, vector_count)
+from .counts import (_adjoint, _finish, _inverted, _mobius_terms, _term_sum, coprime_column,
+                     floor_vectors, relprime_column)
 from .sieve import Factorization, check_args, factorize
 
 
@@ -131,30 +132,26 @@ def _mask_weights(big, small, n: int, fac: Factorization, pairs, q0: int) -> Non
     for m1, g in zip(ms[:bisect_left(ms, len(big) - 1)], gs):
         big[m1 + 1] = g - 1
     acc = list(accumulate(gs, initial=0))
-    shifts = [delta * (d - pow(delta, -1, d)) for d, delta, _ in pairs]
-    strides = [d * delta for d, delta, _ in pairs]
-    ws = [w for _, _, w in pairs]
+    shifts = [delta * (d - a) for d, delta, a, _ in pairs]
+    strides = [d * delta for d, delta, _, _ in pairs]
+    ws = [w for _, _, _, w in pairs]
     H = [sum(map(mul, ws, map(floordiv, map(add, repeat(n // q), shifts), strides)))
          for q in range(1, q0)]
     H += [acc[i] - i for i in (bisect_left(ms, n // q) for q in range(q0, len(small) + 1))]
     small[1:] = map(sub, H, H[1:])
 
 
-def divisor_pairs(fac: Factorization) -> list[tuple[int, int, int]]:
-    """(d, delta, phi(d) * mu(delta)) for all coprime d | n, squarefree delta | n.
-
-    All prod(e + 2) of them; the gcd sums weigh those with d > 1, by block
-    walk or coprime mask (bench's divisor-pairs= counts these), and sum the
-    2^omega(n) with d = 1 in closed form.
-    """
-    # Each p^e || n goes into d as one of p^1..p^e, into delta, or into
-    # neither, so every coprime pair is built once: prod(e + 2) triples.
-    out = [(1, 1, 1)]
+def divisor_pairs(fac: Factorization) -> list[tuple[int, int, int, int]]:
+    """(d, delta, a = delta^-1 mod d, phi(d) * mu(delta)) for the coprime d > 1, d | n, and
+    squarefree delta | n: each p^e || n goes into d as one of p^1..p^e, into delta, or into
+    neither, so each of the prod(e + 2) - 2^omega(n) pairs the weight pass walks is built once."""
+    out, ones = [], [(1, 1, 1)]  # the pairs with d > 1 so far, and those with d = 1
     for p, e in fac.factors:
         out += [(d * p**i, delta, w * (p - 1) * p ** (i - 1))
-                for d, delta, w in out for i in range(1, e + 1)
+                for d, delta, w in out + ones for i in range(1, e + 1)
                 ] + [(d, delta * p, -w) for d, delta, w in out]
-    return out
+        ones += [(1, delta * p, -w) for _, delta, w in ones]
+    return [(d, delta, pow(delta, -1, d), w) for d, delta, w in out]
 
 
 def menon_sum(n: int, k: int | None = None) -> int:
@@ -164,17 +161,16 @@ def menon_sum(n: int, k: int | None = None) -> int:
     """
     n, k = check_args(n, k)
     fac = factorize(n)
-    # Phi_k(n), the d = 1 layer, plus the core's sum over the weights of the d > 1 triples.
+    # Phi_k(n), the d = 1 layer, and the core's sum over the weights of the d > 1 pairs.
     big, small = floor_vectors(n)
-    pairs = [(d, delta, w) for d, delta, w in divisor_pairs(fac) if d > 1]
-    P = len(pairs)
-    if P**3 >= 16 * n:  # the measured crossover of the two weight routes
+    pairs = divisor_pairs(fac)
+    if len(pairs)**3 >= 16 * n:  # the measured crossover of the two weight routes
         # q0 balances the mask's ~n / q0 C-speed steps against the P * q0 multiply-adds below q0.
-        _mask_weights(big, small, n, fac, pairs, max(isqrt(n // (2 * P)), 1))
+        _mask_weights(big, small, n, fac, pairs, max(isqrt(n // (2 * len(pairs))), 1))
     else:
-        for d, delta, w in pairs:
-            _add_progression(big, small, n, delta, pow(delta, -1, d), d, w)
-    return vector_count(big, small, n, k) + _mobius_sum(fac, k)
+        for d, delta, a, w in pairs:
+            _add_progression(big, small, n, delta, a, d, w)
+    return _term_sum(k, _mobius_terms(fac), _adjoint(big, small, n))
 
 
 def evaluate(params: MenonParams, _cache=None, /) -> int:

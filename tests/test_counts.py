@@ -395,7 +395,10 @@ def adjoint_pairs(weights, n):
 def test_adjoint_pairs_are_what_the_term_sum_takes(weighted, k):
     n, weights = weighted
     expected = sum(w * mobius_subset_count(q, BIG_SIEVE, k) for q, w in weights.items())
-    assert _term_sum(adjoint_pairs(weights, n), k) == expected
+    if expected < 0:  # the term sum guards its total as a count
+        weights = {q: -w for q, w in weights.items()}
+        expected = -expected
+    assert _term_sum(k, adjoint_pairs(weights, n)) == expected
 
 
 @st.composite
@@ -422,10 +425,10 @@ def split_weights(draw):
 def test_adjoint_total_matches_mobius_sum_at_the_split(weighted, k):
     n, weights = weighted
     expected = sum(w * mobius_subset_count(q, BIG_SIEVE, k) for q, w in weights.items())
-    assert _term_sum(adjoint_pairs(weights, n), k) == expected
     if expected < 0:
         weights = {q: -w for q, w in weights.items()}
         expected = -expected
+    assert _term_sum(k, adjoint_pairs(weights, n)) == expected
     assert weighted_count(weights, n, k) == expected
 
 
@@ -479,16 +482,45 @@ def test_term_sum_matches_the_naive_sum(exponents, data, k):
                                  min_size=len(exponents), max_size=len(exponents)))
     terms = list(zip(exponents, weights))
     g = (lambda r: (1 << r) - 1) if k is None else (lambda r: binomial(r, k))
-    assert _term_sum(terms, k) == sum(w * g(r) for r, w in terms)
+    expected = sum(w * g(r) for r, w in terms)
+    if expected < 0:  # a negative total is refused; its negation is a count
+        with pytest.raises(ArithmeticError):
+            _term_sum(k, terms)
+        terms, expected = [(r, -w) for r, w in terms], -expected
+    assert _term_sum(k, terms) == expected
+
+
+@given(st.lists(EXPONENTS, min_size=1, max_size=4), st.data(),
+       st.sampled_from((None, None, 1, 2, 3)))
+def test_term_sum_of_several_lists_is_the_sum_of_their_guarded_totals(lists, data, k):
+    # Each list is summed and guarded on its own: any negative total is refused, even
+    # when the others would make up for it.
+    lists = [list(zip(rs, data.draw(st.lists(st.integers(-10**20, 10**20), min_size=len(rs),
+                                             max_size=len(rs))))) for rs in lists]
+    g = (lambda r: (1 << r) - 1) if k is None else (lambda r: binomial(r, k))
+    totals = [sum(w * g(r) for r, w in terms) for terms in lists]
+    if min(totals) < 0:
+        with pytest.raises(ArithmeticError):
+            _term_sum(k, *lists)
+    else:
+        assert _term_sum(k, *lists) == sum(totals)
 
 
 def test_term_sum_edge_cases():
-    assert _term_sum([], None) == 0
-    assert _term_sum([(5, 3)], None) == 3 * 31
-    assert _term_sum([(0, 7)], None) == 0
-    assert _term_sum([(2, 0), (9, 0)], None) == 0
-    assert _term_sum([(1, -1), (4, 2), (4, 1), (60, -1)], None) == \
-        -1 + 2 * 15 + 15 - ((1 << 60) - 1)
+    assert _term_sum(None) == _term_sum(2) == 0
+    assert _term_sum(None, []) == 0
+    assert _term_sum(None, [(5, 3)]) == 3 * 31
+    assert _term_sum(None, [(0, 7)]) == 0
+    assert _term_sum(None, [(2, 0), (9, 0)]) == 0
+    with pytest.raises(ArithmeticError):
+        _term_sum(None, [(1, -1), (4, 2), (4, 1), (60, -1)])
+    assert _term_sum(None, [(1, 1), (4, -2), (4, -1), (60, 1)]) == \
+        1 - 2 * 15 - 15 + ((1 << 60) - 1)
+    # Phi_k and a pair sum that share r = 6: each guarded, summed, C(6, 2) taken once.
+    assert _term_sum(2, [(2, -1), (3, -1), (6, 1)], [(1, 4), (6, 2)]) == \
+        (-1 - 3 + 15) + 2 * 15
+    with pytest.raises(ArithmeticError):
+        _term_sum(2, [(2, 1), (6, -1)], [(6, 5)])
 
 
 @settings(max_examples=25, deadline=None)
@@ -505,7 +537,8 @@ def test_gcd_classes_of_the_subsets_sum_to_g(N, k):
 
 
 def _column_ks(n_max: int):
-    return (None, 1, 2, 3, n_max, n_max + 2)
+    # 3 < k < n_max too: the mid-range k, where the binomials are largest.
+    return (None, 1, 2, 3, (n_max + 1) // 2, max(n_max - 1, 1), n_max, n_max + 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -659,3 +692,21 @@ def test_columns_reject_bad_arguments_as_the_counts_do(column, count, args):
         count(*args)
     with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
         column(*args)
+
+
+@pytest.mark.parametrize("n, k", [(4096, 2048), (55440, 2), (720720, 3), (65521, 2), (1, 1)])
+def test_gcd_sum_takes_each_binomial_once(monkeypatch, n, k):
+    # Phi_k(n)'s terms and the adjoint's output share r = n (and more): the one term sum
+    # takes C(r, k) once per distinct r.
+    import menon_subsets.counts as counts_mod
+
+    taken = []
+
+    def spy(r, j):
+        taken.append((r, j))
+        return binomial(r, j)
+
+    monkeypatch.setattr(counts_mod, "comb", spy)
+    menon_sum(n, k)
+    assert len(taken) == len(set(taken)) and {j for _, j in taken} == {k}
+    assert (n, k) in taken

@@ -5,7 +5,8 @@ factorisation of n; the sieve is the oracles' independent table.  The
 oracles in turn must not lean on the code they check, so they may import
 only the MemoCache container from the core.  No module imports decimal when
 it is imported: only the table command uses it, and every process that
-imports the package would pay for its import.
+imports the package would pay for its import.  One function of the counts
+and the gcd sums takes single binomials by comb, so that none is taken twice.
 """
 
 import ast
@@ -72,3 +73,37 @@ def test_decimal_guard_sees_imports():
     assert {"argparse", "json", "sys", ""} <= module_level_imports(PACKAGE / "cli.py")
     # cli imports decimal inside the table path, which the guard must not count.
     assert ("", "decimal") in imported_names("cli")
+
+
+def functions_calling(module: str, target: str) -> set[str]:
+    """Names of the functions of a module whose own body calls `target` (math.comb, say),
+    however the module imports it: by name, under an alias, or as an attribute."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    source, _, name = target.rpartition(".")
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == source
+               for alias in node.names if alias.name == name}
+
+    def calls(node) -> bool:
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id in aliases or isinstance(f, ast.Attribute)
+                    and f.attr == name and getattr(f.value, "id", None) == source):
+                return True
+        return any(calls(child) for child in ast.iter_child_nodes(node)
+                   if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and calls(node)}
+
+
+def test_one_function_takes_binomials():
+    # The counts and the gcd sums take every single binomial in one term evaluator,
+    # so that a sum over several term lists takes each C(r, k) once; the columns step theirs.
+    assert {(module, fn) for module in ("counts", "menon")
+            for fn in functions_calling(module, "math.comb")} == {("counts", "_term_sum")}
+
+
+def test_binomial_guard_sees_calls():
+    assert functions_calling("oracle", "math.comb")
+    assert functions_calling("verification", "math.comb")

@@ -43,6 +43,15 @@ def totients(fac):
     return dict(sorted(out))
 
 
+def all_pairs(fac):
+    """(d, delta, phi(d) * mu(delta)) for every coprime divisor d and squarefree divisor
+    delta of fac.n, d = 1 included: all prod(e + 2) of them, by the filtered double loop."""
+    return [(d, delta, phi_d * mu_delta)
+            for d, phi_d in totients(fac).items()
+            for delta, mu_delta in fac.mobius().items()
+            if gcd(d, delta) == 1]
+
+
 def weighted_count(weights, n, k):
     """The count core's sum of w * F(q) over the weights {q: w} on floor values q of n."""
     big, small = floor_vectors(n)
@@ -255,20 +264,24 @@ def test_singleton_sum_is_phi_times_tau(n):
     assert evaluate(MenonParams(n, 1)) == expected
 
 
+# Every n of the benchmark's gcd-sum pools (perfbench/workloads.py).
+GCDSUM_POOL_N = (47670, 48090, 48930, 55440, 56027, 56033, 56153, 56257, 56261, 56279, 56291,
+                 56317, 56323, 56341, 56363, 56387, 58800, 59049, 59400, 61200, 65407, 65413,
+                 65419, 65423, 65437, 65447, 65449, 65479, 65497, 65519, 65521, 65536, 68921,
+                 78125, 83521)
+
+
 def test_divisor_pairs_are_the_filtered_double_loop():
-    # The pairs built prime by prime are exactly the (divisor, squarefree
-    # divisor) pairs with gcd 1, each once, with the weight phi(d) * mu(delta).
-    for n in range(1, 3001):
+    # The pairs built prime by prime are exactly the (divisor > 1, squarefree
+    # divisor) pairs with gcd 1, each once, with the weight phi(d) * mu(delta)
+    # and a = delta^-1 (mod d).
+    for n in (*range(1, 10**4 + 1), *GCDSUM_POOL_N):
         fac = factorize(n)
-        filtered = sorted(
-            (d, delta, phi_d * mu_delta)
-            for d, phi_d in totients(fac).items()
-            for delta, mu_delta in fac.mobius().items()
-            if gcd(d, delta) == 1
-        )
+        filtered = sorted((d, delta, w) for d, delta, w in all_pairs(fac) if d > 1)
         pairs = divisor_pairs(fac)
-        assert sorted(pairs) == filtered
-        assert len(pairs) == math.prod(e + 2 for _, e in fac.factors)
+        assert sorted((d, delta, w) for d, delta, _, w in pairs) == filtered
+        assert all(0 < a < d and a * delta % d == 1 for d, delta, a, _ in pairs), n
+        assert len(pairs) == math.prod(e + 2 for _, e in fac.factors) - 2 ** len(fac.factors)
 
 
 @st.composite
@@ -337,7 +350,7 @@ def walked_weights(n, with_layer=True):
     the weights do not depend on k.  with_layer=False walks only d > 1.
     """
     weights = {}
-    for d, delta, w in divisor_pairs(factorize(n)):
+    for d, delta, w in all_pairs(factorize(n)):
         if with_layer or d > 1:
             first = pow(delta, -1, d) if d > 1 else 1
             dict_progression(weights, n // delta, first, d, n // delta, w)
@@ -345,15 +358,15 @@ def walked_weights(n, with_layer=True):
 
 
 def list_weights(n):
-    """The nonzero weights {q: w} the list weight pass hands to the count core."""
+    """The nonzero weights {q: w} the list weight pass hands to the count core's adjoint."""
     seen = []
 
-    def record(big, small, n, k):
+    def record(big, small, n):
         seen.append({**{n // u: w for u, w in enumerate(big) if w},
                      **{q: w for q, w in enumerate(small) if w}})
-        return 0
+        return []
 
-    with mock.patch.object(menon_mod, "vector_count", record):
+    with mock.patch.object(menon_mod, "_adjoint", record):
         evaluate(MenonParams(n))
     return seen.pop()
 
@@ -385,10 +398,10 @@ def rule_q0(n):
 def route_weights(n, q0s):
     """{q: w} from the block walk, then from the coprime mask at each q0 of q0s."""
     fac = factorize(n)
-    pairs = [(d, delta, w) for d, delta, w in divisor_pairs(fac) if d > 1]
+    pairs = [(d, delta, pow(delta, -1, d), w) for d, delta, w in all_pairs(fac) if d > 1]
     walked = floor_vectors(n)
-    for d, delta, w in pairs:
-        menon_mod._add_progression(*walked, n, delta, pow(delta, -1, d), d, w)
+    for d, delta, a, w in pairs:
+        menon_mod._add_progression(*walked, n, delta, a, d, w)
     routes = [walked]
     for q0 in q0s:
         routes.append(floor_vectors(n))
@@ -499,7 +512,7 @@ def test_mu_and_phi_columns_match_the_sieve(sieve):
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 7, 60, 300])
 def test_menon_column_matches_the_per_row_sums(n_max):
-    for k in (None, 1, 2, 3, 7, n_max):
+    for k in (None, 1, 2, 3, 7, (n_max + 1) // 2, max(n_max - 1, 1), n_max):
         assert menon_column(n_max, k) == [menon_sum(n, k) for n in range(1, n_max + 1)], k
 
 
