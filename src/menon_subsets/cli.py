@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from time import perf_counter
 
 from .counts import (_floor_count, coprime_column, coprime_subsets, relprime_column,
@@ -46,18 +47,20 @@ class SequenceTable:
     rows: list[tuple[int, int]]
 
     def to_csv(self) -> str:
-        lines = ["n,value"]
-        lines.extend(f"{n},{value!s}" for n, value in self.rows)  # str: Decimal formats slower
-        return "\n".join(lines) + "\n"
+        # One % format over the flat (n, value, ...) tuple: each value's digits go straight
+        # into the result, with no per-row string, list or join; %s is str, as in f-strings.
+        return ("n,value\n" + "%d,%s\n" * len(self.rows)) % tuple(chain.from_iterable(self.rows))
 
     def to_json(self) -> str:
         # The bytes of json.dumps(obj, indent=2) + "\n" for obj = {"function",
-        # "k", "rows": [{"n", "value": str(value)}]}, written row by row: with
-        # an indent, json falls back to its pure-Python encoder.
-        rows = ",".join(f'\n    {{\n      "n": {n},\n      "value": "{value!s}"\n    }}'
-                        for n, value in self.rows) + ("\n  " if self.rows else "")
-        return (f'{{\n  "function": {json.dumps(self.function)},\n'
-                f'  "k": {json.dumps(self.k)},\n  "rows": [{rows}]\n}}\n')
+        # "k", "rows": [{"n", "value": str(value)}]}, as one % format (with an
+        # indent, json falls back to its pure-Python encoder); % in the header is escaped.
+        head = (f'{{\n  "function": {json.dumps(self.function)},\n'
+                f'  "k": {json.dumps(self.k)},\n  "rows": [').replace("%", "%%")
+        row = '\n    {\n      "n": %d,\n      "value": "%s"\n    }'
+        tail = "\n  ]\n}\n" if self.rows else "]\n}\n"
+        return (head + ",".join([row] * len(self.rows)) + tail) % tuple(
+            chain.from_iterable(self.rows))
 
 
 def _compute_one(tag, n, k):

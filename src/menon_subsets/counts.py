@@ -21,14 +21,16 @@ distinct r, and guards each list's total.  relprime_subsets is the weight 1 at q
 coprime_subsets sums the Möbius terms (n // delta, mu(delta)), and menon.menon_sum
 both.  Per-n calls are cold and keep nothing; a sweep over n reads a column.  mu comes
 from one factorisation of n; nothing here reads a sieve.  A column factors nothing: it
-is one in-place divisor-sum inversion over 1..n_max (_inverted), a pass per prime and
-about n_max ln ln n_max subtractions, plus one term g per m, a power of 2 or a
-binomial, each stepped from the one before (2^m = 2^(m - 1) + 2^(m - 1), C(m, k) =
-C(m - 1, k) * m // (m - k)); menon.menon_column reads its F and Phi_k off these two.
+is one in-place divisor-sum inversion over 1..n_max (_inverted), a slice pass per prime
+p * p <= n_max and the larger primes per nonzero entry, about n_max ln ln n_max
+subtractions, plus one term g per m, a power of 2 or a binomial, each stepped from the
+one before (2^m = 2^(m - 1) + 2^(m - 1), C(m, k) = C(m - 1, k) * m // (m - k));
+menon.menon_column reads its F and Phi_k off these two.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate, compress, islice
 from math import comb, isqrt
 from operator import sub
@@ -141,23 +143,16 @@ def _term_sum(k: int | None, *lists: list[tuple[int, int]]) -> int:
     """Sum over `lists` of each one's guarded total of w * g(r) over its (r, w), r ascending.
 
     The C(r, k) of all lists but the last are taken once per distinct r and shared: with
-    distinct r in the last, each C(r, k) is taken once.  The powers 2^r are summed by
-    merging neighbours pairwise, the upper one shifted by its offset above the lower, so a
-    round adds about max(r) bits in all; in a loop, as a recursive closure would leave each
-    call's lists to the cyclic garbage collector.
+    distinct r in the last, each C(r, k) is taken once.  The powers are summed as
+    sum(w << r) - sum(w) in ascending r, so each addition costs about r bits: over the
+    floor values r of n, O(n log n) bit work in all.
     """
     if k is not None:
         g = {r: comb(r, k) for r in {r for terms in lists[:-1] for r, _ in terms}}
         return sum(_finish(sum([w * g[r] if r in g else w * comb(r, k) for r, w in terms]))
                    for terms in lists)
-    out = 0
-    for terms in lists:
-        total = -sum(w for _, w in terms)
-        while len(terms) > 1:
-            merged = [(r, w + (v << (s - r))) for (r, w), (s, v) in zip(terms[::2], terms[1::2])]
-            terms = merged + terms[len(merged) * 2:]
-        out += _finish(total + (terms[0][1] << terms[0][0] if terms else 0))
-    return out
+    return sum(_finish(sum([w << r for r, w in terms]) - sum([w for _, w in terms]))
+               for terms in lists)
 
 
 def vector_count(big: list, small: list, n: int, k: int | None) -> int:
@@ -198,22 +193,30 @@ def coprime_subsets(n: int, k: int | None = None) -> int:
 
 def _inverted(h: list[int]) -> list[int]:
     # u[1..N] with h[m] = sum over d | m of u[d], found in place on h (h[0] unused) by the
-    # Euler product mu = prod over primes p of (1 - [p]): one pass h[m] -= h[m // p] per
-    # prime, m = p, 2p, ..., about N ln ln N subtractions.  h and u are 0 below the first
-    # nonzero h[j0], so a pass starts at m = p * j0 and only p <= N // j0 run.  Signed; a
-    # caller whose u are counts guards them.
+    # Euler product mu = prod over primes p of (1 - [p]), about N ln ln N subtractions: a
+    # slice pass h[m] -= h[m // p] per prime p * p <= N, then the primes above sqrt(N)
+    # per j, skipping j with h[j] = 0.  h and u are 0 below the first nonzero h[j0], so a
+    # pass starts at m = p * j0 and only p <= N // j0 run.  Signed; a caller whose u are
+    # counts guards them.
     N = len(h) - 1
     j0 = next(compress(range(1, N + 1), islice(h, 1, None)), N + 1)
     composite = bytearray(N // j0 + 1)  # composite[c] = 1 once a prime p, p * p <= c, passed
+    large = []
     for p in range(2, N // j0 + 1):
         if composite[p]:
             continue
         if p * p <= N:  # m // p may be a multiple of p: the slice reads all before it writes
             composite[p * p::p] = b"\1" * len(range(p * p, N // j0 + 1, p))
             h[p * j0::p] = map(sub, h[p * j0::p], h[j0:N // p + 1])
-        else:  # j <= N // p < p: no pass from here on writes an h[j] it reads
-            for j in range(j0, N // p + 1):
-                h[p * j] -= h[j]
+        else:
+            large.append(p)
+    # A large p reads h[j], j <= N // p < large[0], and writes h[p * j] >= large[0]: no pass
+    # writes an h[j] that any of them reads, so they run in any order, all of one j at a time.
+    for j in range(j0, N // large[0] + 1 if large else 0):
+        u = h[j]
+        if u:
+            for p in large[:bisect_right(large, N // j)]:
+                h[p * j] -= u
     return h[1:]
 
 

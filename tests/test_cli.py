@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -158,6 +159,66 @@ def test_table_json_without_rows(k):
     table = SequenceTable("mbar", k, [])
     assert table.to_json() == indented_json(table)
     assert json.loads(table.to_json()) == {"function": "mbar", "k": k, "rows": []}
+
+
+def row_by_row_csv(table):
+    """The CSV layout written one row at a time: what to_csv must write."""
+    return "n,value\n" + "".join(f"{n},{value}\n" for n, value in table.rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, (1 << 10**4) - 1), max_size=12), st.booleans())
+def test_table_csv_matches_the_row_by_row_layout(values, exact):
+    # Int rows, exact Decimal rows (what table f|phi prints) and no rows at all.
+    from decimal import Decimal
+
+    rows = list(enumerate(map(Decimal, values) if exact else values, 1))
+    table = SequenceTable("f", None, rows)
+    assert table.to_csv() == row_by_row_csv(table)
+
+
+@pytest.mark.parametrize("function", ["100%", "%d%s%%", "%(n)s"])
+def test_table_formats_a_function_name_with_percent_signs(function):
+    # The one-pass formats take % in the name as text, not as a conversion.
+    for rows in ([], [(1, 1), (2, 2)]):
+        table = SequenceTable(function, 3, rows)
+        assert table.to_csv() == row_by_row_csv(table)
+        assert table.to_json() == indented_json(table)
+
+
+@pytest.mark.parametrize("render", ["to_csv", "to_json"])
+def test_table_rendering_peaks_near_its_output_length(render):
+    # One format pass holds the output and little else: rendering the n-max 2500 f
+    # column (about 1 MB) peaked at 3.15x (CSV) and 2.13x (JSON) its length when each
+    # row was a string of its own, joined afterwards.
+    import tracemalloc
+
+    table = SequenceTable("f", None, list(enumerate(_count_column("f", 2500, None), 1)))
+    tracemalloc.start()
+    try:
+        text = getattr(table, render)()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(text)
+
+
+PINS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "pins.json")
+                  .read_text(encoding="utf-8"))["digests"]
+PINNED_CLI = sorted(name for name in PINS if name.startswith("cli "))
+
+
+def test_the_pinned_cli_grid_is_all_there():
+    assert len(PINNED_CLI) == 56
+
+
+@pytest.mark.parametrize("name", PINNED_CLI)
+def test_pinned_cli_output_is_byte_identical(capsys, name):
+    # The benchmark's pinned stdout digests, computed without the library: every
+    # table and compute command it can draw prints exactly these bytes.
+    code, out, _ = run_cli(capsys, *name.split()[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINS[name]
 
 
 def test_table_unwritable_path(tmp_path, capsys):

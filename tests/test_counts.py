@@ -634,6 +634,10 @@ def test_inverted_takes_one_pass_per_prime():
     assert inversion_subtractions(_doublings(2500, 2)) <= 5646
     assert inversion_subtractions([0] + _binomials(2499, 2)) <= 5075  # the fk k = 3 column
     assert inversion_subtractions(_binomials(4096, 2048)) == 1  # zero below 2048: p = 2 alone
+    # The primes above sqrt(N) run per j and skip each h[j] = 0: mu's input [0, 1, 0, ..., 0]
+    # at N = 800 and the fk k = 1 steps at 300 took 1674 and 578 with a loop per prime.
+    assert inversion_subtractions([0, 1] + [0] * 799) < 1674
+    assert inversion_subtractions([0] + _binomials(299, 0)) < 578
 
 
 def test_inverted_matches_the_naive_inversion_in_decimal():
