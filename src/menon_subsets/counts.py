@@ -13,9 +13,9 @@ decimal.Decimal(1) under a context that traps rounding, whose values then print
 in linear time.  The signed sums are checked nonnegative before they are
 returned -- a negative total would mean a defect, never a valid answer.
 
-The count core, vector_count, returns the sum of w_q * F(q), F = relprime_subsets(., k),
-over small-integer weights w_q on the floor values q of n, held in t-indexed lists
-(floor_vectors), by an adjoint pass to terms (r, W_r) and one term evaluator,
+The count core sums w_q * F(q), F = relprime_subsets(., k), over small-integer
+weights w_q on the floor values q of n, held in t-indexed lists (floor_vectors), in
+two steps: an adjoint pass to terms (r, W_r), _adjoint, and one term evaluator,
 _term_sum, which sums w * g(r) over one or more term lists, each C(r, k) once per
 distinct r, and guards each list's total.  relprime_subsets is the weight 1 at q = n;
 coprime_subsets sums the Möbius terms (n // delta, mu(delta)), and menon.menon_sum
@@ -38,11 +38,11 @@ from operator import sub
 from .sieve import Factorization, check_args, factorize
 
 
-class MemoCache:
-    """The oracles' memo: one dict m -> value per family, shared across their calls.
+class MemoCache(dict):
+    """The oracles' memo: a dict (tag, n, k) -> value, shared across their calls.
 
-    The oracle module keeps its per-n gcd histograms under ("enum", k) and its
-    Möbius-sum counts under ("mobius", k); no counting or gcd-sum function
+    The oracle module keeps its per-n gcd histograms under ("enum", n, k) and its
+    Möbius-sum counts under ("mobius", n, k); no counting or gcd-sum function
     reads or fills one.  A cached value always equals a fresh recomputation.
     `misses` counts the Möbius sums computed and `hits` those answered from the
     memo; histograms move neither.  It lives here, below the oracles, because
@@ -52,25 +52,7 @@ class MemoCache:
     threads behaves as if serialized.
     """
 
-    __slots__ = ("_tables", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._tables: dict[tuple, dict[int, int]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def table(self, family: tuple) -> dict[int, int]:
-        """The dict m -> value of `family`, created empty on first use."""
-        return self._tables.setdefault(family, {})
-
-    def __len__(self) -> int:
-        return sum(len(t) for t in self._tables.values())
-
-    def items(self):
-        """((tag, m, k), value) for every cached value of family (tag, k)."""
-        for (tag, k), table in self._tables.items():
-            for m, value in table.items():
-                yield (tag, m, k), value
+    hits = misses = 0
 
 
 def _mobius_terms(fac: Factorization) -> list[tuple[int, int]]:
@@ -122,9 +104,13 @@ def _dense_solve(x: list[int]) -> list[tuple[int, int]]:
 
 
 def _adjoint(big: list[int], small: list[int], n: int) -> list[tuple[int, int]]:
-    # The nonzero (r, W_r), r ascending, of the W with L^T W = w (see vector_count), in place.
-    # Above D ~ n^(2/3), at m = n // t, ascending t <= U, W_m is final: it leaves -(block length)
-    # * W_m at each m // j, j >= 2, all <= D once t * j > U.  W is 0 off the floor values of n.
+    # The nonzero (r, W_r), r ascending, of the W with L^T W = w, in place on the weights w of
+    # floor_vectors(n).  Grouping the (k-)subsets of {1..m} by gcd j gives sum over j of
+    # F(m // j) = g(m): L F = g, unit lower triangular on the floor values, so the sum of
+    # w * F(q) is the sum of W_r * g(r) (_term_sum), whatever k is.  W takes 4n / sqrt(D)
+    # floor divisions above D ~ 0.6 n^(2/3), then D / 2 C-speed slice sums: above D, at
+    # m = n // t, ascending t <= U, W_m is final: it leaves -(block length) * W_m at each
+    # m // j, j >= 2, all <= D once t * j > U.  W is 0 off the floor values of n.
     D = max(len(small) - 1, int(0.6 * n ** (2 / 3)))  # c = 0.6 balances the two passes
     U = n // (D + 1)
     x = small + [0] * (D + 1 - len(small))
@@ -155,18 +141,6 @@ def _term_sum(k: int | None, *lists: list[tuple[int, int]]) -> int:
                for terms in lists)
 
 
-def vector_count(big: list, small: list, n: int, k: int | None) -> int:
-    """Sum of w * F(q) over the floor_vectors(n) entries, F = relprime_subsets(., k).
-
-    n and k are checked already; the lists are used up.  Grouping the (k-)subsets of
-    {1..m} by gcd j gives sum over j of F(m // j) = g(m): L F = g, unit lower triangular
-    on the floor values, so the sum is sum of W_r * g(r) with L^T W = w, which the adjoint
-    pass solves in small integers, whatever k is: 4n / sqrt(D) floor divisions above D ~ 0.6
-    n^(2/3), then D / 2 C-speed slice sums.
-    """
-    return _term_sum(k, _adjoint(big, small, n))
-
-
 def relprime_subsets(n: int, k: int | None = None) -> int:
     """Number of nonempty (k-element) subsets of {1..n} with gcd 1.
 
@@ -177,7 +151,7 @@ def relprime_subsets(n: int, k: int | None = None) -> int:
     n, k = check_args(n, k)
     big, small = floor_vectors(n)
     (small if n == 1 else big)[1] = 1
-    return vector_count(big, small, n, k)
+    return _term_sum(k, _adjoint(big, small, n))
 
 
 def coprime_subsets(n: int, k: int | None = None) -> int:

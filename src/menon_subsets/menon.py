@@ -20,20 +20,20 @@ The d = 1 layer is closed: grouping the (k-)subsets of {1..N} by their gcd j giv
 sum over j <= N of F(N // j) = g(N), g(N) = 2^N - 1 or C(N, k), so the layer is the
 sum over squarefree delta | n of mu(delta) * g(n / delta) = Phi_k(n).  divisor_pairs
 builds only the d > 1 pairs, prime by prime from one factorisation of n, each with
-its weight phi(d) * mu(delta) and inverse a = delta^-1 (mod d).  The weight pass
-puts a pair's weight per member j = a (mod d) on the weight w_q of
-q = n // (j * delta), in the t-indexed lists of counts.floor_vectors.  With
-m = delta * j, the member condition is m = 1 (mod d) and delta | m, so summing over
-delta first and then over d | gcd(m - 1, n) gives m the weight
-c(m) = (gcd(m - 1, n) - 1) * [gcd(m, n) = 1], and w_q is the sum of c(m) over the m
-with n // m = q.  The pass takes one of two routes, chosen from the number
-P = prod(e + 2) - 2^omega(n) of d > 1 pairs:
+its weight phi(d) * mu(delta) and as the progression of its m = delta * j,
+j = delta^-1 (mod d): m = m0 (mod stride), m0 = delta * (delta^-1 mod d), stride =
+d * delta.  The weight pass puts a pair's weight per member m <= n on the weight w_q
+of q = n // m, in the t-indexed lists of counts.floor_vectors.  The member condition
+is m = 1 (mod d) and delta | m, so summing over delta first and then over
+d | gcd(m - 1, n) gives m the weight c(m) = (gcd(m - 1, n) - 1) * [gcd(m, n) = 1],
+and w_q is the sum of c(m) over the m with n // m = q.  The pass takes one of two
+routes, chosen from the number P = prod(e + 2) - 2^omega(n) of d > 1 pairs:
 - few pairs (P^3 < 16 n: primes, p * q, prime powers): walk each pair's
   progression one block of constant n // m at a time (_add_progression);
 - many pairs: one gcd per m coprime to n up to L = n // q0, q0 ~ sqrt(n /
   2P), read off a bytearray coprime mask; big[u] = c(u), and small[q] is a
   difference of the prefix sums H(x) of c, which below q0 take one
-  multiply-add per pair: H(x) = sum of w * ((x // delta - a + d) // d)
+  multiply-add per pair: H(x) = sum of w * ((x + stride - m0) // stride)
   (_mask_weights).
 The routes give equal lists; the mask's fixed ~sqrt(n) steps lose to the walk when
 the pairs are few.  The count core's adjoint pass turns the w_q into terms (r, W_r),
@@ -95,33 +95,31 @@ def menon_classic(n: int) -> int:
     return fac.phi * fac.tau
 
 
-def _add_progression(big, small, n: int, delta: int, first: int, step: int, w: int) -> None:
-    """Add w to the floor_vectors(n) entry of n // (delta * j), j = first (mod step).
+def _add_progression(big, small, n: int, m0: int, stride: int, w: int) -> None:
+    """Add w to the floor_vectors(n) entry of n // m, m <= n, m = m0 (mod stride).
 
-    A j <= N = n // delta with delta * j < len(big) lands on big[delta * j], a range of
-    stride delta * step; the rest jump member to member one block of constant N // j
-    at a time: min(members, ~2 sqrt(N)) steps.
+    An m < len(big) lands on big[m]; the rest jump member to member one block of
+    constant n // m at a time: min(members, ~2 sqrt(n)) steps.
     """
-    N = n // delta
-    stop = min(N, (len(big) - 1) // delta)
-    for u in range(delta * first, delta * stop + 1, delta * step):
-        big[u] += w
-    j = first if first > stop else stop + 1 + (first - stop - 1) % step
-    while j <= N:
-        q = N // j
-        members = (N // q - j) // step + 1
+    stop = len(big) - 1
+    for m in range(m0, stop + 1, stride):
+        big[m] += w
+    m = m0 if m0 > stop else stop + 1 + (m0 - stop - 1) % stride
+    while m <= n:
+        q = n // m
+        members = (n // q - m) // stride + 1
         small[q] += w * members
-        j += members * step
+        m += members * stride
 
 
 def _mask_weights(big, small, n: int, fac: Factorization, pairs, q0: int) -> None:
     """Set the zeroed floor_vectors(n) to the weights of `pairs`, from the coprime mask.
 
-    pairs are the (d > 1, delta, w) of fac, n = fac.n; 1 <= q0 <= isqrt(n) + 1.  One gcd per
+    pairs are the divisor_pairs of fac, n = fac.n; 1 <= q0 <= isqrt(n) + 1.  One gcd per
     m <= L = n // q0 coprime to n gives c(m) = gcd(m - 1, n) - 1: big[u] = c(u), and small[q] =
     H(n // q) - H(n // (q + 1)) for the prefix sums H of c, read off for q >= q0 (n // q <= L)
-    and summed over the pairs below: the j <= x // delta with j = a (mod d) number
-    (x // delta - a + d) // d = (x + delta * (d - a)) // (d * delta).
+    and summed over the pairs below: a pair's members m <= x number
+    (x + stride - m0) // stride, as 0 < m0 < stride.
     """
     L = n // q0
     mask = bytearray([1]) * L  # mask[m - 1] = [gcd(m, n) = 1]
@@ -132,26 +130,27 @@ def _mask_weights(big, small, n: int, fac: Factorization, pairs, q0: int) -> Non
     for m1, g in zip(ms[:bisect_left(ms, len(big) - 1)], gs):
         big[m1 + 1] = g - 1
     acc = list(accumulate(gs, initial=0))
-    shifts = [delta * (d - a) for d, delta, a, _ in pairs]
-    strides = [d * delta for d, delta, _, _ in pairs]
-    ws = [w for _, _, _, w in pairs]
+    shifts = [stride - m0 for m0, stride, _ in pairs]
+    strides = [stride for _, stride, _ in pairs]
+    ws = [w for _, _, w in pairs]
     H = [sum(map(mul, ws, map(floordiv, map(add, repeat(n // q), shifts), strides)))
          for q in range(1, q0)]
     H += [acc[i] - i for i in (bisect_left(ms, n // q) for q in range(q0, len(small) + 1))]
     small[1:] = map(sub, H, H[1:])
 
 
-def divisor_pairs(fac: Factorization) -> list[tuple[int, int, int, int]]:
-    """(d, delta, a = delta^-1 mod d, phi(d) * mu(delta)) for the coprime d > 1, d | n, and
-    squarefree delta | n: each p^e || n goes into d as one of p^1..p^e, into delta, or into
-    neither, so each of the prod(e + 2) - 2^omega(n) pairs the weight pass walks is built once."""
+def divisor_pairs(fac: Factorization) -> list[tuple[int, int, int]]:
+    """(m0, stride, phi(d) * mu(delta)), the progression m = m0 (mod stride) both weight routes
+    walk, for the coprime d > 1, d | n, and squarefree delta | n: m0 = delta * (delta^-1 mod d),
+    stride = d * delta.  Each p^e || n goes into d as one of p^1..p^e, into delta, or into
+    neither, so each of the prod(e + 2) - 2^omega(n) pairs is built once."""
     out, ones = [], [(1, 1, 1)]  # the pairs with d > 1 so far, and those with d = 1
     for p, e in fac.factors:
         out += [(d * p**i, delta, w * (p - 1) * p ** (i - 1))
                 for d, delta, w in out + ones for i in range(1, e + 1)
                 ] + [(d, delta * p, -w) for d, delta, w in out]
         ones += [(1, delta * p, -w) for _, delta, w in ones]
-    return [(d, delta, pow(delta, -1, d), w) for d, delta, w in out]
+    return [(delta * pow(delta, -1, d), d * delta, w) for d, delta, w in out]
 
 
 def menon_sum(n: int, k: int | None = None) -> int:
@@ -168,17 +167,16 @@ def menon_sum(n: int, k: int | None = None) -> int:
         # q0 balances the mask's ~n / q0 C-speed steps against the P * q0 multiply-adds below q0.
         _mask_weights(big, small, n, fac, pairs, max(isqrt(n // (2 * len(pairs))), 1))
     else:
-        for d, delta, a, w in pairs:
-            _add_progression(big, small, n, delta, a, d, w)
+        for m0, stride, w in pairs:
+            _add_progression(big, small, n, m0, stride, w)
     return _term_sum(k, _mobius_terms(fac), _adjoint(big, small, n))
 
 
 def evaluate(params: MenonParams, _cache=None, /) -> int:
     """Evaluate the subset gcd sum for `params`: menon_sum(params.n, params.k).
 
-    A second positional argument, the MemoCache of the earlier evaluate(params,
-    cache), is accepted and ignored, so that its callers (perfbench's tests among
-    them) still run; every evaluation is cold.
+    It stays only because perfbench calls evaluate(params, sieve): the second
+    positional argument is accepted and ignored, and every evaluation is cold.
     """
     return menon_sum(params.n, params.k)
 

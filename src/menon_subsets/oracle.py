@@ -24,8 +24,8 @@ The gcd-class identity is validated against full enumeration in the test
 suite before anything trusts it at scales enumeration cannot reach.
 Nothing here calls the counting or gcd-sum modules: mu comes from the
 sieve, not from a factorisation.  A MemoCache, when given, keeps the
-histograms under ("enum", k) and the Möbius sums under ("mobius", k); the
-counting and gcd-sum functions never read one, and no memo outlives it.  No
+histograms under ("enum", n, k) and the Möbius sums under ("mobius", n, k);
+the counting and gcd-sum functions never read one, and no memo outlives it.  No
 subset DP here on purpose: the whole value of this module is that it is
 obviously correct.
 """
@@ -67,10 +67,10 @@ def _walk(n, k, limit: int, cache: MemoCache | None):
     if n > limit:
         raise ValueError(f"enumerating 2^{n} subsets exceeds the limit {limit}; "
                          "pass a larger `limit` explicitly if you really mean it")
-    table = cache.table(("enum", k)) if cache is not None else {}
-    if n not in table:
-        table[n] = Counter(_subset_gcds(n, k))
-    return n, k, table[n]
+    memo, key = {} if cache is None else cache, ("enum", n, k)
+    if key not in memo:
+        memo[key] = Counter(_subset_gcds(n, k))
+    return n, k, memo[key]
 
 
 def enumerate_relprime_subsets(n: int, k: int | None = None, *, cache: MemoCache | None = None,
@@ -132,10 +132,10 @@ def _check_sieve(n, k, sieve: SieveTables) -> tuple[int, int | None]:
 
 def _mobius_count(n: int, k: int | None, M: list[int], cache: MemoCache | None) -> int:
     # The Möbius sum by blocks: M[hi] - M[d - 1] is the sum of mu over d..hi, where n // . = q.
-    table = cache.table(("mobius", k)) if cache is not None else {}
-    if n in table:
+    key = ("mobius", n, k)
+    if cache is not None and key in cache:
         cache.hits += 1
-        return table[n]
+        return cache[key]
     total, d = 0, 1
     while d <= n:
         q = n // d
@@ -146,7 +146,7 @@ def _mobius_count(n: int, k: int | None, M: list[int], cache: MemoCache | None) 
         d = hi + 1
     if cache is not None:
         cache.misses += 1
-    table[n] = total
+        cache[key] = total
     return total
 
 

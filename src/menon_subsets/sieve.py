@@ -57,13 +57,6 @@ class Factorization(NamedTuple):
     def tau(self) -> int:
         return math.prod(e + 1 for _, e in self.factors)
 
-    def mobius(self) -> dict[int, int]:
-        """delta -> mu(delta) for every squarefree divisor delta of n."""
-        out = [(1, 1)]
-        for p, _ in self.factors:
-            out += [(d * p, -m) for d, m in out]
-        return dict(out)
-
 
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by trial division up to sqrt(n)."""

@@ -29,7 +29,6 @@ from menon_subsets.counts import (
     coprime_column,
     floor_vectors,
     relprime_column,
-    vector_count,
 )
 from menon_subsets.menon import menon_column, menon_sum
 from menon_subsets.oracle import (
@@ -46,7 +45,7 @@ def weighted_count(weights, n, k):
     for q, w in weights.items():
         vector, i = (small, q) if q < len(small) else (big, n // q)
         vector[i] += w
-    return vector_count(big, small, n, k)
+    return _term_sum(k, _adjoint(big, small, n))
 
 
 def _floor_values(n: int) -> list[int]:
@@ -211,13 +210,13 @@ def test_cache_is_transparent(sieve):
 
 def test_cache_counts_hits_and_misses(sieve):
     # The memo counts the oracles' Möbius sums: a miss computes and keeps one
-    # under ("mobius", k), a hit reads it back.  The gcd-class sum at 30 reads
+    # under ("mobius", n, k), a hit reads it back.  The gcd-class sum at 30 reads
     # one count per distinct 30 // j over the j coprime to 30: 30, 4, 2 and 1.
     cache = MemoCache()
     mobius_subset_count(30, sieve, 2, cache)
     assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
     mobius_subset_count(30, sieve, 2, cache)
-    mobius_subset_count(30, sieve, 3, cache)  # another k, another family
+    mobius_subset_count(30, sieve, 3, cache)  # another k, another key
     assert (cache.hits, cache.misses, len(cache)) == (1, 2, 2)
     assert gcd_class_menon_sum(30, sieve, 2, cache) == menon_column(30, 2)[29]
     assert (cache.hits, cache.misses, len(cache)) == (2, 5, 5)

@@ -20,7 +20,7 @@ from menon_subsets import (
     relprime_subsets,
 )
 import menon_subsets.menon as menon_mod
-from menon_subsets.counts import floor_vectors, relprime_column, vector_count
+from menon_subsets.counts import _adjoint, _term_sum, floor_vectors, relprime_column
 from menon_subsets.menon import _mu_phi, _progression_sums, divisor_pairs, menon_column
 from menon_subsets.oracle import (enumerate_menon_sum, gcd_class_menon_sum,
                                   prime_power_menon_sum, residue_menon_sum)
@@ -46,10 +46,13 @@ def totients(fac):
 def all_pairs(fac):
     """(d, delta, phi(d) * mu(delta)) for every coprime divisor d and squarefree divisor
     delta of fac.n, d = 1 included: all prod(e + 2) of them, by the filtered double loop."""
+    phi = totients(fac)
+    mu = {delta: math.prod(0 if delta % (p * p) == 0 else -1 if delta % p == 0 else 1
+                           for p, _ in fac.factors) for delta in phi}
     return [(d, delta, phi_d * mu_delta)
-            for d, phi_d in totients(fac).items()
-            for delta, mu_delta in fac.mobius().items()
-            if gcd(d, delta) == 1]
+            for d, phi_d in phi.items()
+            for delta, mu_delta in mu.items()
+            if mu_delta and gcd(d, delta) == 1]
 
 
 def weighted_count(weights, n, k):
@@ -58,7 +61,7 @@ def weighted_count(weights, n, k):
     for q, w in weights.items():
         vector, i = (small, q) if q < len(small) else (big, n // q)
         vector[i] += w
-    return vector_count(big, small, n, k)
+    return _term_sum(k, _adjoint(big, small, n))
 
 
 def test_classic_small_values():
@@ -273,14 +276,15 @@ GCDSUM_POOL_N = (47670, 48090, 48930, 55440, 56027, 56033, 56153, 56257, 56261, 
 
 def test_divisor_pairs_are_the_filtered_double_loop():
     # The pairs built prime by prime are exactly the (divisor > 1, squarefree
-    # divisor) pairs with gcd 1, each once, with the weight phi(d) * mu(delta)
-    # and a = delta^-1 (mod d).
+    # divisor) pairs with gcd 1, each once, with the weight phi(d) * mu(delta),
+    # as the progression m0 = delta * (delta^-1 mod d) (mod stride = d * delta).
     for n in (*range(1, 10**4 + 1), *GCDSUM_POOL_N):
         fac = factorize(n)
-        filtered = sorted((d, delta, w) for d, delta, w in all_pairs(fac) if d > 1)
+        filtered = sorted((delta * pow(delta, -1, d), d * delta, w)
+                          for d, delta, w in all_pairs(fac) if d > 1)
         pairs = divisor_pairs(fac)
-        assert sorted((d, delta, w) for d, delta, _, w in pairs) == filtered
-        assert all(0 < a < d and a * delta % d == 1 for d, delta, a, _ in pairs), n
+        assert sorted(pairs) == filtered
+        assert all(0 < m0 < stride for m0, stride, _ in pairs), n
         assert len(pairs) == math.prod(e + 2 for _, e in fac.factors) - 2 ** len(fac.factors)
 
 
@@ -398,10 +402,10 @@ def rule_q0(n):
 def route_weights(n, q0s):
     """{q: w} from the block walk, then from the coprime mask at each q0 of q0s."""
     fac = factorize(n)
-    pairs = [(d, delta, pow(delta, -1, d), w) for d, delta, w in all_pairs(fac) if d > 1]
+    pairs = [(delta * pow(delta, -1, d), d * delta, w) for d, delta, w in all_pairs(fac) if d > 1]
     walked = floor_vectors(n)
-    for d, delta, a, w in pairs:
-        menon_mod._add_progression(*walked, n, delta, a, d, w)
+    for m0, stride, w in pairs:
+        menon_mod._add_progression(*walked, n, m0, stride, w)
     routes = [walked]
     for q0 in q0s:
         routes.append(floor_vectors(n))

@@ -73,7 +73,6 @@ def test_factorize_matches_sieve_tables_and_naive_scan(sieve):
         assert fac.tau == len(naive)
         assert divisors(n) == naive
         assert totients(fac) == {d: sieve.phi[d] for d in naive}
-        assert fac.mobius() == {d: sieve.mu[d] for d in naive if sieve.mu[d]}
 
 
 def test_factorize_examples():
