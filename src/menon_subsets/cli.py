@@ -8,23 +8,24 @@ that raises on any rounding, so each value prints in time linear in its
 digits: int -> str is quadratic before Python 3.12.
 `bench` prints a value and its best time over --reps evaluations, stopping
 early once the runs so far have taken BENCH_BUDGET_S.
+A command imports only the code it runs: the verify battery, json and
+decimal are imported inside the commands that use them, so compute starts
+without them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from time import perf_counter
+from typing import NamedTuple
 
 from .counts import (_floor_count, coprime_column, coprime_subsets, relprime_column,
                      relprime_subsets)
-from .menon import MenonParams, divisor_pairs, evaluate, menon_classic, menon_column
+from .menon import divisor_pairs, menon_classic, menon_column, menon_sum
 from .sieve import factorize
-from .verification import run_verification
 
 TAGS = ("f", "fk", "phi", "phik", "menon", "mbar", "mbark")
 K_TAGS = frozenset({"fk", "phik", "mbark"})
@@ -38,8 +39,7 @@ MAX_REPS = 100  # bench: a fresh mbar evaluation at MAX_N takes up to ~0.04 s, h
 BENCH_BUDGET_S = 10.0  # bench: no rep starts after the runs so far took this long
 
 
-@dataclass
-class SequenceTable:
+class SequenceTable(NamedTuple):
     """Rows (n, value) for one function tag, n ascending from 1."""
 
     function: str
@@ -55,6 +55,8 @@ class SequenceTable:
         # The bytes of json.dumps(obj, indent=2) + "\n" for obj = {"function",
         # "k", "rows": [{"n", "value": str(value)}]}, as one % format (with an
         # indent, json falls back to its pure-Python encoder); % in the header is escaped.
+        import json
+
         head = (f'{{\n  "function": {json.dumps(self.function)},\n'
                 f'  "k": {json.dumps(self.k)},\n  "rows": [').replace("%", "%%")
         row = '\n    {\n      "n": %d,\n      "value": "%s"\n    }'
@@ -71,7 +73,7 @@ def _compute_one(tag, n, k):
         return coprime_subsets(n, k)
     if tag == "menon":
         return menon_classic(n)
-    return evaluate(MenonParams(n, k))
+    return menon_sum(n, k)
 
 
 def cmd_compute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -129,9 +131,13 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         parser.error(f"--k-set must be comma-separated positive integers, got {args.k_set!r}")
     if len(k_set) > MAX_K_VALUES:
         parser.error(f"--k-set has {len(k_set)} distinct values, past the bound {MAX_K_VALUES}")
+    from .verification import run_verification  # loaded by this command alone
+
     report = run_verification(n_max_enum=args.n_max_enum,
                               n_max_formula=args.n_max_formula, k_set=k_set)
     if args.json:
+        import json
+
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.render())

@@ -33,9 +33,9 @@ obviously correct.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations, starmap
 from math import comb, gcd
+from typing import NamedTuple
 
 from .counts import MemoCache
 from .sieve import SieveTables, as_int, check_args
@@ -43,8 +43,7 @@ from .sieve import SieveTables, as_int, check_args
 DEFAULT_ENUMERATION_LIMIT = 24
 
 
-@dataclass(frozen=True)
-class SubsetSum:
+class SubsetSum(NamedTuple):
     """Result of an enumerated gcd sum: term count plus accumulated total."""
 
     n: int

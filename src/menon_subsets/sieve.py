@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
@@ -78,7 +77,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-@dataclass(eq=False)
 class SieveTables:
     """Möbius and totient tables for 1..limit.
 
@@ -87,9 +85,8 @@ class SieveTables:
     share across concurrent readers.
     """
 
-    limit: int
-    mu: list[int]
-    phi: list[int]
+    def __init__(self, limit: int, mu: list[int], phi: list[int]) -> None:
+        self.limit, self.mu, self.phi = limit, mu, phi
 
     @cached_property
     def mertens(self) -> list[int]:

@@ -275,7 +275,7 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     from menon_subsets.verification import CheckResult, VerificationReport
 
     failing = VerificationReport([CheckResult("probe", "scope", passed=False)])
-    monkeypatch.setattr(cli_mod, "run_verification", lambda **kw: failing)
+    monkeypatch.setattr("menon_subsets.verification.run_verification", lambda **kw: failing)
     code = cli_mod.main(["verify"])
     captured = capsys.readouterr()
     assert code == 1
@@ -339,12 +339,10 @@ def test_verify_refuses_vacuous_pass(capsys):
 
 @pytest.mark.parametrize("argv", [["--n-max-enum", "-3"], ["--n-max-formula", "-5"]])
 def test_verify_rejects_negative_bounds(capsys, monkeypatch, argv):
-    import menon_subsets.cli as cli_mod
-
     def fail(**kwargs):
         raise AssertionError("verified with a negative bound")
 
-    monkeypatch.setattr(cli_mod, "run_verification", fail)
+    monkeypatch.setattr("menon_subsets.verification.run_verification", fail)
     with pytest.raises(SystemExit) as err:
         main(["verify"] + argv)
     assert err.value.code == 2
@@ -607,7 +605,7 @@ def test_verify_formula_bound(capsys, monkeypatch):
         seen.append(kwargs["n_max_formula"])
         raise Reached
 
-    monkeypatch.setattr(cli_mod, "run_verification", stub)
+    monkeypatch.setattr("menon_subsets.verification.run_verification", stub)
     with pytest.raises(Reached):  # the limit itself is admitted
         main(["verify", "--n-max-formula", str(limit)])
     assert seen == [limit]
@@ -648,7 +646,7 @@ def test_verify_k_set_bound(capsys, monkeypatch):
         seen.append(kwargs["k_set"])
         raise Reached
 
-    monkeypatch.setattr(cli_mod, "run_verification", stub)
+    monkeypatch.setattr("menon_subsets.verification.run_verification", stub)
     at_limit = ",".join(str(k) for k in range(1, limit + 1))
     with pytest.raises(Reached):  # the limit itself is admitted
         main(["verify", "--k-set", at_limit])
@@ -657,7 +655,7 @@ def test_verify_k_set_bound(capsys, monkeypatch):
     def failing(**kwargs):
         raise AssertionError("no check may run past the k-set bound")
 
-    monkeypatch.setattr(cli_mod, "run_verification", failing)
+    monkeypatch.setattr("menon_subsets.verification.run_verification", failing)
     with pytest.raises(SystemExit) as err:
         main(["verify", "--k-set", at_limit + f",{limit + 1}"])
     assert err.value.code == 2
@@ -672,7 +670,7 @@ def test_verify_k_set_is_deduplicated(capsys, monkeypatch):
     from menon_subsets.verification import VerificationReport
 
     seen = []
-    monkeypatch.setattr(cli_mod, "run_verification",
+    monkeypatch.setattr("menon_subsets.verification.run_verification",
                         lambda **kw: seen.append(kw["k_set"]) or VerificationReport())
     assert main(["verify", "--k-set", "2,2,2"]) == 0
     assert main(["verify", "--k-set", "3,1,3,1"]) == 0

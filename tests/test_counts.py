@@ -713,3 +713,22 @@ def test_gcd_sum_takes_each_binomial_once(monkeypatch, n, k):
     menon_sum(n, k)
     assert len(taken) == len(set(taken)) and {j for _, j in taken} == {k}
     assert (n, k) in taken
+
+
+@pytest.mark.parametrize("count", [relprime_subsets, menon_sum], ids=lambda f: f.__name__)
+def test_dense_solve_stays_below_n_two_thirds(monkeypatch, count):
+    # A host-independent work bound on the adjoint's split D ~ 0.6 n^(2/3): at n = 2^20 the
+    # dense solve sees 6193 entries x[0..D]; a split at D = 0.6 n would hand it about 629k.
+    import menon_subsets.counts as counts_mod
+
+    sizes = []
+    original = counts_mod._dense_solve
+
+    def spy(x):
+        sizes.append(len(x))
+        return original(x)
+
+    monkeypatch.setattr(counts_mod, "_dense_solve", spy)
+    n = 2**20
+    count(n, 2)
+    assert sizes and max(sizes) <= n ** (2 / 3)

@@ -5,11 +5,15 @@ factorisation of n; the sieve is the oracles' independent table.  The
 oracles in turn must not lean on the code they check, so they may import
 only the MemoCache container from the core.  No module imports decimal when
 it is imported: only the table command uses it, and every process that
-imports the package would pay for its import.  One function of the counts
+imports the package would pay for its import.  Likewise importing cli loads
+neither the verify battery nor json nor dataclasses: compute and table load
+only the code they run.  One function of the counts
 and the gcd sums takes single binomials by comb, so that none is taken twice.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,9 +74,35 @@ def test_no_module_imports_decimal_when_imported(path):
 
 
 def test_decimal_guard_sees_imports():
-    assert {"argparse", "json", "sys", ""} <= module_level_imports(PACKAGE / "cli.py")
+    assert {"argparse", "sys", ""} <= module_level_imports(PACKAGE / "cli.py")
     # cli imports decimal inside the table path, which the guard must not count.
     assert ("", "decimal") in imported_names("cli")
+
+
+# Imports, in a fresh interpreter, cli and then runs a tiny verify, and prints after
+# each which of the modules that no compute may load are loaded.
+IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+LAZY = ("dataclasses", "inspect", "json", "decimal", "menon_subsets.verification")
+import menon_subsets.cli as cli
+print(*[m for m in LAZY if m in sys.modules])
+import contextlib, io
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["verify", "--n-max-enum", "2", "--n-max-formula", "2", "--json"])
+print(*[m for m in LAZY if m in sys.modules])
+"""
+
+
+def test_compute_and_table_import_only_what_they_run():
+    # Every compute or table process imports cli; the verify battery, dataclasses (and
+    # its inspect), json and decimal belong to verify, the JSON writers and the f|phi tables.
+    proc = subprocess.run([sys.executable, "-I", "-c", IMPORT_PROBE, str(PACKAGE.parent)],
+                          capture_output=True, text=True, check=True)
+    on_import, after_verify = (set(line.split()) for line in proc.stdout.splitlines())
+    assert on_import == set()
+    # The probe sees the imports that verify does make, so an empty set is no accident.
+    assert {"json", "menon_subsets.verification"} <= after_verify
 
 
 def functions_calling(module: str, target: str) -> set[str]:
