@@ -585,7 +585,7 @@ def test_menon_column_builds_few_progression_lists(monkeypatch, k):
 @pytest.mark.parametrize("n, mask", [(55440, True), (47670, True), (720720, True),
                                      (65521, False), (56027, False), (2**16, False),
                                      (83521, False)])
-def test_weight_route_follows_the_pair_count(monkeypatch, n, mask):
+def test_weight_route_follows_the_pair_count_at_k2(monkeypatch, n, mask):
     # A host-independent work bound: the mask's ~sqrt(n) fixed steps run only where the
     # P d > 1 pairs are many (P^3 >= 16 n); primes, p * q and prime powers walk the pairs.
     taken = []
