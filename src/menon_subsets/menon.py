@@ -55,11 +55,16 @@ as i * q + ceil(a * q / d) <= r, V_{d,a}(1..R) is F(d * r // a) plus the prefix
 sums of a list that gets f(q) at r = q + ceil(a * q / d) and every q-th index
 after: about R ln R list additions per distinct (d, a), R = n_max // (d * delta).
 A pair with R <= 2 builds no list: V(1) = F(d // a) and, as d < a + d < 2 * d,
-V(2) = F(2 * d // a) + F(1).  delta walks the squarefree numbers in ascending
-order while d * delta <= n_max.  Row n is Phi_k(n) plus the sum over its pairs of
-phi(d) * mu(delta) * V_{d,a}(n / (d * delta)); mu and phi come from the in-place
-divisor-sum inversion the count columns use, F and Phi_k are read off
-relprime_column and coprime_column.
+V(2) = F(2 * d // a) + F(1).  Nor does a pair with a * (R - 1) < d: then every
+i >= 1 has i > a * (r - 1) / d, so (r - 1) / i < d * r / (a + d * i) < r / i and
+d * r // (a + d * i) = (r - 1) // i; by the gcd-class identity of the d = 1 layer
+the members past the first sum to g(r - 1), and V(r) = F(d * r // a) + g(r - 1).
+Such a pair has R <= d, so g is needed only up to isqrt(n_max).  (The R <= 2 terms
+are these with g(0) = 0 and g(1) = F(1), kept unrolled as the faster form.)  delta
+walks the squarefree numbers in ascending order while d * delta <= n_max.  Row n
+is Phi_k(n) plus the sum over its pairs of phi(d) * mu(delta) * V_{d,a}(n / (d *
+delta)); mu and phi come from the in-place divisor-sum inversion the count columns
+use, F and Phi_k are read off relprime_column and coprime_column.
 """
 
 from __future__ import annotations
@@ -69,8 +74,8 @@ from itertools import accumulate, compress, repeat
 from math import gcd, isqrt
 from operator import add, floordiv, mul, sub
 
-from .counts import (_adjoint, _finish, _inverted, _mobius_terms, _term_sum, coprime_column,
-                     floor_vectors, relprime_column)
+from .counts import (_adjoint, _binomials, _finish, _inverted, _mobius_terms, _term_sum,
+                     coprime_column, floor_vectors, relprime_column)
 from .sieve import Factorization, check_args, factorize
 
 
@@ -204,15 +209,18 @@ def menon_column(n_max: int, k: int | None = None) -> list[int]:
 
     Each coprime pair (d > 1, squarefree delta) with d * delta <= n_max is visited
     once, with one inverse a = delta^-1 (mod d); its term at n = d * delta * r is
-    phi(d) * mu(delta) * V_{d,a}(r), in closed form if R = n_max // (d * delta) <= 2,
-    else read off V_{d,a}(1..R), one prefix sum shared by the pairs of d with the
-    same a (see the module docstring).  Each row is Phi_k(n), read off
-    coprime_column, plus its guarded pair sum.
+    phi(d) * mu(delta) * V_{d,a}(r), in closed form if R = n_max // (d * delta) <= 2
+    or a * (R - 1) < d, else read off V_{d,a}(1..R), one prefix sum shared by the
+    pairs of d with the same a (see the module docstring).  Each row is Phi_k(n),
+    read off coprime_column, plus its guarded pair sum.
     """
     n_max, k = check_args(n_max, k)
     mu, phi = _mu_phi(n_max)
     F = [0] + relprime_column(n_max, k)
     f = [0] + list(map(sub, F[1:], F[:-1]))
+    # g(r) = 2^r - 1 or C(r, k) for r <= isqrt(n_max): a closed pair has R <= d, so R^2 <= n_max
+    top = isqrt(n_max)
+    g = [(1 << r) - 1 for r in range(top + 1)] if k is None else _binomials(top, k)
     pair_sums = [0] * (n_max + 1)
     squarefree = [delta for delta in range(1, n_max // 2 + 1) if mu[delta]]
     for d in range(2, n_max + 1):
@@ -227,6 +235,10 @@ def menon_column(n_max: int, k: int | None = None) -> list[int]:
                     pair_sums[step] += w * F[d // a]
                     if R == 2:
                         pair_sums[2 * step] += w * (F[2 * d // a] + F[1])
+                    continue
+                if a * (R - 1) < d:  # closed terms: V(r) = F(d * r // a) + g(r - 1)
+                    for r in range(1, R + 1):
+                        pair_sums[step * r] += w * (F[d * r // a] + g[r - 1])
                     continue
                 V = sums.get(a)
                 if V is None:

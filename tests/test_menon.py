@@ -514,7 +514,7 @@ def test_mu_and_phi_columns_match_the_sieve(sieve):
     assert _mu_phi(sieve.limit) == (sieve.mu, sieve.phi)
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 3, 7, 60, 300])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 7, 60, 120, 121, 300, 800])
 def test_menon_column_matches_the_per_row_sums(n_max):
     for k in (None, 1, 2, 3, 7, (n_max + 1) // 2, max(n_max - 1, 1), n_max):
         assert menon_column(n_max, k) == [menon_sum(n, k) for n in range(1, n_max + 1)], k
@@ -542,44 +542,58 @@ def test_menon_column_diagonal_is_k():
 
 def test_progression_sums_are_the_naive_progression_sums():
     # V(r) = sum over i < r of F(d r // (a + d i)): the term at r = n / (d delta) of
-    # each pair with delta^-1 = a (mod d), summed member by member.
+    # each pair with delta^-1 = a (mod d), summed member by member.  Where a (r - 1) < d,
+    # d r // (a + d i) = (r - 1) // i for every i >= 1, so the members past the first sum
+    # to the gcd-class total g(r - 1), g(N) = 2^N - 1 or C(N, k): menon_column's closed terms.
     for k in (None, 1, 2, 5):
         F = [0] + relprime_column(24 * 30, k)
         f = [0] + [F[q] - F[q - 1] for q in range(1, len(F))]
+        g = [2**N - 1 if k is None else math.comb(N, k) for N in range(30)]
+        closed = 0
         for d in range(2, 25):
             for a in (a for a in range(1, d) if gcd(a, d) == 1):
                 naive = [sum(F[d * r // (a + d * i)] for i in range(r)) for r in range(31)]
                 for R in range(1, 31):
                     assert _progression_sums(F, f, d, a, R) == naive[:R + 1], (d, a, R, k)
+                for r in range(1, 31):
+                    if a * (r - 1) < d:
+                        assert naive[r] == F[d * r // a] + g[r - 1], (d, a, r, k)
+                        closed += 1
+        assert closed == 782, k
+    # Past the guard the form can fail: at (d, a, r) = (2, 1, 4), k None, the member
+    # i = 1 has 8 // 3 = 2, not 3 // 1 = 3.
+    F = [0] + relprime_column(8)
+    assert sum(F[8 // (1 + 2 * i)] for i in range(4)) != F[8] + 2**3 - 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 600).flatmap(lambda n: st.tuples(st.integers(1, n - 1), st.just(n))),
        st.one_of(st.none(), st.integers(1, 6)))
 def test_menon_column_rows_do_not_depend_on_n_max(mn, k):
-    # Which pairs take closed terms (n_max // (d delta) <= 2) and which share a V list
-    # depends on n_max; the value of a row may not.
+    # Which pairs take closed terms (R = n_max // (d delta) <= 2, or a (R - 1) < d) and
+    # which share a V list depends on n_max; the value of a row may not.
     m, n = mn
     assert menon_column(m, k) == menon_column(n, k)[:m]
 
 
 @pytest.mark.parametrize("k", [None, 2])
 def test_menon_column_builds_few_progression_lists(monkeypatch, k):
-    # A host-independent work bound at n_max = 800: the pairs with n_max // (d delta) <= 2
-    # take closed terms, so 505 V lists of 6071 entries V(1..R) in all are built, where
-    # one list per distinct (d, a) took 1713 lists and 7568 entries.
+    # A host-independent work bound at n_max = 800: the pairs with R = n_max // (d delta)
+    # <= 2 or a (R - 1) < d take closed terms, so 226 V lists of 4227 entries V(1..R) in
+    # all are built, where closing only R <= 2 took 505 lists and 6071 entries, and one
+    # list per distinct (d, a) took 1713 lists and 7568 entries.
     built = []
     original = menon_mod._progression_sums
 
     def spy(F, f, d, a, R):
-        built.append(R)
+        built.append((d, a, R))
         return original(F, f, d, a, R)
 
     monkeypatch.setattr(menon_mod, "_progression_sums", spy)
     menon_column(800, k)
-    assert len(built) <= 505
-    assert sum(built) <= 6071
-    assert min(built) >= 3
+    assert len(built) <= 226
+    assert sum(R for _, _, R in built) <= 4227
+    assert all(R >= 3 and a * (R - 1) >= d for d, a, R in built)
 
 
 @pytest.mark.parametrize("n, mask", [(55440, True), (47670, True), (720720, True),
