@@ -144,13 +144,6 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0 if report.overall else 1
 
 
-def _bench_runs(tag, n, k):
-    # One benchmark evaluation; returns (value, subset-count evaluations): the floor
-    # values of n the count core solves for, none for phi, phik and menon.
-    value = _compute_one(tag, n, k)
-    return value, _floor_count(n) if tag in ("f", "fk", "mbar", "mbark") else 0
-
-
 def _decimal_digits(value: int) -> int:
     """len(str(value)) for value >= 0, without building the string."""
     # b bits give d - 1 or d digits, d = floor(b log10 2) + 1; 20 digits of
@@ -166,13 +159,15 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     best, spent = float("inf"), 0.0
     for reps in range(1, args.reps + 1):
         t0 = perf_counter()
-        value, evals = _bench_runs(tag, args.n, args.k)
+        value = _compute_one(tag, args.n, args.k)
         seconds = perf_counter() - t0
         best, spent = min(best, seconds), spent + seconds
         if spent >= BENCH_BUDGET_S:
             break
 
-    # The d > 1 pairs, which the weight pass walks; the d = 1 ones are Phi_k(n)'s terms.
+    # The floor values of n the count core solves for, and the d > 1 pairs, which the
+    # weight pass walks; the d = 1 ones are Phi_k(n)'s terms.
+    evals = _floor_count(args.n)
     pairs = (f"   divisor-pairs={len(divisor_pairs(factorize(args.n)))}"
              if tag in SUM_TAGS else "")
     digits = _decimal_digits(value)

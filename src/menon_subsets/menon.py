@@ -49,19 +49,18 @@ menon_column needs no factorisation and no floor_vectors.  For a pair (d > 1,
 squarefree delta coprime to d) with d * delta | n, let r = n / (d * delta) and
 a = delta^-1 (mod d), 1 <= a < d: the progression's members j <= d * r are
 a + d * i, i < r, so its term is V_{d,a}(r) = sum over i < r of
-F(d * r // (a + d * i)), which depends on delta only through a.  Writing F(x) as
-the sum of the steps f(q) = F(q) - F(q - 1), q <= x, and (a + d * i) * q <= d * r
-as i * q + ceil(a * q / d) <= r, V_{d,a}(1..R) is F(d * r // a) plus the prefix
-sums of a list that gets f(q) at r = q + ceil(a * q / d) and every q-th index
-after: about R ln R list additions per distinct (d, a), R = n_max // (d * delta).
-A pair with R <= 2 builds no list: V(1) = F(d // a) and, as d < a + d < 2 * d,
-V(2) = F(2 * d // a) + F(1).  Nor does a pair with a * (R - 1) < d: then every
-i >= 1 has i > a * (r - 1) / d, so (r - 1) / i < d * r / (a + d * i) < r / i and
+F(d * r // (a + d * i)), which depends on delta only through a.  Every term takes
+one form, V(r) = F(d * r // a) + T(r): the member i = 0 plus the tail T of the rest,
+picked once per pair, R = n_max // (d * delta).  If a * (R - 1) < d, every i >= 1 has
+i > a * (r - 1) / d, so (r - 1) / i < d * r / (a + d * i) < r / i and
 d * r // (a + d * i) = (r - 1) // i; by the gcd-class identity of the d = 1 layer
-the members past the first sum to g(r - 1), and V(r) = F(d * r // a) + g(r - 1).
-Such a pair has R <= d, so g is needed only up to isqrt(n_max).  (The R <= 2 terms
-are these with g(0) = 0 and g(1) = F(1), kept unrolled as the faster form.)  delta
-walks the squarefree numbers in ascending order while d * delta <= n_max.  Row n
+T(r) = g(r - 1).  Such a pair has R <= d, so g is needed only up to isqrt(n_max).
+Else, writing F(x) as the sum of the steps f(q) = F(q) - F(q - 1), q <= x, and
+(a + d * i) * q <= d * r as i * q + ceil(a * q / d) <= r, T(1..R) is the prefix sums
+of a list that gets f(q) at r = q + ceil(a * q / d) and every q-th index after: about
+R ln R list additions per distinct (d, a).  A pair with R <= 2 stays unrolled, the
+faster form: V(1) = F(d // a) and, as d < a + d < 2 * d, V(2) = F(2 * d // a) + F(1).
+delta walks the squarefree numbers in ascending order while d * delta <= n_max.  Row n
 is Phi_k(n) plus the sum over its pairs of phi(d) * mu(delta) * V_{d,a}(n / (d *
 delta)); mu and phi come from the in-place divisor-sum inversion the count columns
 use, F and Phi_k are read off relprime_column and coprime_column.
@@ -187,10 +186,10 @@ def _mu_phi(n_max: int) -> tuple[list[int], list[int]]:
             [0] + _inverted(list(range(n_max + 1))))
 
 
-def _progression_sums(F: list[int], f: list[int], d: int, a: int, R: int) -> list[int]:
-    """[0, V(1..R)], V(r) = sum over i < r of F(d * r // (a + d * i)); 1 <= a < d.
+def _progression_tails(f: list[int], d: int, a: int, R: int) -> list[int]:
+    """[0, T(1..R)], T(r) = sum over 1 <= i < r of F(d * r // (a + d * i)); 1 <= a < d.
 
-    F and f are [0, F(1..)] and their steps [0, f(1..)], long enough for d * R // a.
+    f is [0, f(1..)], the steps of F, long enough for R.
     """
     steps = [0] * (R + 1)  # f(q) at each r = i * q + ceil(a * q / d), i >= 1
     for q in range(1, R):
@@ -201,7 +200,7 @@ def _progression_sums(F: list[int], f: list[int], d: int, a: int, R: int) -> lis
         if fq:
             for r in range(c, R + 1, q):
                 steps[r] += fq
-    return [F[d * r // a] + v for r, v in enumerate(accumulate(steps))]  # i = 0 is F(d r // a)
+    return list(accumulate(steps))
 
 
 def menon_column(n_max: int, k: int | None = None) -> list[int]:
@@ -209,42 +208,38 @@ def menon_column(n_max: int, k: int | None = None) -> list[int]:
 
     Each coprime pair (d > 1, squarefree delta) with d * delta <= n_max is visited
     once, with one inverse a = delta^-1 (mod d); its term at n = d * delta * r is
-    phi(d) * mu(delta) * V_{d,a}(r), in closed form if R = n_max // (d * delta) <= 2
-    or a * (R - 1) < d, else read off V_{d,a}(1..R), one prefix sum shared by the
-    pairs of d with the same a (see the module docstring).  Each row is Phi_k(n),
-    read off coprime_column, plus its guarded pair sum.
+    phi(d) * mu(delta) * V_{d,a}(r), V(r) = F(d * r // a) + T(r), unrolled if
+    R = n_max // (d * delta) <= 2, else with T = g(. - 1) if a * (R - 1) < d, or the
+    tail list T_{d,a}(1..R) shared by the pairs of d with the same a (see the module
+    docstring).  Each row is Phi_k(n), read off coprime_column, plus its guarded pair sum.
     """
     n_max, k = check_args(n_max, k)
     mu, phi = _mu_phi(n_max)
     F = [0] + relprime_column(n_max, k)
     f = [0] + list(map(sub, F[1:], F[:-1]))
-    # g(r) = 2^r - 1 or C(r, k) for r <= isqrt(n_max): a closed pair has R <= d, so R^2 <= n_max
+    # g[r] = g(r - 1), g(N) = 2^N - 1 or C(N, k), up to isqrt(n_max): a closed pair has R <= d
     top = isqrt(n_max)
-    g = [(1 << r) - 1 for r in range(top + 1)] if k is None else _binomials(top, k)
+    g = [0] + ([(1 << r) - 1 for r in range(top + 1)] if k is None else _binomials(top, k))
     pair_sums = [0] * (n_max + 1)
     squarefree = [delta for delta in range(1, n_max // 2 + 1) if mu[delta]]
     for d in range(2, n_max + 1):
-        sums = {}  # a -> V_{d,a}, built at its smallest delta: the longest R
+        tails = {}  # a -> T_{d,a}, built at its smallest delta: the longest R
         for delta in squarefree:
             step = d * delta
             if step > n_max:
                 break
             if gcd(d, delta) == 1:
                 a, w, R = pow(delta, -1, d), phi[d] * mu[delta], n_max // step
-                if R <= 2:  # closed terms, no list
+                if R <= 2:  # unrolled, faster than the loop below (see the module docstring)
                     pair_sums[step] += w * F[d // a]
                     if R == 2:
                         pair_sums[2 * step] += w * (F[2 * d // a] + F[1])
                     continue
-                if a * (R - 1) < d:  # closed terms: V(r) = F(d * r // a) + g(r - 1)
-                    for r in range(1, R + 1):
-                        pair_sums[step * r] += w * (F[d * r // a] + g[r - 1])
-                    continue
-                V = sums.get(a)
-                if V is None:
-                    V = sums[a] = _progression_sums(F, f, d, a, R)
+                T = g if a * (R - 1) < d else tails.get(a)  # g for a closed pair
+                if T is None:
+                    T = tails[a] = _progression_tails(f, d, a, R)
                 for r in range(1, R + 1):
-                    pair_sums[step * r] += w * V[r]
+                    pair_sums[step * r] += w * (F[d * r // a] + T[r])
     del F, f  # freed before the Phi_k column is built: a lower peak
     return [phik + _finish(total)
             for phik, total in zip(coprime_column(n_max, k), pair_sums[1:])]

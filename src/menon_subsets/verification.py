@@ -246,11 +246,11 @@ def run_verification(
 
     def prime_power_case(p, t, k):
         n = p**t
-        got = menon_sum(n, k)  # = evaluate(MenonParams(n, k)), the name the report shows
+        got = menon_sum(n, k)
         gcls = gcd_class_menon_sum(n, sieve, k, cache)
         identity = prime_power_menon_sum(p, t, sieve, k, cache)
         return None if gcls == identity == got else Mismatch(
-            n, k, f"gcd-class:{gcls}, prime-power identity:{identity}", f"evaluate:{got}")
+            n, k, f"gcd-class:{gcls}, prime-power identity:{identity}", f"divisor-sum:{got}")
 
     def prime_power_consistency():
         for p in POWER_PRIMES:
@@ -259,7 +259,7 @@ def run_verification(
                 yield _first(prime_power_case(p, t, k) for k in (None, *k_set))
                 t += 1
 
-    run("prime-power-consistency", "evaluate = gcd-class = prime-power identity at prime "
+    run("prime-power-consistency", "divisor sum = gcd-class = prime-power identity at prime "
         f"powers <= {POWER_CAP}", prime_power_consistency())
 
     def menon_reduction():

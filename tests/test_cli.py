@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import menon_subsets
 from menon_subsets import MemoCache, coprime_subsets, menon_sum, relprime_subsets
-from menon_subsets.cli import (K_TAGS, TAGS, SequenceTable, _bench_runs, _count_column,
+from menon_subsets.cli import (K_TAGS, TAGS, SequenceTable, _count_column, _compute_one,
                                 _decimal_digits, main)
 from menon_subsets.counts import coprime_column, relprime_column
 from menon_subsets.oracle import gcd_class_menon_sum
@@ -266,7 +266,7 @@ def test_bench_value_matches_gcd_class_oracle(capsys, sieve):
 
 
 def test_bench_runs_match_oracle_at_210(sieve):
-    value, _ = _bench_runs("mbar", 210, None)
+    value = _compute_one("mbar", 210, None)
     assert value == gcd_class_menon_sum(210, sieve, cache=MemoCache())
 
 
@@ -426,8 +426,8 @@ def test_table_rounding_raises_rather_than_printing(capsys, monkeypatch, tag):
 @pytest.mark.parametrize("tag, k", [("mbar", None), ("mbark", "2")])
 def test_sum_tables_read_every_count_off_the_rows(capsys, monkeypatch, tag, k):
     # An mbar or mbark table is one sweep over the pairs (d, squarefree delta)
-    # (menon.menon_column): one prefix sum per (d, delta^-1 mod d) with
-    # n_max // (d delta) >= 3, closed terms for the rest.  It factors no n, takes
+    # (menon.menon_column): every term F(d r // a) + T(r), a = delta^-1 mod d, with
+    # T = g(r - 1) or one tail list per (d, a).  It factors no n, takes
     # every F(q) and every step F(q) - F(q - 1) from one relprime_column
     # F(1..n_max), and its rows are the per-n sums.
     import menon_subsets.menon as menon_mod
@@ -446,17 +446,11 @@ def test_sum_tables_read_every_count_off_the_rows(capsys, monkeypatch, tag, k):
 
 
 @pytest.mark.parametrize("tag, n, k, evaluations", [
-    ("f", 1, None, 1), ("fk", 30, 3, 10), ("fk", 7, 7, 4), ("mbar", 55440, None, 469),
-    ("phi", 60, None, 0)])
+    ("f", 1, None, 1), ("fk", 30, 3, 10), ("fk", 7, 7, 4), ("mbar", 55440, None, 469)])
 def test_bench_counts_the_floor_values_a_cold_call_solves(capsys, tag, n, k, evaluations):
     # count-evaluations= is the number of floor values of n, T + isqrt(n) with
-    # T = n // (isqrt(n) + 1), for the counts and gcd sums on the count core, and 0
-    # for phi and phik, which take no floor value; bench itself takes f, fk, mbar, mbark.
-    value, counted = _bench_runs(tag, n, k)
-    assert counted == evaluations
-    if tag == "phi":
-        assert value == coprime_subsets(n)
-        return
+    # T = n // (isqrt(n) + 1), which the count core solves for under every tag bench
+    # takes: f, fk, mbar and mbark.
     argv = ["bench", tag, "--n", str(n), "--reps", "1"] + (["--k", str(k)] if k else [])
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -492,7 +486,6 @@ def _refuse_evaluation(monkeypatch):
     monkeypatch.setattr(cli_mod, "relprime_column", fail)
     monkeypatch.setattr(cli_mod, "coprime_column", fail)
     monkeypatch.setattr(cli_mod, "menon_column", fail)
-    monkeypatch.setattr(cli_mod, "_bench_runs", fail)
 
 
 @pytest.mark.parametrize("argv", [
@@ -550,13 +543,13 @@ def test_bench_stops_repeating_past_its_time_budget(capsys, monkeypatch):
     import menon_subsets.cli as cli_mod
 
     runs = []
-    bench_runs = cli_mod._bench_runs
+    compute_one = cli_mod._compute_one
 
     def counted(*args):
         runs.append(args)
-        return bench_runs(*args)
+        return compute_one(*args)
 
-    monkeypatch.setattr(cli_mod, "_bench_runs", counted)
+    monkeypatch.setattr(cli_mod, "_compute_one", counted)
     monkeypatch.setattr(cli_mod, "BENCH_BUDGET_S", 0)
     code, out, _ = run_cli(capsys, "bench", "mbar", "--n", "720", "--reps", "100")
     assert code == 0 and runs == [("mbar", 720, None)]

@@ -21,7 +21,7 @@ from menon_subsets import (
 )
 import menon_subsets.menon as menon_mod
 from menon_subsets.counts import _adjoint, _term_sum, floor_vectors, relprime_column
-from menon_subsets.menon import _mu_phi, _progression_sums, divisor_pairs, menon_column
+from menon_subsets.menon import _mu_phi, _progression_tails, divisor_pairs, menon_column
 from menon_subsets.oracle import (enumerate_menon_sum, gcd_class_menon_sum,
                                   prime_power_menon_sum, residue_menon_sum)
 
@@ -542,7 +542,8 @@ def test_menon_column_diagonal_is_k():
 
 def test_progression_sums_are_the_naive_progression_sums():
     # V(r) = sum over i < r of F(d r // (a + d i)): the term at r = n / (d delta) of
-    # each pair with delta^-1 = a (mod d), summed member by member.  Where a (r - 1) < d,
+    # each pair with delta^-1 = a (mod d), summed member by member; its tail T(r) is
+    # V(r) less the first member F(d r // a).  Where a (r - 1) < d,
     # d r // (a + d i) = (r - 1) // i for every i >= 1, so the members past the first sum
     # to the gcd-class total g(r - 1), g(N) = 2^N - 1 or C(N, k): menon_column's closed terms.
     for k in (None, 1, 2, 5):
@@ -554,7 +555,8 @@ def test_progression_sums_are_the_naive_progression_sums():
             for a in (a for a in range(1, d) if gcd(a, d) == 1):
                 naive = [sum(F[d * r // (a + d * i)] for i in range(r)) for r in range(31)]
                 for R in range(1, 31):
-                    assert _progression_sums(F, f, d, a, R) == naive[:R + 1], (d, a, R, k)
+                    assert _progression_tails(f, d, a, R) == [
+                        naive[r] - F[d * r // a] for r in range(R + 1)], (d, a, R, k)
                 for r in range(1, 31):
                     if a * (r - 1) < d:
                         assert naive[r] == F[d * r // a] + g[r - 1], (d, a, r, k)
@@ -571,7 +573,7 @@ def test_progression_sums_are_the_naive_progression_sums():
        st.one_of(st.none(), st.integers(1, 6)))
 def test_menon_column_rows_do_not_depend_on_n_max(mn, k):
     # Which pairs take closed terms (R = n_max // (d delta) <= 2, or a (R - 1) < d) and
-    # which share a V list depends on n_max; the value of a row may not.
+    # which share a tail list depends on n_max; the value of a row may not.
     m, n = mn
     assert menon_column(m, k) == menon_column(n, k)[:m]
 
@@ -579,17 +581,17 @@ def test_menon_column_rows_do_not_depend_on_n_max(mn, k):
 @pytest.mark.parametrize("k", [None, 2])
 def test_menon_column_builds_few_progression_lists(monkeypatch, k):
     # A host-independent work bound at n_max = 800: the pairs with R = n_max // (d delta)
-    # <= 2 or a (R - 1) < d take closed terms, so 226 V lists of 4227 entries V(1..R) in
-    # all are built, where closing only R <= 2 took 505 lists and 6071 entries, and one
+    # <= 2 or a (R - 1) < d take closed terms, so 226 tail lists of 4227 entries T(1..R)
+    # in all are built, where closing only R <= 2 took 505 lists and 6071 entries, and one
     # list per distinct (d, a) took 1713 lists and 7568 entries.
     built = []
-    original = menon_mod._progression_sums
+    original = menon_mod._progression_tails
 
-    def spy(F, f, d, a, R):
+    def spy(f, d, a, R):
         built.append((d, a, R))
-        return original(F, f, d, a, R)
+        return original(f, d, a, R)
 
-    monkeypatch.setattr(menon_mod, "_progression_sums", spy)
+    monkeypatch.setattr(menon_mod, "_progression_tails", spy)
     menon_column(800, k)
     assert len(built) <= 226
     assert sum(R for _, _, R in built) <= 4227

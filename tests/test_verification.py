@@ -56,7 +56,7 @@ def test_mobius_corruption_pins_the_first_mismatch_of_each_failing_check():
                                                   "column:9844, divisor-sum:9844"), None),
         "core-vs-mobius-sum": (10, Mismatch(10, None, "981", "983"), None),
         "prime-power-consistency": (4, Mismatch(16, None, "gcd-class:1043948, prime-power "
-                                                "identity:1043950", "evaluate:1043980"), None),
+                                                "identity:1043950", "divisor-sum:1043980"), None),
         "term-count-law": (10, Mismatch(10, None, "988", "990"), None),
     }
 
