@@ -13,19 +13,20 @@ decimal.Decimal(1) under a context that traps rounding, whose values then print
 in linear time.  The signed sums are checked nonnegative before they are
 returned -- a negative total would mean a defect, never a valid answer.
 
-The count core sums w_q * F(q), F = relprime_subsets(., k), over small-integer
-weights w_q on the floor values q of n, held in t-indexed lists (floor_vectors), in
-two steps: an adjoint pass to terms (r, W_r), _adjoint, and one term evaluator,
-_term_sum, which sums w * g(r) over one or more term lists, each C(r, k) once per
-distinct r, and guards each list's total.  relprime_subsets is the weight 1 at q = n;
-coprime_subsets sums the Möbius terms (n // delta, mu(delta)), and menon.menon_sum
-both.  Per-n calls are cold and keep nothing; a sweep over n reads a column.  mu comes
-from one factorisation of n; nothing here reads a sieve.  A column factors nothing: it
-is one in-place divisor-sum inversion over 1..n_max (_inverted), a slice pass per prime
-p * p <= n_max and the larger primes per nonzero entry, about n_max ln ln n_max
-subtractions, plus one term g per m, a power of 2 or a binomial, each stepped from the
-one before (2^m = 2^(m - 1) + 2^(m - 1), C(m, k) = C(m - 1, k) * m // (m - k));
-menon.menon_column reads its F and Phi_k off these two.
+The count core sums w_q * F(q), F = relprime_subsets(., k), over small-integer weights w_q
+on the floor values q of n, held in t-indexed lists (floor_vectors), in two steps: an adjoint
+pass to terms (r, W_r), _adjoint, and one term evaluator, _term_sum, which sums w * g(r) over
+one or more term lists, each C(r, k) once per distinct r, and guards each list's total.  The
+adjoint walks odd j only (sum over odd j of F(m // j) = g(m) - g(m // 2)): 2 sqrt(2) n / sqrt(D)
+divisions above D ~ 0.6 n^(2/3), none for range(3t, U + 1, 2t), D / 3 slice sums x[3i::2i]
+below, then the unfold W_r = W'_r - W'_2r - W'_(2r+1).  relprime_subsets is the weight 1 at
+q = n; coprime_subsets sums the Möbius terms (n // delta, mu(delta)), and menon.menon_sum both.
+Per-n calls are cold and keep nothing; a sweep over n reads a column.  mu comes from one
+factorisation of n; nothing here reads a sieve.  A column factors nothing: it is one in-place
+divisor-sum inversion over 1..n_max (_inverted), a slice pass per prime p * p <= n_max and the
+larger primes per nonzero entry, about n_max ln ln n_max subtractions, plus one term g per m, a
+power of 2 or a binomial, each stepped from the one before (2^m = 2^(m - 1) + 2^(m - 1),
+C(m, k) = C(m - 1, k) * m // (m - k)); menon.menon_column reads its F and Phi_k off these two.
 """
 
 from __future__ import annotations
@@ -82,35 +83,37 @@ def _floor_count(n: int) -> int:
 
 
 def _push(small: list[int], m: int, j: int, w: int) -> None:
-    # -w into small[m // i] for i = j..m, all m // j < len(small) and every m // i <= r =
-    # isqrt(m) at i >= j: one division per m // i > r, then each q <= r takes its block length.
-    r = isqrt(m)
-    for i in range(j, m // (r + 1) + 1):
+    # -w into small[m // i] for odd i = j..m, all m // j < len(small), j <= m // (r + 1) + 1 for
+    # r = isqrt(m // 2): one division per odd i <= m // (r + 1), then each q <= r its odd count.
+    r = isqrt(m // 2)
+    for i in range(j | 1, m // (r + 1) + 1, 2):
         small[m // i] -= w
-    hi = m
+    hi = (m + 1) // 2
     for q in range(1, r + 1):
-        lo = m // (q + 1)
+        lo = (m // (q + 1) + 1) // 2
         small[q] -= (hi - lo) * w
         hi = lo
 
 
-def _dense_solve(x: list[int]) -> list[tuple[int, int]]:
-    # The nonzero (q, W_q) with L^T W = x on all of 1..D, x[0] unused: L = P Z P^-1 there (the
-    # F(m // j) take F(q) - F(q-1) once per q * j <= m), P the prefix and Z the divisor sums.
-    x = list(accumulate(reversed(x), initial=0))[::-1]  # P^T: suffix sums, then x[D + 1] = 0
-    for i in range(len(x) // 2, 0, -1):  # Z^-T: less the sum over the proper multiples
-        x[i] -= sum(x[2 * i::i])
-    return [(q, x[q] - x[q + 1]) for q in range(1, len(x) - 1) if x[q] != x[q + 1]]  # P^-T
+def _dense_solve(x: list[int]) -> list[int]:
+    # [W_1, .., W_D], L^T W = x on all of 1..D, x[0] unused, by L' = P Z' P^-1 there (the odd-j
+    # F(m // j) take F(q) - F(q-1) once per q * j <= m), P the prefix, Z' the odd divisor sums.
+    x = [*accumulate(reversed(x), initial=0)][::-1]  # P^T: suffix sums, then x[D + 1] = 0
+    for i in range((len(x) - 2) // 3, 0, -1):  # Z'^-T: less the sum over the odd proper multiples
+        x[i] -= sum(x[3 * i::2 * i])
+    h = (len(x) + 1) // 2  # the unfold W_r = W'_r - W'_2r - W'_(2r+1): y_r - y_2r, y = P^T W'
+    x[1:h] = map(sub, x[1:h], x[2::2])
+    return [*map(sub, x[1:-1], x[2:])]  # P^-T; a display, unlike list(), adds no gc count
 
 
 def _adjoint(big: list[int], small: list[int], n: int) -> list[tuple[int, int]]:
     # The nonzero (r, W_r), r ascending, of the W with L^T W = w, in place on the weights w of
     # floor_vectors(n).  Grouping the (k-)subsets of {1..m} by gcd j gives sum over j of
     # F(m // j) = g(m): L F = g, unit lower triangular on the floor values, so the sum of
-    # w * F(q) is the sum of W_r * g(r) (_term_sum), whatever k is.  W takes 4n / sqrt(D)
-    # floor divisions above D ~ 0.6 n^(2/3), then D / 2 C-speed slice sums: above D, at
-    # m = n // t, ascending t <= U, W_m is final: it leaves -(block length) * W_m at each
-    # m // j, j >= 2, all <= D once t * j > U.  W is 0 off the floor values of n.
+    # w * F(q) is the sum of W_r * g(r) (_term_sum), whatever k is.  The odd j alone give
+    # L' F = g(m) - g(m // 2), L' = (I - S) L, (S v)(m) = v(m // 2): W_r = W'_r - W'_2r
+    # - W'_(2r+1), L'^T W' = w, 0 off the floor values.  Above D ~ 0.6 n^(2/3), ascending t <= U,
+    # W'_m at m = n // t is final and leaves -(odd block length) * W'_m at each m // j, odd j >= 3.
     D = max(len(small) - 1, int(0.6 * n ** (2 / 3)))  # c = 0.6 balances the two passes
     U = n // (D + 1)
     x = small + [0] * (D + 1 - len(small))
@@ -119,10 +122,17 @@ def _adjoint(big: list[int], small: list[int], n: int) -> list[tuple[int, int]]:
     for t in range(1, U + 1):
         w = big[t]
         if w:
-            for u in range(2 * t, U + 1, t):  # n // (t * j) > D: no division
+            for u in range(3 * t, U + 1, 2 * t):  # n // (t * j) > D: no division
                 big[u] -= w
             _push(x, n // t, U // t + 1, w)
-    return _dense_solve(x) + [(n // u, big[u]) for u in range(U, 0, -1) if big[u]]
+    x = _dense_solve(x)  # unfolded on 1..D; W' above D leaves n // 2t, read before it unfolds
+    for t in range(U, 0, -1):
+        if 2 * t > U:
+            x[n // (2 * t) - 1] -= big[t]
+        else:
+            big[2 * t] -= big[t]
+    return ([(q, w) for q, w in enumerate(x, 1) if w]
+            + [(n // u, big[u]) for u in range(U, 0, -1) if big[u]])
 
 
 def _term_sum(k: int | None, *lists: list[tuple[int, int]]) -> int:

@@ -6,7 +6,7 @@ from math import comb as binomial
 from math import isqrt
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from menon_subsets import (
@@ -353,17 +353,23 @@ def test_adjoint_total_matches_mobius_sum_at_the_edges(weighted, k):
 
 
 def descending_solve(x):
-    """The nonzero (q, W_q) of L^T W = x on 1..len(x) - 1 by the descending walk, the reference:
-    at m, descending, W_m is final and leaves -(block length) * W_m at each m // j, j >= 2."""
+    """[W_1, .., W_D] with L^T W = x on 1..D = len(x) - 1, the reference, by the odd system:
+    L' F(m), the sum over odd j of F(m // j), is L F(m) - L F(m // 2).  The descending walk
+    solves L'^T W' = x: at m, descending, W'_m is final and leaves -W'_m at m // i for each
+    odd i >= 3, one i at a time.  Then W_r = W'_r - W'_2r - W'_(2r+1)."""
     x = list(x)
-    for m in range(len(x) - 1, 1, -1):  # m = 1 leaves nothing below it
+    for m in range(len(x) - 1, 2, -1):  # m <= 2 leaves nothing below it
         if x[m]:
-            _push(x, m, 2, x[m])
-    return [(q, w) for q, w in enumerate(x) if q and w]
+            for i in range(3, m + 1, 2):
+                x[m // i] -= x[m]
+    D = len(x) - 1
+    x += [0] * (D + 1)  # W'_m = 0 for D < m <= 2D + 1
+    return [x[r] - x[2 * r] - x[2 * r + 1] for r in range(1, D + 1)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3000), st.sampled_from((1, 3, 30, 300)), st.integers(0, 2**32))
+@example(3000, 1, 0)  # dense at the top of the range
 def test_dense_solve_matches_the_descending_walk(D, sparsity, seed):
     # Random signed weights on 1..D, a share 1 / sparsity of them nonzero.
     rng = random.Random(seed)
@@ -372,6 +378,35 @@ def test_dense_solve_matches_the_descending_walk(D, sparsity, seed):
     before = list(x)
     assert _dense_solve(x) == descending_solve(x)
     assert x == before  # not modified
+
+
+@st.composite
+def push_calls(draw):
+    """(m, j): m at an edge of isqrt(m) or isqrt(m // 2), s^2, s^2 +- 1, s^2 + s or 2 s^2, and
+    j among 1, 2, 3 and the adjoint's own U // t + 1 at n = m * t, where _push admits it."""
+    s = draw(st.integers(1, 200), label="s")
+    m = draw(st.sampled_from((s * s, s * s - 1, s * s + 1, s * s + s, 2 * s * s)), label="m")
+    t = draw(st.integers(1, 8), label="t")
+    n = max(m, 1) * t
+    U = n // (max(isqrt(n), int(0.6 * n ** (2 / 3))) + 1)
+    js = [1, 2, 3] + ([U // t + 1] if t <= U else [])
+    admitted = [j for j in js if j <= m // (isqrt(m // 2) + 1) + 1]
+    assume(m >= 1 and admitted)
+    return m, draw(st.sampled_from(admitted), label="j")
+
+
+@settings(max_examples=150, deadline=None)
+@given(push_calls(), st.integers(-1000, 1000), st.integers(0, 2**32))
+def test_push_is_the_naive_odd_walk(call, w, seed):
+    m, j = call
+    rng = random.Random(seed)
+    small = [rng.randint(-1000, 1000) for _ in range(m // j + 1)]
+    expected = list(small)
+    for i in range(j, m + 1):
+        if i % 2:
+            expected[m // i] -= w
+    _push(small, m, j, w)
+    assert small == expected
 
 
 def adjoint_pairs(weights, n):
@@ -429,6 +464,28 @@ def test_adjoint_total_matches_mobius_sum_at_the_split(weighted, k):
         expected = -expected
     assert _term_sum(k, adjoint_pairs(weights, n)) == expected
     assert weighted_count(weights, n, k) == expected
+
+
+def all_j_solve(weights, n):
+    """The nonzero (r, W_r), r ascending, of L^T W = w for the weights {q: w} on floor values
+    of n, L F(m) the sum over all j of F(m // j): the descending walk over the floor values,
+    each final W_m leaving -W_m at m // j for every j >= 2, one j at a time."""
+    x = dict.fromkeys({n // t for t in range(1, n + 1)}, 0)
+    for q, w in weights.items():
+        x[q] += w
+    for m in sorted(x, reverse=True):
+        if x[m]:
+            for j in range(2, m + 1):
+                x[m // j] -= x[m]
+    return [(r, w) for r, w in sorted(x.items()) if w]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(sparse_floor_weights(), split_weights()))
+def test_adjoint_pairs_are_the_all_j_solve(weighted):
+    # The odd-j solve and its unfold return what solving L^T W = w over all j returns.
+    n, weights = weighted
+    assert adjoint_pairs(weights, n) == all_j_solve(weights, n)
 
 
 def test_negative_total_is_refused():
@@ -533,6 +590,22 @@ def test_gcd_classes_of_the_subsets_sum_to_g(N, k):
     F = relprime_column(N, k)
     g = (1 << N) - 1 if k is None else binomial(N, k)
     assert sum(F[N // j - 1] for j in range(1, N + 1)) == g
+
+
+@pytest.mark.parametrize("k", (None, 1, 2, 3))
+def test_odd_gcd_classes_sum_to_the_halved_difference(k):
+    # The identity at m less the same at m // 2 keeps the odd j alone:
+    # sum over odd j <= m of F(m // j) = g(m) - g(m // 2), the adjoint's odd-j system.  F is
+    # read off the column and checked against the oracle's Möbius sum.
+    N = 2000
+    F = [0] + relprime_column(N, k)
+    assert F == [0] + [mobius_subset_count(q, BIG_SIEVE, k) for q in range(1, N + 1)]
+
+    def g(m):
+        return (1 << m) - 1 if k is None else binomial(m, k)
+
+    for m in range(1, N + 1):
+        assert sum(F[m // j] for j in range(1, m + 1, 2)) == g(m) - g(m // 2)
 
 
 def _column_ks(n_max: int):
@@ -732,3 +805,31 @@ def test_dense_solve_stays_below_n_two_thirds(monkeypatch, count):
     n = 2**20
     count(n, 2)
     assert sizes and max(sizes) <= n ** (2 / 3)
+
+
+@pytest.mark.parametrize("count, bound", [(relprime_subsets, 15000), (menon_sum, 17800)],
+                         ids=["relprime_subsets", "menon_sum"])
+def test_push_steps_stay_on_the_odd_wheel(monkeypatch, count, bound):
+    # A host-independent work bound on the adjoint's pushes: at n = 2^20 they write 14946
+    # (relprime_subsets) and 17784 (menon_sum) entries, every odd i singly up to
+    # m // (isqrt(m // 2) + 1) and one block per q below; walking every j, as the all-j
+    # system does, writes 31441 and 37395.
+    import menon_subsets.counts as counts_mod
+
+    class Tally(list):
+        steps = 0
+
+        def __setitem__(self, i, v):
+            Tally.steps += 1
+            super().__setitem__(i, v)
+
+    original = counts_mod._push
+
+    def spy(small, m, j, w):
+        tally = Tally(small)
+        original(tally, m, j, w)
+        small[:] = tally
+
+    monkeypatch.setattr(counts_mod, "_push", spy)
+    count(2**20, 2)
+    assert 0 < Tally.steps <= bound
