@@ -31,7 +31,7 @@ TAGS = ("f", "fk", "phi", "phik", "menon", "mbar", "mbark")
 K_TAGS = frozenset({"fk", "phik", "mbark"})
 SUM_TAGS = frozenset({"mbar", "mbark"})
 MAX_N = 1 << 20  # compute, bench: a value at n has about n bits, here 1 Mbit
-# table: n_max^2 / 2 = 8 Mbit of values; on a 2-vCPU Xeon mbar ~0.25 s, mbark --k 2048 ~0.2 s
+# table: n_max^2 / 2 = 8 Mbit of values; on a 2-vCPU Xeon mbar ~0.15 s, mbark --k 2048 ~0.12 s
 MAX_TABLE_ROWS = 1 << 12
 MAX_FORMULA_N = 4000  # verify: ~8 s on a 2-vCPU Xeon, growing about as n^2
 MAX_K_VALUES = 10  # verify: each k adds up to ~0.6 s at MAX_FORMULA_N, most near k = 1300

@@ -26,7 +26,9 @@ factorisation of n; nothing here reads a sieve.  A column factors nothing: it is
 divisor-sum inversion over 1..n_max (_inverted), a slice pass per prime p * p <= n_max and the
 larger primes per nonzero entry, about n_max ln ln n_max subtractions, plus one term g per m, a
 power of 2 or a binomial, each stepped from the one before (2^m = 2^(m - 1) + 2^(m - 1),
-C(m, k) = C(m - 1, k) * m // (m - k)); menon.menon_column reads its F and Phi_k off these two.
+C(m, k) = C(m - 1, k) * m // (m - k)).  menon.menon_column reads its F off relprime_column, and
+Phi_k off coprime_column with k given; at k None it takes Phi(m) = 2 (F(m) - F(m - 1)) - [m = 1]
+off the F steps, since 2^m - 1 = 2 * 2^(m - 1) - 1 and the steps are the inversion of 2^(m - 1).
 """
 
 from __future__ import annotations

@@ -60,10 +60,15 @@ Else, writing F(x) as the sum of the steps f(q) = F(q) - F(q - 1), q <= x, and
 of a list that gets f(q) at r = q + ceil(a * q / d) and every q-th index after: about
 R ln R list additions per distinct (d, a).  A pair with R <= 2 stays unrolled, the
 faster form: V(1) = F(d // a) and, as d < a + d < 2 * d, V(2) = F(2 * d // a) + F(1).
-delta walks the squarefree numbers in ascending order while d * delta <= n_max.  Row n
-is Phi_k(n) plus the sum over its pairs of phi(d) * mu(delta) * V_{d,a}(n / (d *
-delta)); mu and phi come from the in-place divisor-sum inversion the count columns
-use, F and Phi_k are read off relprime_column and coprime_column.
+The delta = 1 pairs (a = 1) open with the member F(n); by Gauss's sum over d | n of
+phi(d) = n these sum to (n - 1) * F(n), one product per row, so those pairs add only
+their tails phi(d) * T_{d,1}(r), r >= 2, with no gcd and no inverse, and d runs
+only to n_max // 2 (a larger d has only delta = 1, with R = 1).  delta >= 2 walks the
+squarefree numbers in ascending order while d * delta <= n_max.  Row n is Phi_k(n) plus
+the sum over its pairs of phi(d) * mu(delta) * V_{d,a}(n / (d * delta)); mu and phi come
+from the in-place divisor-sum inversion the count columns use, F from relprime_column,
+Phi_k from coprime_column, or at k None Phi(n) = 2 f(n) - [n = 1] from the steps of F
+(that inversion turns 2^(n - 1) into f(n), and 2^n - 1 = 2 * 2^(n - 1) - 1).
 """
 
 from __future__ import annotations
@@ -144,8 +149,8 @@ def divisor_pairs(fac: Factorization) -> list[tuple[int, int, int]]:
     neither, so each of the prod(e + 2) - 2^omega(n) pairs is built once."""
     out, ones = [], [(1, 1, 1)]  # the pairs with d > 1 so far, and those with d = 1
     for p, e in fac.factors:
-        out += [(d * p**i, delta, w * (p - 1) * p ** (i - 1))
-                for d, delta, w in out + ones for i in range(1, e + 1)
+        powers = [(q, q - q // p) for q in accumulate(repeat(p, e), mul)]  # (p^i, phi(p^i))
+        out += [(d * q, delta, w * phi_q) for d, delta, w in out + ones for q, phi_q in powers
                 ] + [(d, delta * p, -w) for d, delta, w in out]
         ones += [(1, delta * p, -w) for _, delta, w in ones]
     return [(delta * pow(delta, -1, d), d * delta, w) for d, delta, w in out]
@@ -207,11 +212,13 @@ def menon_column(n_max: int, k: int | None = None) -> list[int]:
     """[menon_sum(n, k) for n in 1..n_max], with no factorisation.
 
     Each coprime pair (d > 1, squarefree delta) with d * delta <= n_max is visited
-    once, with one inverse a = delta^-1 (mod d); its term at n = d * delta * r is
-    phi(d) * mu(delta) * V_{d,a}(r), V(r) = F(d * r // a) + T(r), unrolled if
-    R = n_max // (d * delta) <= 2, else with T = g(. - 1) if a * (R - 1) < d, or the
-    tail list T_{d,a}(1..R) shared by the pairs of d with the same a (see the module
-    docstring).  Each row is Phi_k(n), read off coprime_column, plus its guarded pair sum.
+    once; its term at n = d * delta * r is phi(d) * mu(delta) * V_{d,a}(r),
+    V(r) = F(d * r // a) + T(r), a = delta^-1 (mod d), with T = g(. - 1) if
+    a * (R - 1) < d, R = n_max // (d * delta), else the tail list T_{d,a}(1..R) shared
+    by the pairs of d with the same a (see the module docstring).  The delta = 1 pairs
+    add only their tails, and their first members (n - 1) * F(n) per row; a pair with
+    delta >= 2 takes one inverse, unrolled if R <= 2.  Each row is Phi_k(n), off the
+    F steps at k None, else off coprime_column, plus its guarded pair sum.
     """
     n_max, k = check_args(n_max, k)
     mu, phi = _mu_phi(n_max)
@@ -221,9 +228,15 @@ def menon_column(n_max: int, k: int | None = None) -> list[int]:
     top = isqrt(n_max)
     g = [0] + ([(1 << r) - 1 for r in range(top + 1)] if k is None else _binomials(top, k))
     pair_sums = [0] * (n_max + 1)
-    squarefree = [delta for delta in range(1, n_max // 2 + 1) if mu[delta]]
-    for d in range(2, n_max + 1):
-        tails = {}  # a -> T_{d,a}, built at its smallest delta: the longest R
+    squarefree = [delta for delta in range(2, n_max // 2 + 1) if mu[delta]]
+    for d in range(2, n_max // 2 + 1):  # a larger d has only delta = 1, with R = 1
+        # a -> T_{d,a}, built at its smallest delta, the longest R; delta = 1 has a = 1,
+        # closed (a * (R - 1) < d) if R <= d
+        R, tails, T, w = n_max // d, {}, g, phi[d]
+        if R > d:
+            T = tails[1] = _progression_tails(f, d, 1, R)
+        for r in range(2, R + 1):  # the delta = 1 tails; T(1) = 0
+            pair_sums[d * r] += w * T[r]
         for delta in squarefree:
             step = d * delta
             if step > n_max:
@@ -240,6 +253,14 @@ def menon_column(n_max: int, k: int | None = None) -> list[int]:
                     T = tails[a] = _progression_tails(f, d, a, R)
                 for r in range(1, R + 1):
                     pair_sums[step * r] += w * (F[d * r // a] + T[r])
-    del F, f  # freed before the Phi_k column is built: a lower peak
-    return [phik + _finish(total)
-            for phik, total in zip(coprime_column(n_max, k), pair_sums[1:])]
+    for n in range(2, n_max + 1):  # the delta = 1 first members, added last: a lower peak
+        pair_sums[n] += (n - 1) * F[n]
+    del F  # freed before Phi_k is built, and f with it: a lower peak
+    if k is None:  # Phi(m) = 2 f(m) - [m = 1] (see the module docstring)
+        phik = [s + s for s in f[1:]]
+        phik[0] -= 1
+        del f
+    else:
+        del f
+        phik = coprime_column(n_max, k)
+    return [p + _finish(total) for p, total in zip(phik, pair_sums[1:])]

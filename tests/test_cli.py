@@ -426,10 +426,11 @@ def test_table_rounding_raises_rather_than_printing(capsys, monkeypatch, tag):
 @pytest.mark.parametrize("tag, k", [("mbar", None), ("mbark", "2")])
 def test_sum_tables_read_every_count_off_the_rows(capsys, monkeypatch, tag, k):
     # An mbar or mbark table is one sweep over the pairs (d, squarefree delta)
-    # (menon.menon_column): every term F(d r // a) + T(r), a = delta^-1 mod d, with
-    # T = g(r - 1) or one tail list per (d, a).  It factors no n, takes
-    # every F(q) and every step F(q) - F(q - 1) from one relprime_column
-    # F(1..n_max), and its rows are the per-n sums.
+    # (menon.menon_column): the delta = 1 pairs open with (n - 1) F(n) per row and
+    # add only their tails, every other term is F(d r // a) + T(r), a = delta^-1 mod d,
+    # with T = g(r - 1) or one tail list per (d, a).  It factors no n, takes every
+    # F(q) and every step F(q) - F(q - 1) from one relprime_column F(1..n_max), at
+    # k None Phi(n) = 2 (F(n) - F(n - 1)) - [n = 1] too, and its rows are the per-n sums.
     import menon_subsets.menon as menon_mod
 
     columns = []

@@ -4,6 +4,7 @@ import re
 from itertools import accumulate
 from math import comb as binomial
 from math import isqrt
+from operator import sub
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -498,7 +499,8 @@ def test_negative_total_is_refused():
 def test_columns_refuse_negative_counts(monkeypatch):
     # The shared inversion is signed (it also yields mu); each count column
     # guards its own result, and the gcd-sum column each row's pair sum, which
-    # the decreasing F column F(m) = -m drives negative.
+    # starts at (n - 1) * F(n), the first members of the delta = 1 pairs: the
+    # decreasing F column F(m) = -m drives it negative.
     import menon_subsets.counts as counts_mod
     import menon_subsets.menon as menon_mod
 
@@ -737,6 +739,21 @@ def test_phi_is_twice_the_f_step_less_one_at_one(n_max):
     F = [0] + relprime_column(n_max)
     assert coprime_column(n_max) == phi[1:] == [
         2 * (F[m] - F[m - 1]) - (m == 1) for m in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("one", [1, decimal.Decimal(1)], ids=["int", "Decimal"])
+def test_phi_column_is_twice_the_f_steps_at_every_n_max(one):
+    # menon_column reads Phi off the F steps at k None; the identity of the test above,
+    # for each n_max <= 2500, in each exact unit the table path builds its columns from.
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.InvalidOperation, decimal.Inexact, decimal.Rounded])
+    with decimal.localcontext(exact):
+        for n_max in range(1, 2501):
+            F = [0 * one] + relprime_column(n_max, one=one)
+            want = [s + s for s in map(sub, F[1:], F[:-1])]
+            want[0] -= 1
+            column = coprime_column(n_max, one=one)
+            assert column == want and type(column[-1]) is type(one), n_max
 
 
 def test_small_columns_match_cold_counts_at_every_n_max():

@@ -514,8 +514,10 @@ def test_mu_and_phi_columns_match_the_sieve(sieve):
     assert _mu_phi(sieve.limit) == (sieve.mu, sieve.phi)
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 3, 7, 60, 120, 121, 300, 800])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6, 7, 60, 120, 121, 300, 800])
 def test_menon_column_matches_the_per_row_sums(n_max):
+    # The d loop runs to n_max // 2: not at all at n_max 2 and 3, short of n_max at 4, 5
+    # and 6, and at 6 it builds the first delta = 1 tail list (d = 2, R = 3 > d).
     for k in (None, 1, 2, 3, 7, (n_max + 1) // 2, max(n_max - 1, 1), n_max):
         assert menon_column(n_max, k) == [menon_sum(n, k) for n in range(1, n_max + 1)], k
 
@@ -596,6 +598,59 @@ def test_menon_column_builds_few_progression_lists(monkeypatch, k):
     assert len(built) <= 226
     assert sum(R for _, _, R in built) <= 4227
     assert all(R >= 3 and a * (R - 1) >= d for d, a, R in built)
+
+
+@pytest.mark.parametrize("k", [None, 2])
+def test_menon_column_inverts_only_the_delta_above_one(monkeypatch, k):
+    # A host-independent work bound at n_max = 800: the delta = 1 pairs have a = 1 and
+    # open with phi(d) * F(n), which sum over d | n to (n - 1) * F(n), so only the 1711
+    # coprime pairs (d > 1, squarefree delta >= 2) with d * delta <= 800 take an inverse;
+    # one inverse for every pair took 2510.
+    inverses = []
+
+    def spy(*args):
+        inverses.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(menon_mod, "pow", spy, raising=False)
+    menon_column(800, k)
+    assert len(inverses) == 1711
+    assert all(delta >= 2 for delta, _, _ in inverses)
+
+
+@pytest.mark.parametrize("k", [None, 2])
+def test_menon_column_reads_the_delta_one_tails_from_r_two(monkeypatch, k):
+    # A host-independent work bound at n_max = 800: the tail lists are read 5814 times,
+    # 2279 by the delta = 1 pairs from r = 2 on (their T(1) is 0, and their first members
+    # are the rows' (n - 1) * F(n)) and 3535 by the delta >= 2 pairs that read a list;
+    # reading every member's tail, T(1) of the delta = 1 lists too, took 5840.
+    reads = []
+
+    class Tails(list):
+        def __getitem__(self, r):
+            reads.append(r)
+            return super().__getitem__(r)
+
+    original = menon_mod._progression_tails
+    monkeypatch.setattr(menon_mod, "_progression_tails", lambda *args: Tails(original(*args)))
+    menon_column(800, k)
+    assert len(reads) <= 2279 + 3535
+
+
+@pytest.mark.parametrize("k, calls", [(None, []), (2, [(800, 2)])])
+def test_menon_column_reads_phi_off_the_f_steps(monkeypatch, k, calls):
+    # At k None Phi(m) = 2 (F(m) - F(m - 1)) - [m = 1] comes from the F column the sweep
+    # holds, with no second inversion; with k given the phik column is inverted.
+    seen = []
+    original = menon_mod.coprime_column
+
+    def spy(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(menon_mod, "coprime_column", spy)
+    menon_column(800, k)
+    assert seen == calls
 
 
 @pytest.mark.parametrize("n, mask", [(55440, True), (47670, True), (720720, True),
