@@ -22,7 +22,7 @@ from itertools import chain
 from time import perf_counter
 from typing import NamedTuple
 
-from .counts import (_floor_count, coprime_column, coprime_subsets, relprime_column,
+from .counts import (coprime_column, coprime_subsets, floor_vectors, relprime_column,
                      relprime_subsets)
 from .menon import divisor_pairs, menon_classic, menon_column, menon_sum
 from .sieve import factorize
@@ -167,7 +167,7 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     # The floor values of n the count core solves for, and the d > 1 pairs, which the
     # weight pass walks; the d = 1 ones are Phi_k(n)'s terms.
-    evals = _floor_count(args.n)
+    evals = sum(map(len, floor_vectors(args.n))) - 2  # less each list's padding
     pairs = (f"   divisor-pairs={len(divisor_pairs(factorize(args.n)))}"
              if tag in SUM_TAGS else "")
     digits = _decimal_digits(value)

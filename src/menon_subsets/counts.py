@@ -26,9 +26,9 @@ factorisation of n; nothing here reads a sieve.  A column factors nothing: it is
 divisor-sum inversion over 1..n_max (_inverted), a slice pass per prime p * p <= n_max and the
 larger primes per nonzero entry, about n_max ln ln n_max subtractions, plus one term g per m, a
 power of 2 or a binomial, each stepped from the one before (2^m = 2^(m - 1) + 2^(m - 1),
-C(m, k) = C(m - 1, k) * m // (m - k)).  menon.menon_column reads its F off relprime_column, and
-Phi_k off coprime_column with k given; at k None it takes Phi(m) = 2 (F(m) - F(m - 1)) - [m = 1]
-off the F steps, since 2^m - 1 = 2 * 2^(m - 1) - 1 and the steps are the inversion of 2^(m - 1).
+C(m, k) = C(m - 1, k) * m // (m - k)).  _relprime_steps inverts 2^(m - 1) or C(m - 1, k - 1) into
+the F steps f(m) = F(m) - F(m - 1): relprime_column sums them, and menon.menon_column reads F and
+f off them, and Phi_k off coprime_column with k given, or at k None as 2 f(m) - [m = 1].
 """
 
 from __future__ import annotations
@@ -78,10 +78,6 @@ def floor_vectors(n: int) -> tuple[list[int], list[int]]:
     # u <= n // (isqrt(n) + 1), and small[q] for q <= isqrt(n); index 0 is padding.
     s = isqrt(n)
     return [0] * (n // (s + 1) + 1), [0] * (s + 1)
-
-
-def _floor_count(n: int) -> int:
-    return n // (isqrt(n) + 1) + isqrt(n)  # the entries of floor_vectors(n)
 
 
 def _push(small: list[int], m: int, j: int, w: int) -> None:
@@ -238,16 +234,18 @@ def coprime_column(n_max: int, k: int | None = None, *, one=1) -> list:
     return column
 
 
-def relprime_column(n_max: int, k: int | None = None, *, one=1) -> list:
-    """[relprime_subsets(n, k) for n in 1..n_max], with no factorisation.
-
-    Grouping the (k-)subsets of {1..m} with largest element m by their gcd gives
-    sum over d | m of F(d) - F(d - 1) = g'(m), 2^(m - 1) or C(m - 1, k - 1): the
-    column is the prefix sums of its inversion.  With k None the column is built in
-    the number type of `one` (int 1 by default).
-    """
-    n_max, k = check_args(n_max, k)
+def _relprime_steps(n_max: int, k: int | None, one=1) -> list:
+    # [f(1..n_max)], f(m) = F(m) - F(m - 1), guarded: grouping the (k-)subsets of {1..m} with
+    # largest element m by their gcd gives sum over d | m of f(d) = g'(m), 2^(m - 1) or
+    # C(m - 1, k - 1), inverted here; with k None in the number type of `one`.
     steps = _inverted(_doublings(n_max, one) if k is None
                       else [0] + _binomials(n_max - 1, k - 1))
     _finish(min(steps))
-    return list(accumulate(steps))
+    return steps
+
+
+def relprime_column(n_max: int, k: int | None = None, *, one=1) -> list:
+    """[relprime_subsets(n, k) for n in 1..n_max]: the prefix sums of the F steps, with no
+    factorisation.  With k None it is built in the number type of `one` (int 1 by default)."""
+    n_max, k = check_args(n_max, k)
+    return list(accumulate(_relprime_steps(n_max, k, one)))

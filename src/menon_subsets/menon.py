@@ -66,8 +66,8 @@ their tails phi(d) * T_{d,1}(r), r >= 2, with no gcd and no inverse, and d runs
 only to n_max // 2 (a larger d has only delta = 1, with R = 1).  delta >= 2 walks the
 squarefree numbers in ascending order while d * delta <= n_max.  Row n is Phi_k(n) plus
 the sum over its pairs of phi(d) * mu(delta) * V_{d,a}(n / (d * delta)); mu and phi come
-from the in-place divisor-sum inversion the count columns use, F from relprime_column,
-Phi_k from coprime_column, or at k None Phi(n) = 2 f(n) - [n = 1] from the steps of F
+from the in-place divisor-sum inversion the count columns use, f from counts._relprime_steps
+and F as its prefix sums, Phi_k from coprime_column, or at k None Phi(n) = 2 f(n) - [n = 1]
 (that inversion turns 2^(n - 1) into f(n), and 2^n - 1 = 2 * 2^(n - 1) - 1).
 """
 
@@ -75,11 +75,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate, compress, repeat
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import add, floordiv, mul, sub
 
-from .counts import (_adjoint, _binomials, _finish, _inverted, _mobius_terms, _term_sum,
-                     coprime_column, floor_vectors, relprime_column)
+from .counts import (_adjoint, _binomials, _finish, _inverted, _mobius_terms, _relprime_steps,
+                     _term_sum, coprime_column, floor_vectors)
 from .sieve import Factorization, check_args, factorize
 
 
@@ -93,9 +93,7 @@ class MenonParams:
 
 def menon_classic(n: int) -> int:
     """Classic identity value phi(n) * tau(n); oracle.residue_menon_sum is its definition."""
-    n, _ = check_args(n)
-    fac = factorize(n)
-    return fac.phi * fac.tau
+    return prod(p ** (e - 1) * (p - 1) * (e + 1) for p, e in factorize(n).factors)
 
 
 def _add_progression(big, small, n: int, m0: int, stride: int, w: int) -> None:
@@ -222,8 +220,8 @@ def menon_column(n_max: int, k: int | None = None) -> list[int]:
     """
     n_max, k = check_args(n_max, k)
     mu, phi = _mu_phi(n_max)
-    F = [0] + relprime_column(n_max, k)
-    f = [0] + list(map(sub, F[1:], F[:-1]))
+    f = [0] + _relprime_steps(n_max, k)
+    F = list(accumulate(f))
     # g[r] = g(r - 1), g(N) = 2^N - 1 or C(N, k), up to isqrt(n_max): a closed pair has R <= d
     top = isqrt(n_max)
     g = [0] + ([(1 << r) - 1 for r in range(top + 1)] if k is None else _binomials(top, k))

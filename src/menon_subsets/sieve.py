@@ -11,7 +11,6 @@ share them without importing the code they check.
 
 from __future__ import annotations
 
-import math
 import operator
 from functools import cached_property
 from itertools import accumulate
@@ -48,20 +47,10 @@ class Factorization(NamedTuple):
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    @property
-    def phi(self) -> int:
-        return math.prod(p ** (e - 1) * (p - 1) for p, e in self.factors)
-
-    @property
-    def tau(self) -> int:
-        return math.prod(e + 1 for _, e in self.factors)
-
 
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by trial division up to sqrt(n)."""
-    n = as_int(n, "n")
-    if n < 1:
-        raise ValueError("factorize() needs n >= 1")
+    n, _ = check_args(n)
     factors = []
     m, p = n, 2
     while p * p <= m:

@@ -137,8 +137,13 @@ def run_verification(
     totient partial sums); the evaluators under test factor n themselves, and
     the columns invert divisor sums.  A prebuilt sieve may be injected (the
     test harness uses this to prove that corruption is detected); it must
-    cover max(n_max_formula, n_max_enum, 256).
+    cover max(n_max_formula, n_max_enum, 256).  Bad bounds or k raise ValueError
+    before any check runs.
     """
+    if min(n_max_enum, n_max_formula) < 0 or not k_set or any(
+            type(k) is not int or k < 1 for k in k_set):
+        raise ValueError("n_max_enum and n_max_formula must be >= 0 and k_set nonempty ints "
+                         f">= 1, got {n_max_enum}, {n_max_formula}, {k_set!r}")
     if n_max_enum > DEFAULT_ENUMERATION_LIMIT:
         raise ValueError(f"n_max_enum {n_max_enum} exceeds the enumeration limit "
                          f"{DEFAULT_ENUMERATION_LIMIT}")

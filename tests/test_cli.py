@@ -429,18 +429,18 @@ def test_sum_tables_read_every_count_off_the_rows(capsys, monkeypatch, tag, k):
     # (menon.menon_column): the delta = 1 pairs open with (n - 1) F(n) per row and
     # add only their tails, every other term is F(d r // a) + T(r), a = delta^-1 mod d,
     # with T = g(r - 1) or one tail list per (d, a).  It factors no n, takes every
-    # F(q) and every step F(q) - F(q - 1) from one relprime_column F(1..n_max), at
-    # k None Phi(n) = 2 (F(n) - F(n - 1)) - [n = 1] too, and its rows are the per-n sums.
+    # step f(q) = F(q) - F(q - 1) from one inversion f(1..n_max) and F as their prefix
+    # sums, at k None Phi(n) = 2 f(n) - [n = 1] too, and its rows are the per-n sums.
     import menon_subsets.menon as menon_mod
 
     columns = []
-    original = menon_mod.relprime_column
+    original = menon_mod._relprime_steps
 
     def spy(*args):
         columns.append(args)
         return original(*args)
 
-    monkeypatch.setattr(menon_mod, "relprime_column", spy)
+    monkeypatch.setattr(menon_mod, "_relprime_steps", spy)
     _assert_tables_take_one_column(capsys, monkeypatch,
                                    [(tag, int(k) if k else None, menon_sum)], 60)
     assert columns == [(60, int(k) if k else None)]

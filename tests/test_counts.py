@@ -23,9 +23,9 @@ from menon_subsets.counts import (
     _binomials,
     _dense_solve,
     _doublings,
-    _floor_count,
     _inverted,
     _push,
+    _relprime_steps,
     _term_sum,
     coprime_column,
     floor_vectors,
@@ -56,6 +56,11 @@ def _floor_values(n: int) -> list[int]:
     """
     s = isqrt(n)
     return [n // t for t in range(1, s + (n // s > s))] + list(range(s, 0, -1))
+
+
+def _floor_entries(n: int) -> int:
+    """The entries of floor_vectors(n), less each list's padding index 0."""
+    return sum(map(len, floor_vectors(n))) - 2
 
 
 # Frozen from the bitmask enumeration oracle (tests/test_oracle.py exercises
@@ -280,17 +285,17 @@ def test_floor_counts_match_direct_counts(sieve, n, k):
 
 
 def test_floor_count_is_the_number_of_floor_values():
-    assert all(_floor_count(n) == len(_floor_values(n)) for n in range(1, 100_001))
+    assert all(_floor_entries(n) == len(_floor_values(n)) for n in range(1, 100_001))
 
 
 @given(st.integers(1, 10**9))
 def test_floor_count_property(n):
-    assert _floor_count(n) == len(_floor_values(n)) == len(set(_floor_values(n)))
+    assert _floor_entries(n) == len(_floor_values(n)) == len(set(_floor_values(n)))
     assert _floor_values(n) == sorted(_floor_values(n), reverse=True)
 
 
 def test_floor_count_closed_form():
-    assert all(_floor_count(n) == n // (isqrt(n) + 1) + isqrt(n) for n in range(1, 100_001))
+    assert all(_floor_entries(n) == n // (isqrt(n) + 1) + isqrt(n) for n in range(1, 100_001))
 
 
 def test_floor_vectors_hold_each_floor_value_once():
@@ -300,7 +305,7 @@ def test_floor_vectors_hold_each_floor_value_once():
         assert big[0] == small[0] == 0 and not any(big) and not any(small)
         held = [n // u for u in range(1, len(big))] + list(range(len(small) - 1, 0, -1))
         assert held == _floor_values(n)
-        assert len(held) == _floor_count(n)
+        assert len(held) == _floor_entries(n)
 
 
 @st.composite
@@ -500,12 +505,11 @@ def test_columns_refuse_negative_counts(monkeypatch):
     # The shared inversion is signed (it also yields mu); each count column
     # guards its own result, and the gcd-sum column each row's pair sum, which
     # starts at (n - 1) * F(n), the first members of the delta = 1 pairs: the
-    # decreasing F column F(m) = -m drives it negative.
+    # negative F steps f(m) = -1, so F(m) = -m, drive it negative.
     import menon_subsets.counts as counts_mod
     import menon_subsets.menon as menon_mod
 
-    monkeypatch.setattr(menon_mod, "relprime_column",
-                        lambda n_max, k: [-m for m in range(1, n_max + 1)])
+    monkeypatch.setattr(menon_mod, "_relprime_steps", lambda n_max, k: [-1] * n_max)
     with pytest.raises(ArithmeticError):
         menon_column(10)
     # Both unrestricted columns take their terms from the doubling sequence.
@@ -754,6 +758,22 @@ def test_phi_column_is_twice_the_f_steps_at_every_n_max(one):
             want[0] -= 1
             column = coprime_column(n_max, one=one)
             assert column == want and type(column[-1]) is type(one), n_max
+
+
+@pytest.mark.parametrize("one", [1, decimal.Decimal(1)], ids=["int", "Decimal"])
+def test_relprime_steps_are_the_column_differences_at_every_n_max(one):
+    # menon_column takes its F steps straight from the inversion; they are the steps of
+    # the f column at every n_max <= 600, in each exact unit the table path builds from.
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.InvalidOperation, decimal.Inexact, decimal.Rounded])
+    with decimal.localcontext(exact):
+        for n_max in range(1, 601):
+            for k in dict.fromkeys((None, 1, 2, 3, n_max)):
+                unit = one if k is None else 1
+                F = [0 * unit] + relprime_column(n_max, k, one=one)
+                steps = _relprime_steps(n_max, k, one)
+                assert steps == list(map(sub, F[1:], F[:-1])), (n_max, k)
+                assert type(steps[-1]) is type(unit), (n_max, k)
 
 
 def test_small_columns_match_cold_counts_at_every_n_max():

@@ -47,6 +47,18 @@ def test_oracle_imports_only_memocache_from_the_core():
     assert core == {("counts", "MemoCache")}
 
 
+def test_cli_imports_no_private_core_name():
+    # cli reads the core through its public names only; a private helper it needs
+    # is a fact with two owners.
+    private = {(source, name) for source, name in imported_names("cli")
+               if source in ("counts", "menon", "sieve") and name.startswith("_")}
+    assert private == set()
+
+
+def test_private_import_guard_sees_underscore_names():
+    assert ("counts", "_adjoint") in imported_names("menon")
+
+
 def test_guard_sees_imports():
     assert ("sieve", "build_sieve") in imported_names("verification")
     assert ("sieve", "factorize") in imported_names("counts")

@@ -19,6 +19,7 @@ from menon_subsets import (
     menon_sum,
     relprime_subsets,
 )
+import menon_subsets.counts as counts_mod
 import menon_subsets.menon as menon_mod
 from menon_subsets.counts import _adjoint, _term_sum, floor_vectors, relprime_column
 from menon_subsets.menon import _mu_phi, _progression_tails, divisor_pairs, menon_column
@@ -651,6 +652,26 @@ def test_menon_column_reads_phi_off_the_f_steps(monkeypatch, k, calls):
     monkeypatch.setattr(menon_mod, "coprime_column", spy)
     menon_column(800, k)
     assert seen == calls
+
+
+@pytest.mark.parametrize("k", [None, 2])
+def test_menon_column_takes_the_f_steps_from_one_inversion(monkeypatch, k):
+    # F and its steps f come from one _relprime_steps call, F as the prefix sums of f:
+    # no relprime_column call, whose F the column would difference back into f.
+    steps, columns = [], []
+    original = menon_mod._relprime_steps
+
+    def spy(*args):
+        steps.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(menon_mod, "_relprime_steps", spy)
+    monkeypatch.setattr(counts_mod, "relprime_column", lambda *args: columns.append(args))
+    monkeypatch.setattr(menon_mod, "relprime_column", lambda *args: columns.append(args),
+                        raising=False)
+    assert menon_column(300, k) == [menon_sum(n, k) for n in range(1, 301)]
+    assert steps == [(300, k)]
+    assert columns == []
 
 
 @pytest.mark.parametrize("n, mask", [(55440, True), (47670, True), (720720, True),

@@ -89,6 +89,23 @@ def test_rejects_undersized_sieve():
         run_verification(n_max_enum=4, n_max_formula=30, sieve=build_sieve(100))
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(n_max_enum=-3, n_max_formula=-5, k_set=(1,)), dict(n_max_enum=-1),
+    dict(n_max_formula=-1), dict(k_set=()), dict(k_set=(0,)), dict(k_set=(1, -2)),
+    dict(k_set=(2.0,)), dict(k_set=("2",)), dict(k_set=(True,)), dict(k_set=(1, None))])
+def test_rejects_bad_bounds_and_k_before_any_check(monkeypatch, kwargs):
+    # A bad argument raises up front: no sieve is built and no check starts its clock,
+    # where a negative bound used to run the battery and report errors per check.
+    import menon_subsets.verification as verification_mod
+
+    ran = []
+    for name in ("build_sieve", "perf_counter", "relprime_subsets", "menon_sum"):
+        monkeypatch.setattr(verification_mod, name, lambda *args, name=name: ran.append(name))
+    with pytest.raises(ValueError):
+        run_verification(**kwargs)
+    assert ran == []
+
+
 def test_every_check_reports_cases_and_seconds():
     report = run_verification(n_max_enum=4, n_max_formula=30, k_set=(1, 2))
     text = report.render()
